@@ -1,10 +1,10 @@
 """Hot numeric kernels with two interchangeable backends.
 
 Every kernel exists twice: a loop form compiled with numba ``@njit``,
-and a vectorized pure-numpy form.  The numpy path is selected by
-setting the environment variable ``CORRKEM_NO_NUMBA=1`` before import
-(or automatically when numba is absent).  ``BACKEND`` records the
-active choice; ``IMPLEMENTATIONS`` exposes both for benchmarking.
+and a vectorized pure-numpy form.  The numba form is active when numba
+imports (it is the optional ``numba`` extra), the numpy form otherwise.
+``BACKEND`` records the active choice; ``IMPLEMENTATIONS`` exposes
+every form for comparison and benchmarking.
 
 The exact statistical-distance kernels exploit one structural fact
 about the affine hash family h_{a,b}(x) = msb_m(a*x XOR b): the b part
@@ -22,32 +22,21 @@ The SD kernels take pre-shifted hash-output tables:
     key[a, i] = msb_ell(a * xcode_i)    (na, nx) int64
 
 and accumulate per-seed-block sums touching only occupied cells.
+The one-time challenge distance is the q_e = 0 transcript distance.
 The census kernel, being itself the verification oracle for the hash
 family, enumerates the full (a, b) seed space with no shortcut.
 """
-
-import os
 
 import numpy as np
 
 from .gf2 import reduction_low
 
+try:
+    from numba import njit as _njit
+except ImportError:  # numba is an optional extra
+    _njit = None
 
-def _want_numba() -> bool:
-    flag = os.environ.get("CORRKEM_NO_NUMBA", "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
-
-
-_HAVE_NUMBA = False
-if _want_numba():
-    try:
-        from numba import njit as _njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+BACKEND = "numpy" if _njit is None else "numba"
 
 
 # ---------------------------------------------------------------------------
@@ -160,76 +149,6 @@ def _census_max_dev_numpy(prod, w, m):
 
 
 # ---------------------------------------------------------------------------
-# Exact SD of (Z, S, h_S(X), S', h'_{S'}(X)) against the uniform-key reference
-
-
-def _challenge_sd_loop(tag, key, pxz, t_bits, ell_bits):
-    na, nx = tag.shape
-    nz = pxz.shape[1]
-    two_l = 1 << ell_bits
-    nrow = 1 << t_bits
-    inv_l = 1.0 / two_l
-    acc = np.zeros(nrow * two_l)
-    row = np.zeros(nrow)
-    gcnt = np.zeros(nrow, np.int64)
-    cells = np.empty(nx, np.int64)
-    rows = np.empty(nx, np.int64)
-    total = 0.0
-    for a in range(na):
-        for a2 in range(na):
-            for z in range(nz):
-                ncell = 0
-                nrowt = 0
-                for i in range(nx):
-                    p = pxz[i, z]
-                    if p <= 0.0:
-                        continue
-                    g = tag[a, i]
-                    code = (g << ell_bits) + key[a2, i]
-                    if acc[code] == 0.0:
-                        cells[ncell] = code
-                        ncell += 1
-                        gcnt[g] += 1
-                    acc[code] += p
-                    if row[g] == 0.0:
-                        rows[nrowt] = g
-                        nrowt += 1
-                    row[g] += p
-                sub = 0.0
-                for j in range(ncell):
-                    code = cells[j]
-                    g = code >> ell_bits
-                    sub += abs(acc[code] - row[g] * inv_l)
-                    acc[code] = 0.0
-                for j in range(nrowt):
-                    g = rows[j]
-                    sub += (two_l - gcnt[g]) * row[g] * inv_l
-                    row[g] = 0.0
-                    gcnt[g] = 0
-                total += sub
-    return 0.5 * total / (na * na)
-
-
-def _challenge_sd_numpy(tag, key, pxz, t_bits, ell_bits):
-    na, nx = tag.shape
-    nz = pxz.shape[1]
-    two_l = 1 << ell_bits
-    nrow = 1 << t_bits
-    nblock = nrow * two_l
-    a2off = np.arange(na, dtype=np.int64)[:, None] * nblock
-    total = 0.0
-    for z in range(nz):
-        weights = np.broadcast_to(pxz[:, z], (na, nx)).ravel()
-        for a in range(na):
-            codes = ((tag[a] << ell_bits) + key + a2off).ravel()
-            joint = np.bincount(codes, weights=weights, minlength=na * nblock)
-            joint = joint.reshape(na, nrow, two_l)
-            ref = joint.sum(axis=2, keepdims=True) / two_l
-            total += np.abs(joint - ref).sum()
-    return 0.5 * total / (na * na)
-
-
-# ---------------------------------------------------------------------------
 # Exact SD for the q_e-query transcript game
 
 
@@ -299,12 +218,15 @@ def _cea_sd_numpy(tag, key, pxz, t_bits, ell_bits, q_e):
     two_l = 1 << ell_bits
     nrow = 1 << t_bits
     qblock = nrow * two_l
-    nouter = na ** (1 + 2 * q_e)  # all seeds except the challenge key seed
+    nfixed = 1 + 2 * q_e  # all seeds except the challenge key seed
+    nouter = na**nfixed
     nrest = nrow * qblock**q_e
     nblock = nrest * two_l
-    a2off = np.arange(na, dtype=np.int64)[:, None] * nblock
+    keyoff = key + np.arange(na, dtype=np.int64)[:, None] * nblock
+    # row index: the challenge tag in the lowest digit, query j's
+    # (tag, key) block q_e - 1 - j places above it
+    scale = [nrow * qblock ** (q_e - 1 - j) for j in range(q_e)]
     total = 0.0
-    nfixed = 1 + 2 * q_e
     seeds = np.empty(nfixed, np.int64)
     for z in range(nz):
         weights = np.broadcast_to(pxz[:, z], (na, nx)).ravel()
@@ -313,13 +235,12 @@ def _cea_sd_numpy(tag, key, pxz, t_bits, ell_bits, q_e):
             for j in range(nfixed):
                 seeds[j] = v % na
                 v //= na
-            rest = np.zeros(nx, np.int64)
+            rest = tag[seeds[0]]
             for j in range(q_e):
                 gq = tag[seeds[1 + 2 * j]]
                 kq = key[seeds[2 + 2 * j]]
-                rest = rest * qblock + (gq << ell_bits) + kq
-            rest = rest * nrow + tag[seeds[0]]
-            codes = ((rest << ell_bits) + key + a2off).ravel()
+                rest = rest + ((gq << ell_bits) + kq) * scale[j]
+            codes = ((rest << ell_bits) + keyoff).ravel()
             joint = np.bincount(codes, weights=weights, minlength=na * nblock)
             joint = joint.reshape(na, nrest, two_l)
             ref = joint.sum(axis=2, keepdims=True) / two_l
@@ -416,32 +337,23 @@ def _compose_sd_numpy(tag, key, xcol, ycol, zcol, ptr, cand, t_bits, ell_bits, n
 # ---------------------------------------------------------------------------
 # backend selection
 
-if _HAVE_NUMBA:
-    _MUL_TABLE_IMPL = _njit(cache=True)(_mul_table_loop)
-    census_max_dev = _njit(cache=True)(_census_max_dev_loop)
-    challenge_sd = _njit(cache=True)(_challenge_sd_loop)
-    cea_sd = _njit(cache=True)(_cea_sd_loop)
-    compose_sd = _njit(cache=True)(_compose_sd_loop)
-else:
-    _MUL_TABLE_IMPL = _mul_table_numpy
-    census_max_dev = _census_max_dev_numpy
-    challenge_sd = _challenge_sd_numpy
-    cea_sd = _cea_sd_numpy
-    compose_sd = _compose_sd_numpy
-
 IMPLEMENTATIONS = {
     "mul_table": {"numpy": _mul_table_numpy, "loop": _mul_table_loop},
     "census_max_dev": {"numpy": _census_max_dev_numpy, "loop": _census_max_dev_loop},
-    "challenge_sd": {"numpy": _challenge_sd_numpy, "loop": _challenge_sd_loop},
     "cea_sd": {"numpy": _cea_sd_numpy, "loop": _cea_sd_loop},
     "compose_sd": {"numpy": _compose_sd_numpy, "loop": _compose_sd_loop},
 }
-if _HAVE_NUMBA:
-    for _name, _fn in (
-        ("mul_table", _MUL_TABLE_IMPL),
-        ("census_max_dev", census_max_dev),
-        ("challenge_sd", challenge_sd),
-        ("cea_sd", cea_sd),
-        ("compose_sd", compose_sd),
-    ):
-        IMPLEMENTATIONS[_name]["numba"] = _fn
+if _njit is not None:
+    for _impls in IMPLEMENTATIONS.values():
+        _impls["numba"] = _njit(cache=True)(_impls["loop"])
+
+_MUL_TABLE_IMPL = IMPLEMENTATIONS["mul_table"][BACKEND]
+census_max_dev = IMPLEMENTATIONS["census_max_dev"][BACKEND]
+cea_sd = IMPLEMENTATIONS["cea_sd"][BACKEND]
+compose_sd = IMPLEMENTATIONS["compose_sd"][BACKEND]
+
+
+def challenge_sd(tag, key, pxz, t_bits, ell_bits):
+    """Exact SD of (Z, S, h_S(X), S', h'_{S'}(X)) against the uniform-key
+    reference: the transcript distance with no oracle queries."""
+    return cea_sd(tag, key, pxz, t_bits, ell_bits, 0)

@@ -5,8 +5,9 @@ the full probability space of a micro instance: the n-fold sample
 support times every hash seed.  The affine family's additive seed
 component is marginalized out inside the kernels (an exact
 SD-preserving reduction, see :mod:`corrkem._kernels`);
-:func:`naive_challenge_sd` and :func:`naive_composability_sd` keep the
-unreduced enumeration as oracles for the tests.
+:func:`naive_cea_sd` and :func:`naive_composability_sd` keep the
+unreduced enumeration as oracles for the tests.  The one-time
+challenge distance is the q_e = 0 transcript distance throughout.
 
 Work is bounded by the published regime guard
 
@@ -22,8 +23,8 @@ import numpy as np
 from .._kernels import cea_sd, challenge_sd, compose_sd, mul_table
 from ..errors import RegimeTooLarge
 from ..ikem import IkemParams, enumerate_typical, hash_width
-from ..source import Distribution, JointSource
-from ..uhf import encode_symbols, symbol_bits
+from ..source import Distribution, JointSource, product_source
+from ..uhf import encode_flat, encode_symbols
 
 WORK_LIMIT = 1 << 24
 JOINT_CELL_LIMIT = 1 << 22
@@ -38,15 +39,10 @@ def lhl_bound(t: int, ell: int, h_xz: float) -> float:
 
 def _iid_xz(source: JointSource, n: int):
     """Support codes and joint table P(x-code, z-pattern) for n symbols."""
-    pxz1 = source.pmf.sum(axis=1)
-    nx = source.alphabet_sizes[0]
-    bits = symbol_bits(nx)
-    pxz = pxz1
-    codes = np.arange(nx, dtype=np.int64)
-    for _ in range(n - 1):
-        pxz = np.kron(pxz, pxz1)
-        codes = ((codes[:, None] << bits) | np.arange(nx, dtype=np.int64)[None, :]).ravel()
-    return codes, pxz
+    nx, _, nz = source.alphabet_sizes
+    xz = JointSource((nx, 1, nz), source.pmf.sum(axis=1, keepdims=True))
+    pxz = product_source(xz, n).pmf[:, 0, :]
+    return encode_flat(np.arange(pxz.shape[0]), n, nx), pxz
 
 
 def _guard_width(w: int) -> None:
@@ -93,38 +89,13 @@ def cea_transcript_sd(source: JointSource, params: IkemParams, q_e: int) -> tupl
     return sd, na ** (2 + 2 * q_e) * pxz.shape[0] * pxz.shape[1]
 
 
-def exact_challenge_distribution(source: JointSource, params: IkemParams):
-    """The true joint of (Z, S, G, S', K*) and its uniform-key
-    reference, as a pair of Distributions over the flattened index
-    (z, a_tag, g, a_key, k).
+def cea_transcript_distribution(source: JointSource, params: IkemParams, q_e: int):
+    """Joint of (Z, C*, K*, V^(q_e)) and its reference, as a pair of
+    Distributions; q_e = 0 is the one-time challenge tuple.
 
     Seeds appear through their multiplier component only; the additive
-    component is exactly marginal (see module docstring).
-    """
-    tag, key, pxz = _challenge_tables(source, params)
-    na = tag.shape[0]
-    nz = pxz.shape[1]
-    shape = (nz, na, 1 << params.t, na, 1 << params.ell)
-    _guard_cells(shape)
-    joint = np.zeros(shape)
-    a_idx = np.arange(na, dtype=np.int64)
-    for i in range(tag.shape[1]):
-        gv = tag[:, i]
-        kv = key[:, i]
-        for z in range(nz):
-            p = pxz[i, z]
-            if p <= 0.0:
-                continue
-            joint[z, a_idx[:, None], gv[:, None], a_idx[None, :], kv[None, :]] += p
-    joint /= na * na
-    return _reference_pair(joint, k_axis=4, ell=params.ell)
-
-
-def cea_transcript_distribution(source: JointSource, params: IkemParams, q_e: int):
-    """Joint of (Z, C*, K*, V^(q_e)) and its reference; q_e = 0 must
-    reproduce exact_challenge_distribution bit-for-bit.
-
-    Flattened index order: (z, a_tag*, g*, a_key*, k*, then per query
+    component is exactly marginal (see module docstring).  Flattened
+    index order: (z, a_tag*, g*, a_key*, k*, then per query
     a_tag_j, g_j, a_key_j, k_j).
     """
     tag, key, pxz = _challenge_tables(source, params, q_e)
@@ -176,30 +147,13 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
     _guard_width(w)
     nx, ny, nz1 = source.alphabet_sizes
     n = params.n
-    pxyz = source.pmf
-    for _ in range(n - 1):
-        pxyz = np.kron(pxyz, source.pmf)
-    nyn = ny**n
-    nzn = nz1**n
-    bits = symbol_bits(nx)
+    pxyz = product_source(source, n).pmf
 
     xf, yf, zf = np.nonzero(pxyz > 0.0)
     ptr = pxyz[xf, yf, zf]
     na = 1 << w
     if xf.shape[0] * na * na > WORK_LIMIT:
         raise RegimeTooLarge("composability enumeration exceeds the work limit")
-
-    # encode x flat indices to bit codes
-    def flat_to_code(flat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(flat)
-        rem = flat.copy()
-        for pos in range(n - 1, -1, -1):
-            digit = rem % nx
-            rem //= nx
-            out |= digit << (bits * (n - 1 - pos))
-        return out
-
-    xcodes_sup = flat_to_code(xf.astype(np.int64))
 
     # candidate lists per distinct receiver pattern
     y_present = np.unique(yf)
@@ -214,15 +168,11 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
             cols.append(code)
         return got
 
+    xcodes_sup = encode_flat(xf, n, nx)
     xcol = np.array([column(int(c)) for c in xcodes_sup], dtype=np.int64)
     cand_lists = {}
     for yflat in y_present:
-        digits = []
-        rem = int(yflat)
-        for _ in range(n):
-            digits.append(rem % ny)
-            rem //= ny
-        y_vec = np.array(digits[::-1], dtype=np.int64)
+        y_vec = np.array(np.unravel_index(yflat, (ny,) * n))
         entries = []
         for cand in enumerate_typical(source, y_vec, params.nu):
             code, _ = encode_symbols(cand, nx)
@@ -247,7 +197,7 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
                 cand[row, a, g_per_a[a]] = col if slot == -1 else -2
 
     sd = float(
-        compose_sd(tag, key, xcol, ycol, zf.astype(np.int64), ptr, cand, params.t, params.ell, nzn)
+        compose_sd(tag, key, xcol, ycol, zf.astype(np.int64), ptr, cand, params.t, params.ell, nz1**n)
     )
     return sd, na * na * xf.shape[0]
 
@@ -256,39 +206,19 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
 # Naive full-seed oracles (tiny instances only; used by the test suite)
 
 
-def naive_challenge_sd(source: JointSource, params: IkemParams) -> float:
-    """SD of the challenge tuple by enumerating full (a, b) seeds of
-    both families.  Cost (2^w)^4 * support; keep w <= 3."""
-    from ..uhf import UhfSeed, UhfSpec, hash_value
+def _add(table: dict, cell, p: float) -> None:
+    table[cell] = table.get(cell, 0.0) + p
 
-    w = hash_width(source, params)
-    if (1 << (4 * w)) > WORK_LIMIT:
-        raise RegimeTooLarge("naive enumeration is for tiny widths only")
-    codes, pxz = _iid_xz(source, params.n)
-    tspec = UhfSpec(w, params.t)
-    kspec = UhfSpec(w, params.ell)
-    na = 1 << w
-    true: dict = {}
-    refmarg: dict = {}
-    seed_p = 1.0 / na**4
-    for a, b, a2, b2 in _iterprod(range(na), repeat=4):
-        s = UhfSeed(a, b)
-        s2 = UhfSeed(a2, b2)
-        for i, code in enumerate(codes):
-            g = hash_value(tspec, s, int(code))
-            k = hash_value(kspec, s2, int(code))
-            for z in range(pxz.shape[1]):
-                p = pxz[i, z]
-                if p <= 0.0:
-                    continue
-                view = (z, a, b, g, a2, b2)
-                true[view + (k,)] = true.get(view + (k,), 0.0) + p * seed_p
-                refmarg[view] = refmarg.get(view, 0.0) + p * seed_p
+
+def _naive_sd(true: dict, marg: dict, two_l: int, offdiag: dict | None = None) -> float:
+    """Half the L1 distance between ``true`` (mass per view + (k,)) and
+    the reference spreading each view's mass ``marg[view]`` uniformly
+    over the 2^ell keys k.  ``offdiag`` holds per-view true mass on
+    cells the reference never covers."""
     sd = 0.0
-    two_l = 1 << params.ell
-    for view, mass in refmarg.items():
+    for view, mass in marg.items():
         u = mass / two_l
-        acc = 0.0
+        acc = offdiag.get(view, 0.0) if offdiag else 0.0
         hit = 0
         for k in range(two_l):
             val = true.get(view + (k,))
@@ -300,10 +230,16 @@ def naive_challenge_sd(source: JointSource, params: IkemParams) -> float:
     return 0.5 * sd
 
 
+def naive_challenge_sd(source: JointSource, params: IkemParams) -> float:
+    """SD of the challenge tuple by enumerating full (a, b) seeds of
+    both families: the q_e = 0 transcript.  Keep w <= 3."""
+    return naive_cea_sd(source, params, 0)
+
+
 def naive_cea_sd(source: JointSource, params: IkemParams, q_e: int) -> float:
     """Transcript SD by enumerating full (a, b) seeds of every family
     instance: challenge pair plus q_e oracle pairs.  Cost
-    (2^w)^(4 + 4*q_e) * support; keep w <= 2."""
+    (2^w)^(4 + 4*q_e) * support; keep w <= 2 for q_e = 1."""
     from ..uhf import UhfSeed, UhfSpec, hash_value
 
     w = hash_width(source, params)
@@ -316,7 +252,7 @@ def naive_cea_sd(source: JointSource, params: IkemParams, q_e: int) -> float:
     npairs = 2 * (1 + q_e)
     seed_p = 1.0 / na ** (2 * npairs)
     true: dict = {}
-    refmarg: dict = {}
+    marg: dict = {}
     for seeds in _iterprod(range(na * na), repeat=npairs):
         pairs = [UhfSeed(s % na, s // na) for s in seeds]
         tag_seed, key_seed = pairs[0], pairs[1]
@@ -332,22 +268,9 @@ def naive_cea_sd(source: JointSource, params: IkemParams, q_e: int) -> float:
                 if p <= 0.0:
                     continue
                 view = (z, seeds, tuple(outs))
-                true[view + (k_star,)] = true.get(view + (k_star,), 0.0) + p * seed_p
-                refmarg[view] = refmarg.get(view, 0.0) + p * seed_p
-    sd = 0.0
-    two_l = 1 << params.ell
-    for view, mass in refmarg.items():
-        u = mass / two_l
-        acc = 0.0
-        hit = 0
-        for k in range(two_l):
-            val = true.get(view + (k,))
-            if val is not None:
-                acc += abs(val - u)
-                hit += 1
-        acc += (two_l - hit) * u
-        sd += acc
-    return 0.5 * sd
+                _add(true, view + (k_star,), p * seed_p)
+                _add(marg, view, p * seed_p)
+    return _naive_sd(true, marg, 1 << params.ell)
 
 
 def naive_composability_sd(source: JointSource, params: IkemParams) -> float:
@@ -359,26 +282,17 @@ def naive_composability_sd(source: JointSource, params: IkemParams) -> float:
     if (1 << (4 * w)) > WORK_LIMIT:
         raise RegimeTooLarge("naive enumeration is for tiny widths only")
     n = params.n
-    nx, ny, nz1 = source.alphabet_sizes
-    pxyz = source.pmf
-    for _ in range(n - 1):
-        pxyz = np.kron(pxyz, source.pmf)
+    nx, ny, _ = source.alphabet_sizes
+    pxyz = product_source(source, n).pmf
     tspec = UhfSpec(w, params.t)
     kspec = UhfSpec(w, params.ell)
     na = 1 << w
     seed_p = 1.0 / na**4
     two_l = 1 << params.ell
-    bot = two_l
 
-    def decode(flat: int, size: int) -> np.ndarray:
-        digits = []
-        for _ in range(n):
-            digits.append(flat % size)
-            flat //= size
-        return np.array(digits[::-1], dtype=np.int64)
-
-    true: dict = {}
-    refmarg: dict = {}
+    # the reference puts U on the diagonal K_A = K_B only
+    diag: dict = {}
+    marg: dict = {}
     offdiag: dict = {}
     xf, yflat_arr, zf = np.nonzero(pxyz > 0.0)
     for a, b, a2, b2 in _iterprod(range(na), repeat=4):
@@ -386,28 +300,15 @@ def naive_composability_sd(source: JointSource, params: IkemParams) -> float:
         s2 = UhfSeed(a2, b2)
         for xi, yi, zi in zip(xf, yflat_arr, zf):
             p = pxyz[xi, yi, zi] * seed_p
-            x_vec = decode(int(xi), nx)
-            code, _ = encode_symbols(x_vec, nx)
+            code, _ = encode_symbols(np.unravel_index(xi, (nx,) * n), nx)
             g = hash_value(tspec, s, code)
             ka = hash_value(kspec, s2, code)
             ctxt = IkemCiphertext(g, s2, s)
-            got = decap(params, source, decode(int(yi), ny), ctxt)
-            kb = bot if got is BOTTOM else got.bits
+            got = decap(params, source, np.array(np.unravel_index(yi, (ny,) * n)), ctxt)
             view = (int(zi), a, b, g, a2, b2)
-            true[view + (ka, kb)] = true.get(view + (ka, kb), 0.0) + p
-            refmarg[view] = refmarg.get(view, 0.0) + p
-            if ka != kb:
-                offdiag[view] = offdiag.get(view, 0.0) + p
-    sd = 0.0
-    for view, mass in refmarg.items():
-        u = mass / two_l
-        acc = offdiag.get(view, 0.0)
-        hit = 0
-        for k in range(two_l):
-            val = true.get(view + (k, k))
-            if val is not None:
-                acc += abs(val - u)
-                hit += 1
-        acc += (two_l - hit) * u
-        sd += acc
-    return 0.5 * sd
+            if got is not BOTTOM and got.bits == ka:
+                _add(diag, view + (ka,), p)
+            else:
+                _add(offdiag, view, p)
+            _add(marg, view, p)
+    return _naive_sd(diag, marg, two_l, offdiag)

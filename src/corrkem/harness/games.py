@@ -22,7 +22,7 @@ from ..gf2 import mul_vector
 from ..hybrid import he_encrypt
 from ..ikem import BOTTOM, IkemKey, IkemParams, encap, decap, hash_width, key_spec
 from ..source import JointSource, sample_with_rng
-from ..uhf import _rand_bits, hash_value, symbol_bits
+from ..uhf import encode_flat, hash_value, rand_bits
 from .exact import cea_transcript_sd, composability_sd, exact_challenge_sd
 
 _TIE_SLACK = 1e-12
@@ -180,13 +180,9 @@ class _PosteriorMixin:
         n = params.n
         if nx**n > _POSTERIOR_LIMIT:
             raise RegimeTooLarge("posterior enumeration needs |X|^n <= 2^20")
-        grids = np.meshgrid(*([np.arange(nx)] * n), indexing="ij")
-        self.digits = np.stack([g.ravel() for g in grids], axis=1)  # (N, n)
-        bits = symbol_bits(nx)
-        codes = np.zeros(self.digits.shape[0], dtype=np.int64)
-        for i in range(n):
-            codes = (codes << bits) | self.digits[:, i]
-        self.codes = codes
+        flat = np.arange(nx**n, dtype=np.int64)
+        self.digits = np.stack(np.unravel_index(flat, (nx,) * n), axis=1)  # (N, n)
+        self.codes = encode_flat(flat, n, nx)
         self.pxz1 = source.pmf.sum(axis=1)
         self.w = hash_width(source, params)
 
@@ -263,7 +259,7 @@ class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
 
 
 def _uniform_key(rng, ell: int) -> IkemKey:
-    return IkemKey(_rand_bits(rng, ell), ell)
+    return IkemKey(rand_bits(rng, ell), ell)
 
 
 def run_ikem_game(

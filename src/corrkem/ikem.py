@@ -36,7 +36,7 @@ from .errors import (
     LengthMismatch,
     UndefinedConditional,
 )
-from .source import JointSource, avg_cond_min_entropy
+from .source import JointSource, avg_cond_min_entropy, check_symbols
 from .uhf import UhfSeed, UhfSpec, encode_symbols, hash_value, sample_seed, symbol_bits
 
 # Slack for floating-point comparisons in branch pruning; candidates are
@@ -260,11 +260,13 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     surprisal plus the minimal achievable suffix surprisal already
     exceeds nu.  Leaves re-check the full sum with the exact order of
     additions used by :func:`corrkem.source.surprisal`, so the output
-    equals the brute-force filter exactly.
+    equals the brute-force filter exactly.  A receiver symbol outside
+    the alphabet raises LengthMismatch.
     """
     if nu < 0:
         raise DimensionMismatch("nu must be >= 0")
     y_vec = np.asarray(y_vec, dtype=np.int64)
+    check_symbols(y_vec, source.alphabet_sizes[1])
     n = y_vec.shape[0]
     nx = source.alphabet_sizes[0]
     cond = source.conditional_xy()

@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     EmptySupport,
     InvalidCoordinate,
+    LengthMismatch,
     NegativeProbability,
     NotNormalized,
     ProbabilityOutOfRange,
@@ -205,16 +206,24 @@ def iid_cond_min_entropy(source: JointSource, target_coord: int, given_coords, n
     return n * avg_cond_min_entropy(source, target_coord, given_coords)
 
 
+def check_symbols(vec: np.ndarray, alphabet_size: int) -> None:
+    """Raise LengthMismatch unless every symbol lies in [0, alphabet_size)."""
+    if np.any((vec < 0) | (vec >= alphabet_size)):
+        raise LengthMismatch(f"symbol outside alphabet of {alphabet_size}")
+
+
 def surprisal(source: JointSource, x_vec, y_vec) -> float:
     """Total conditional surprisal sum_i -log2 P(x_i | y_i) in bits.
 
     Returns +inf when some P(x_i | y_i) = 0; raises UndefinedConditional
-    when some P(y_i) = 0.
+    when some P(y_i) = 0, LengthMismatch for an out-of-alphabet symbol.
     """
     x_vec = np.asarray(x_vec, dtype=np.int64)
     y_vec = np.asarray(y_vec, dtype=np.int64)
     if x_vec.shape != y_vec.shape or x_vec.ndim != 1:
         raise DimensionMismatch("x_vec and y_vec must be equal-length vectors")
+    check_symbols(x_vec, source.alphabet_sizes[0])
+    check_symbols(y_vec, source.alphabet_sizes[1])
     cond = source.conditional_xy()
     py = source.pmf.sum(axis=(0, 2))
     total = 0.0

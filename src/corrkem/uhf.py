@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from ._kernels import census_max_dev, challenge_sd, mul_table
+from ._kernels import cea_sd, census_max_dev, mul_table
 from .errors import DimensionMismatch, LengthMismatch, RegimeTooLarge
 
 CENSUS_MAX_WIDTH = 12
@@ -60,10 +60,11 @@ class UhfSeed:
 
 def sample_seed(spec: UhfSpec, rng: np.random.Generator) -> UhfSeed:
     """Uniform seed, deterministic in the generator state."""
-    return UhfSeed(_rand_bits(rng, spec.input_bits), _rand_bits(rng, spec.input_bits))
+    return UhfSeed(rand_bits(rng, spec.input_bits), rand_bits(rng, spec.input_bits))
 
 
-def _rand_bits(rng: np.random.Generator, w: int) -> int:
+def rand_bits(rng: np.random.Generator, w: int) -> int:
+    """Uniform w-bit integer drawn from 64-bit generator words."""
     value = 0
     for _ in range((w + 63) // 64):
         value = (value << 64) | int(rng.integers(0, 1 << 64, dtype=np.uint64))
@@ -112,6 +113,16 @@ def encode_symbols(symbols, alphabet_size: int) -> tuple[int, int]:
     return code, bits * count
 
 
+def encode_flat(flat, n: int, alphabet_size: int) -> np.ndarray:
+    """:func:`encode_symbols` of each row-major flat index into the
+    n-fold alphabet, vectorized."""
+    bits = symbol_bits(alphabet_size)
+    code = np.zeros(np.shape(flat), dtype=np.int64)
+    for digit in np.unravel_index(flat, (alphabet_size,) * n):
+        code = (code << bits) | digit
+    return code
+
+
 def symbol_bits(alphabet_size: int) -> int:
     if alphabet_size < 1:
         raise DimensionMismatch("alphabet_size must be >= 1")
@@ -152,4 +163,4 @@ def extractor_sd(spec: UhfSpec, probs: np.ndarray) -> float:
     key = (table[:, xs].astype(np.int64)) >> (w - m)
     tag = np.zeros_like(key)  # no tag leaked: t = 0
     pxz = probs[xs][:, None]
-    return float(challenge_sd(tag, key, pxz, 0, m))
+    return float(cea_sd(tag, key, pxz, 0, m, 0))

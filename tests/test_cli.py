@@ -108,6 +108,15 @@ def test_encrypt_decrypt_roundtrip_and_digest_guard(tmp_path, det_source_file):
                  "--sample", f"{prefix}.bob.json", "--in", out, "--out", plain]) == 0
     assert (tmp_path / "plain.bin").read_bytes() == b"attack at dawn"
 
+    # a receiver symbol outside the alphabet {0, 1} is malformed input
+    bob = json.loads((tmp_path / "run.bob.json").read_text())
+    bob["symbols"][0] = 2
+    bad = tmp_path / "bad.bob.json"
+    wire.save_json(bad, bob)
+    code = main(["decrypt", "--source", det_source_file, "--params", params_path,
+                 "--sample", str(bad), "--in", out, "--out", plain])
+    assert code == 1
+
     # params mismatch is a format error (exit 1), not a protocol bottom
     _, params2 = _plan(tmp_path, det_source_file, 160, 0.5, 2.0**-7)
     code = main(["decrypt", "--source", det_source_file, "--params", params2,

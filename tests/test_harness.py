@@ -18,7 +18,6 @@ from corrkem.harness import (
     composability_check,
     composability_sd,
     correctness_mc,
-    exact_challenge_distribution,
     exact_challenge_sd,
     lhl_bound,
     naive_challenge_sd,
@@ -87,11 +86,14 @@ def test_challenge_sd_matches_naive_oracle(rng):
 
 
 def test_challenge_distribution_consistent_with_sd(rng):
+    # the one-time challenge is the q_e = 0 transcript: the materialized
+    # joint and both streaming distances agree
     src, n = random_micro_source(rng, max_bits=4)
     params = _micro_params(n=n, t=2, ell=2)
     sd, _ = exact_challenge_sd(src, params)
-    true_d, ref_d = exact_challenge_distribution(src, params)
+    true_d, ref_d = cea_transcript_distribution(src, params, 0)
     assert statistical_distance(true_d, ref_d) == pytest.approx(sd, abs=1e-12)
+    assert cea_transcript_sd(src, params, 0)[0] == sd
 
 
 def test_lhl_bound_on_random_micro_sources(rng):
@@ -120,20 +122,6 @@ def test_ot_bound_check_regime_guard():
     params = derive_params(src, 64, 0.5, 2.0**-8, 0)
     with pytest.raises(RegimeTooLarge):
         ot_bound_check(src, params)
-
-
-def test_cea_qe0_identical_to_ot_path(rng):
-    src, n = random_micro_source(rng, max_bits=4)
-    params = _micro_params(n=n, t=2, ell=1)
-    # the materialized joints must agree bit-for-bit; the streaming
-    # totals may differ in the last ulp (different block order)
-    ot_pair = exact_challenge_distribution(src, params)
-    cea_pair = cea_transcript_distribution(src, params, 0)
-    assert np.array_equal(ot_pair[0].probs, cea_pair[0].probs)
-    assert np.array_equal(ot_pair[1].probs, cea_pair[1].probs)
-    sd_ot, _ = exact_challenge_sd(src, params)
-    sd_cea, _ = cea_transcript_sd(src, params, 0)
-    assert sd_ot == pytest.approx(sd_cea, abs=1e-12)
 
 
 def test_cea_transcript_distribution_matches_sd(rng):
@@ -219,15 +207,12 @@ def test_backend_implementations_agree(rng):
     params = _micro_params(n=n, t=1, ell=2)
     from corrkem.harness.exact import _challenge_tables
 
-    tag, key, pxz = _challenge_tables(src, params)
-    vals = {k: fn(tag, key, pxz, 1, 2) for k, fn in IMPLEMENTATIONS["challenge_sd"].items()}
-    ref = vals["numpy"]
-    for k, v in vals.items():
-        assert v == pytest.approx(ref, abs=1e-12), k
-    vals = {k: fn(tag, key, pxz, 1, 2, 1) for k, fn in IMPLEMENTATIONS["cea_sd"].items()}
-    ref = vals["numpy"]
-    for k, v in vals.items():
-        assert v == pytest.approx(ref, abs=1e-12), k
+    for q_e in (0, 1):
+        tag, key, pxz = _challenge_tables(src, params, q_e)
+        vals = {k: fn(tag, key, pxz, 1, 2, q_e) for k, fn in IMPLEMENTATIONS["cea_sd"].items()}
+        ref = vals["numpy"]
+        for k, v in vals.items():
+            assert v == pytest.approx(ref, abs=1e-12), (k, q_e)
 
 
 def test_compose_kernel_backends_agree(rng, monkeypatch):

@@ -208,6 +208,13 @@ def test_decap_validates_lengths():
         decap(params, src, triple.y[:4], ctxt)
     with pytest.raises(LengthMismatch):
         decap(params, src, triple.y, IkemCiphertext(1 << params.t, ctxt.s_prime, ctxt.s))
+    # out-of-alphabet receiver symbols: -1 must not wrap to the last
+    # symbol through numpy indexing, |Y| must not raise a bare IndexError
+    for bad in (-1, 2):
+        y_vec = triple.y.copy()
+        y_vec[0] = bad
+        with pytest.raises(LengthMismatch):
+            decap(params, src, y_vec, ctxt)
 
 
 def test_roundtrip_exhaustive_micro():

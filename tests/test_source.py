@@ -16,6 +16,7 @@ from corrkem import (
     surprisal,
 )
 from corrkem.errors import (
+    CorrkemError,
     EmptySupport,
     InvalidCoordinate,
     NotNormalized,
@@ -170,6 +171,9 @@ def test_surprisal_examples():
     det = make_table_source((2, 2, 1), {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
     assert surprisal(det, [0, 1], [0, 1]) == pytest.approx(0.0)
     assert surprisal(det, [1], [0]) == np.inf
+    for x_vec, y_vec in (([0], [-1]), ([0], [2]), ([-1], [0]), ([2], [0])):
+        with pytest.raises(CorrkemError):  # no wrap, no bare IndexError
+            surprisal(det, x_vec, y_vec)
 
     half = make_table_source((2, 1, 1), {(0, 0, 0): 0.5, (1, 0, 0): 0.5})
     assert surprisal(half, [0], [0]) == pytest.approx(1.0)

@@ -14,13 +14,12 @@ from .dem import (
     SCHEME_OTP,
     SCHEME_STREAM,
     DemCiphertext,
-    DemKey,
     otp_decrypt,
     otp_encrypt,
     stream_decrypt,
     stream_encrypt,
 )
-from .hybrid import HybridCiphertext, he_decrypt, he_encrypt, he_gen
+from .hybrid import HybridCiphertext, he_decrypt, he_encrypt
 from .ikem import (
     BOTTOM,
     IkemCiphertext,
@@ -40,7 +39,6 @@ from .source import (
     JointSource,
     SampleTriple,
     avg_cond_min_entropy,
-    iid_cond_min_entropy,
     make_table_source,
     min_entropy,
     product_source,
@@ -57,7 +55,6 @@ __all__ = [
     "BACKEND",
     "BOTTOM",
     "DemCiphertext",
-    "DemKey",
     "Distribution",
     "HybridCiphertext",
     "IkemCiphertext",
@@ -79,8 +76,6 @@ __all__ = [
     "hash_width",
     "he_decrypt",
     "he_encrypt",
-    "he_gen",
-    "iid_cond_min_entropy",
     "make_table_source",
     "min_entropy",
     "otp_decrypt",

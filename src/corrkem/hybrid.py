@@ -1,8 +1,8 @@
 """Hybrid encryption over the preprocessing resource.
 
-Gen samples the correlated triple, Enc encapsulates a key from the
-sender's sample and feeds it to the one-time DEM, Dec decapsulates
-and decrypts.  A decapsulation failure propagates as BOTTOM without
+Gen is :func:`corrkem.source.sample_n`, one n-fold correlated draw.
+Enc encapsulates a key from the sender's sample and feeds it to the
+one-time DEM, Dec decapsulates and decrypts.  A decapsulation failure propagates as BOTTOM without
 ever touching the DEM; mismatched session digests are a format error,
 not a protocol failure.
 """
@@ -11,25 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dem import SCHEME_OTP, SCHEME_STREAM, STREAM_KEY_BITS, DemCiphertext, DemKey, decrypt, encrypt
+from .dem import SCHEME_OTP, SCHEME_STREAM, STREAM_KEY_BITS, DemCiphertext, decrypt, encrypt
 from .errors import BadKeyLength, KeyTooShort
-from .ikem import BOTTOM, IkemCiphertext, IkemKey, IkemParams, decap, encap
-from .source import JointSource, SampleTriple, sample_n
+from .ikem import BOTTOM, IkemCiphertext, IkemParams, decap, encap
+from .source import JointSource
 
 
 @dataclass(frozen=True)
 class HybridCiphertext:
     c1: IkemCiphertext
     c2: DemCiphertext
-
-
-def he_gen(source: JointSource, n: int, seed: int) -> SampleTriple:
-    """The preprocessing step: one n-fold correlated draw."""
-    return sample_n(source, n, seed)
-
-
-def _dem_key(key: IkemKey) -> DemKey:
-    return DemKey(key.bits, key.length)
 
 
 def he_encrypt(
@@ -45,7 +36,7 @@ def he_encrypt(
     if scheme_tag == SCHEME_STREAM and params.ell != STREAM_KEY_BITS:
         raise BadKeyLength(f"stream scheme needs ell={STREAM_KEY_BITS}, params have {params.ell}")
     c1, key = encap(params, source, x_vec, rng)
-    c2 = encrypt(_dem_key(key), message, scheme_tag)
+    c2 = encrypt(key, message, scheme_tag)
     return HybridCiphertext(c1, c2)
 
 
@@ -54,4 +45,4 @@ def he_decrypt(params: IkemParams, source: JointSource, y_vec, ctxt: HybridCiphe
     key = decap(params, source, y_vec, ctxt.c1)
     if key is BOTTOM:
         return BOTTOM
-    return decrypt(_dem_key(key), ctxt.c2)
+    return decrypt(key, ctxt.c2)

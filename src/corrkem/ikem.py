@@ -83,6 +83,8 @@ class IkemParams:
     def __post_init__(self):
         if self.n < 1 or self.t < 1 or self.ell < 1 or self.q_e < 0:
             raise DimensionMismatch("n, t, ell must be positive; q_e >= 0")
+        if not all(math.isfinite(v) for v in (self.nu, self.eps, self.sigma)):
+            raise DimensionMismatch("nu, eps and sigma must be finite")
         if self.nu < 0 or not 0 < self.eps < 1 or not 0 < self.sigma < 1:
             raise DimensionMismatch("need nu >= 0 and eps, sigma in (0, 1)")
 

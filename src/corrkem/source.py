@@ -22,11 +22,15 @@ from .errors import (
     NegativeProbability,
     NotNormalized,
     ProbabilityOutOfRange,
+    RegimeTooLarge,
     SupportMismatch,
     UndefinedConditional,
 )
 
 NORM_TOL = 1e-12
+# Largest dense (x, y, z) table make_table_source allocates: 32 MiB of
+# float64.
+MAX_TABLE_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class Distribution:
             raise EmptySupport("distribution needs at least one outcome")
         if np.any(probs < 0.0):
             raise NegativeProbability("negative probability entry")
-        if abs(probs.sum() - 1.0) > NORM_TOL:
+        if not abs(probs.sum() - 1.0) <= NORM_TOL:  # also rejects NaN
             raise NotNormalized(f"probabilities sum to {probs.sum()!r}")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -72,7 +76,7 @@ class JointSource:
         if np.any(pmf < 0.0):
             raise NegativeProbability("negative pmf entry")
         total = pmf.sum()
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:  # also rejects NaN
             raise NotNormalized(f"pmf sums to {total!r}")
         pmf = pmf.copy()
         pmf.setflags(write=False)
@@ -119,11 +123,14 @@ def make_table_source(sizes, pmf_entries, label: str = "table") -> JointSource:
     """Build a source from explicit table entries {(x, y, z): p}.
 
     Unlisted cells are zero.  The entries must already be normalized;
-    a sum off by more than 1e-12 raises NotNormalized.
+    a sum off by more than 1e-12 raises NotNormalized.  Tables with more
+    than MAX_TABLE_CELLS cells raise RegimeTooLarge.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != 3 or any(s < 1 for s in sizes):
         raise DimensionMismatch("need three alphabet sizes >= 1")
+    if sizes[0] * sizes[1] * sizes[2] > MAX_TABLE_CELLS:
+        raise RegimeTooLarge(f"{sizes} table has more than {MAX_TABLE_CELLS} cells")
     pmf = np.zeros(sizes)
     for (x, y, z), p in dict(pmf_entries).items():
         if not (0 <= x < sizes[0] and 0 <= y < sizes[1] and 0 <= z < sizes[2]):
@@ -197,13 +204,6 @@ def avg_cond_min_entropy(source: JointSource, target_coord: int, given_coords) -
     if guess <= 0.0:
         raise EmptySupport("source has no mass")
     return max(0.0, -float(np.log2(guess)))
-
-
-def iid_cond_min_entropy(source: JointSource, target_coord: int, given_coords, n: int) -> float:
-    """n-fold vector conditional min-entropy; additive for IID products."""
-    if n < 1:
-        raise DimensionMismatch("n must be >= 1")
-    return n * avg_cond_min_entropy(source, target_coord, given_coords)
 
 
 def check_symbols(vec: np.ndarray, alphabet_size: int) -> None:

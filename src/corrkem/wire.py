@@ -49,19 +49,36 @@ def source_to_json(source: JointSource) -> dict:
     return {"type": "table", "alphabets": list(source.alphabet_sizes), "pmf": cells}
 
 
+def _json_number(value, kinds, what: str):
+    """`value` if it is a JSON number of one of `kinds` (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if kinds is int else "a number"
+        raise FormatError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 def source_from_json(doc: dict) -> JointSource:
+    if not isinstance(doc, dict):
+        raise FormatError("source document must be a JSON object")
     kind = doc.get("type")
     if kind == "satellite":
         try:
-            return satellite_source(doc["pa"], doc["pb"], doc["pe"])
+            rates = [_json_number(doc[f], (int, float), f) for f in ("pa", "pb", "pe")]
         except KeyError as exc:
             raise FormatError(f"satellite source missing field {exc}") from exc
+        return satellite_source(*rates)
     if kind == "table":
         try:
-            sizes = doc["alphabets"]
-            entries = {(c["x"], c["y"], c["z"]): c["p"] for c in doc["pmf"]}
+            sizes = [_json_number(s, int, "alphabet size") for s in doc["alphabets"]]
+            entries = {
+                tuple(_json_number(c[k], int, f"cell {k}") for k in "xyz"):
+                    _json_number(c["p"], (int, float), "cell p")
+                for c in doc["pmf"]
+            }
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed table source: {exc}") from exc
+        if len(entries) != len(doc["pmf"]):
+            raise FormatError("table source lists a cell twice")
         return make_table_source(sizes, entries)
     raise FormatError(f"unknown source type {kind!r}")
 

@@ -1,5 +1,6 @@
 """Command-line workflows and exit codes."""
 
+import itertools
 import json
 
 import pytest
@@ -24,8 +25,11 @@ def sat_source_file(tmp_path):
     return str(path)
 
 
+_PLAN_IDS = itertools.count()
+
+
 def _plan(tmp_path, source, n, eps, sigma, qe=0, ell=None):
-    out = str(tmp_path / "params.json")
+    out = str(tmp_path / f"params-{next(_PLAN_IDS)}.json")
     argv = ["plan", "--source", source, "--n", str(n), "--eps", str(eps),
             "--sigma", str(sigma), "--qe", str(qe), "--out", out]
     if ell is not None:
@@ -55,10 +59,26 @@ def test_plan_malformed_source_exit_1(tmp_path):
     bad.write_text("{not json")
     code, _ = _plan(tmp_path, str(bad), 8, 0.5, 0.25)
     assert code == 1
-    unknown = tmp_path / "unknown.json"
-    wire.save_json(unknown, {"type": "weird"})
-    code, _ = _plan(tmp_path, str(unknown), 8, 0.5, 0.25)
-    assert code == 1
+    # unknown type, non-object document, then non-numeric fields that
+    # must not reach the sampler as strings
+    for doc in (
+        {"type": "weird"},
+        ["table"],
+        {"type": "satellite", "pa": "0.05", "pb": 0.05, "pe": 0.3},
+        {"type": "table", "alphabets": [1, 1, 1], "pmf": [{"x": "0", "y": 0, "z": 0, "p": 1}]},
+        {"type": "table", "alphabets": [1, 1, 1], "pmf": [{"x": 0, "y": 0, "z": 0, "p": "1"}]},
+    ):
+        path = tmp_path / "malformed.json"
+        wire.save_json(path, doc)
+        code, _ = _plan(tmp_path, str(path), 8, 0.5, 0.25)
+        assert code == 1, doc
+
+
+def test_plan_oversized_source_exit_4(tmp_path):
+    path = tmp_path / "huge.json"
+    wire.save_json(path, {"type": "table", "alphabets": [100000, 100000, 100000], "pmf": []})
+    code, _ = _plan(tmp_path, str(path), 8, 0.5, 0.25)
+    assert code == 4
 
 
 def test_gen_encap_decap_roundtrip(tmp_path, det_source_file):
@@ -122,6 +142,32 @@ def test_encrypt_decrypt_roundtrip_and_digest_guard(tmp_path, det_source_file):
     code = main(["decrypt", "--source", det_source_file, "--params", params2,
                  "--sample", f"{prefix}.bob.json", "--in", out, "--out", plain])
     assert code == 1
+    # the second plan left the first params file intact
+    assert main(["decrypt", "--source", det_source_file, "--params", params_path,
+                 "--sample", f"{prefix}.bob.json", "--in", out, "--out", plain]) == 0
+
+
+def test_decrypt_non_finite_params_exit_1(tmp_path, det_source_file, capsys):
+    _, params_path = _plan(tmp_path, det_source_file, 8, 0.5, 0.25)
+    prefix = str(tmp_path / "run")
+    main(["gen", "--source", det_source_file, "--params", params_path,
+          "--out", prefix, "--seed", "7"])
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"")
+    out = str(tmp_path / "ct.bin")
+    assert main(["encrypt", "--source", det_source_file, "--params", params_path,
+                 "--sample", f"{prefix}.alice.json", "--in", str(msg),
+                 "--out", out, "--seed", "8"]) == 0
+    doc = wire.params_to_json(wire.load_params(params_path))
+    doc["nu"] = float("nan")
+    nan_params = tmp_path / "nan-params.json"
+    wire.save_json(nan_params, doc)
+    capsys.readouterr()
+    code = main(["decrypt", "--source", det_source_file, "--params", str(nan_params),
+                 "--sample", f"{prefix}.bob.json", "--in", out,
+                 "--out", str(tmp_path / "plain.bin")])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_deterministic_reruns(tmp_path, det_source_file):

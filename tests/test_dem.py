@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from corrkem import (
     DemCiphertext,
-    DemKey,
+    IkemKey,
     otp_decrypt,
     otp_encrypt,
     stream_decrypt,
@@ -26,35 +26,35 @@ CHACHA_ZERO_KEYSTREAM = bytes.fromhex(
 
 
 def test_otp_zero_key_is_identity():
-    key = DemKey(0, 64)
+    key = IkemKey(0, 64)
     msg = b"\xde\xad\xbe\xef"
     assert otp_encrypt(key, msg).body == msg
 
 
 def test_otp_xor_table():
     # byte-scale version of the 4-bit truth table: 0xAA ^ 0x66 = 0xCC
-    key = DemKey(0xAA, 8)
+    key = IkemKey(0xAA, 8)
     out = otp_encrypt(key, b"\x66")
     assert out.body == b"\xcc"
     assert otp_decrypt(key, out) == b"\x66"
 
 
 def test_otp_uses_top_bits_for_short_messages():
-    key = DemKey(0b1010_1100_1, 9)  # 9-bit key, top byte is 0xAC << ...
+    key = IkemKey(0b1010_1100_1, 9)  # 9-bit key, top byte is 0xAC << ...
     out = otp_encrypt(key, b"\x00")
     assert out.body == bytes([0b1010_1100])
 
 
 def test_otp_rejects_long_messages():
     with pytest.raises(KeyTooShort):
-        otp_encrypt(DemKey(0, 8), b"ab")
+        otp_encrypt(IkemKey(0, 8), b"ab")
     with pytest.raises(KeyTooShort):
-        otp_decrypt(DemKey(0, 8), DemCiphertext(b"ab", "OTP"))
+        otp_decrypt(IkemKey(0, 8), DemCiphertext(b"ab", "OTP"))
 
 
 def test_otp_roundtrip_exhaustive_single_byte():
     for key_bits in range(256):
-        key = DemKey(key_bits, 8)
+        key = IkemKey(key_bits, 8)
         for m in (0, 1, 127, 200, 255):
             msg = bytes([m])
             assert otp_decrypt(key, otp_encrypt(key, msg)) == msg
@@ -64,7 +64,7 @@ def test_otp_roundtrip_exhaustive_single_byte():
 @given(st.binary(min_size=0, max_size=64), st.integers(min_value=0))
 def test_otp_roundtrip_property(message, key_seed):
     length = max(1, 8 * len(message))
-    key = DemKey(key_seed % (1 << length), length)
+    key = IkemKey(key_seed % (1 << length), length)
     assert otp_decrypt(key, otp_encrypt(key, message)) == message
 
 
@@ -75,7 +75,7 @@ def test_otp_perfect_secrecy_exhaustive():
     for m in (0x00, 0x41, 0x9F, 0xFF):
         counts = np.zeros(256)
         for key_bits in range(256):
-            body = otp_encrypt(DemKey(key_bits, 8), bytes([m])).body[0]
+            body = otp_encrypt(IkemKey(key_bits, 8), bytes([m])).body[0]
             counts[body] += 1
         dists[m] = counts / 256
     msgs = list(dists)
@@ -85,14 +85,14 @@ def test_otp_perfect_secrecy_exhaustive():
 
 
 def test_stream_keystream_matches_published_vector():
-    key = DemKey(0, 256)
+    key = IkemKey(0, 256)
     out = stream_encrypt(key, b"\x00" * 64)
     assert out.body == CHACHA_ZERO_KEYSTREAM
 
 
 def test_stream_roundtrip_1kib():
     rng = np.random.default_rng(8)
-    key = DemKey(int.from_bytes(rng.bytes(32), "big"), 256)
+    key = IkemKey(int.from_bytes(rng.bytes(32), "big"), 256)
     msg = rng.bytes(1024)
     out = stream_encrypt(key, msg)
     assert len(out.body) == len(msg)
@@ -104,21 +104,21 @@ def test_stream_distinct_keys_distinct_bodies():
     msg = b"fixed message with entropy 0123456789"
     seen = set()
     for _ in range(1000):
-        key = DemKey(int.from_bytes(rng.bytes(32), "big"), 256)
+        key = IkemKey(int.from_bytes(rng.bytes(32), "big"), 256)
         seen.add(stream_encrypt(key, msg).body)
     assert len(seen) == 1000
 
 
 def test_stream_rejects_wrong_key_length():
     with pytest.raises(BadKeyLength):
-        stream_encrypt(DemKey(0, 128), b"hi")
+        stream_encrypt(IkemKey(0, 128), b"hi")
     with pytest.raises(BadKeyLength):
-        stream_decrypt(DemKey(0, 255), DemCiphertext(b"hi", "STREAM"))
+        stream_decrypt(IkemKey(0, 255), DemCiphertext(b"hi", "STREAM"))
 
 
 def test_ciphertext_length_leaks_only_message_length():
-    otp_key = DemKey(0x3FF, 64)
-    stream_key = DemKey(7, 256)
+    otp_key = IkemKey(0x3FF, 64)
+    stream_key = IkemKey(7, 256)
     for size in (0, 1, 5, 8):
         msg = bytes(range(size))
         assert len(otp_encrypt(otp_key, msg).body) == size

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrkem import gf2
-from corrkem._kernels import IMPLEMENTATIONS, mul_table
+from corrkem._kernels import mul_table
 
 PUBLISHED = {3: 0b0011, 4: 0b0011, 8: 0b11011, 64: 0b11011}
 
@@ -71,21 +71,12 @@ def test_nonzero_elements_invertible():
 
 
 def test_mul_table_matches_scalar():
-    for w in (1, 3, 4, 6):
+    for w in (1, 3, 4, 5, 6, 8):
         table = mul_table(w)
         n = 1 << w
         for a in range(n):
             for x in range(n):
                 assert table[a, x] == gf2.mul(a, x, w)
-
-
-def test_mul_table_backends_agree():
-    impls = IMPLEMENTATIONS["mul_table"]
-    for w in (3, 5, 8):
-        low = gf2.reduction_low(w)
-        ref = impls["numpy"](w, low)
-        for name, fn in impls.items():
-            np.testing.assert_array_equal(fn(w, low), ref, err_msg=name)
 
 
 def test_mul_vector_matches_scalar():

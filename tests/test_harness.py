@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from corrkem import IkemParams, derive_params, make_table_source, statistical_distance
-from corrkem._kernels import IMPLEMENTATIONS, mul_table
 from corrkem.errors import QueryBudgetExceeded, RegimeTooLarge
 from corrkem.harness import (
     BestGuessAdversary,
@@ -195,43 +194,6 @@ def test_composability_deterministic_source_within_sigma():
     report = composability_check(src, params)
     assert report.passed
     assert report.advantage_estimate <= params.sigma + 1e-12
-
-
-def test_backend_implementations_agree(rng):
-    # every kernel: jitted loop, plain loop, and vectorized numpy
-    prod = mul_table(2)
-    census = {key: fn(prod, 2, 1) for key, fn in IMPLEMENTATIONS["census_max_dev"].items()}
-    assert len({int(v) for v in census.values()}) == 1
-
-    src, n = random_micro_source(rng, max_bits=3)
-    params = _micro_params(n=n, t=1, ell=2)
-    from corrkem.harness.exact import _challenge_tables
-
-    for q_e in (0, 1):
-        tag, key, pxz = _challenge_tables(src, params, q_e)
-        vals = {k: fn(tag, key, pxz, 1, 2, q_e) for k, fn in IMPLEMENTATIONS["cea_sd"].items()}
-        ref = vals["numpy"]
-        for k, v in vals.items():
-            assert v == pytest.approx(ref, abs=1e-12), (k, q_e)
-
-
-def test_compose_kernel_backends_agree(rng, monkeypatch):
-    pmf = rng.random((2, 2, 2))
-    pmf /= pmf.sum()
-    src = make_table_source(
-        (2, 2, 2),
-        {(x, y, z): pmf[x, y, z] for x in range(2) for y in range(2) for z in range(2)},
-    )
-    params = _micro_params(nu=3.0, ell=1, t=1)
-    import corrkem.harness.exact as exact_mod
-
-    results = {}
-    for name, fn in IMPLEMENTATIONS["compose_sd"].items():
-        monkeypatch.setattr(exact_mod, "compose_sd", fn)
-        results[name], _ = composability_sd(src, params)
-    ref = results["numpy"]
-    for name, value in results.items():
-        assert value == pytest.approx(ref, abs=1e-12), name
 
 
 def test_random_guess_adversary_near_zero(rng):

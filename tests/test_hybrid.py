@@ -14,7 +14,6 @@ from corrkem import (
     encap,
     he_decrypt,
     he_encrypt,
-    he_gen,
     reliability_params,
     sample_n,
     satellite_source,
@@ -25,19 +24,10 @@ from corrkem.source import sample_with_rng
 from conftest import deterministic_pair_source
 
 
-def test_he_gen_delegates_to_sampler():
-    src = deterministic_pair_source()
-    a = he_gen(src, 32, seed=4)
-    b = sample_n(src, 32, seed=4)
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.z, b.z)
-    assert a.n == 32
-
-
 def test_otp_roundtrip_over_deterministic_source():
     src = deterministic_pair_source()
     params = derive_params(src, 64, 0.5, 2.0**-8, 0)
-    triple = he_gen(src, 64, seed=1)
+    triple = sample_n(src, 64, seed=1)
     rng = np.random.default_rng(2)
     for msg in (b"", b"A", b"hello!"):
         ctxt = he_encrypt(params, src, triple.x, msg, rng, SCHEME_OTP)
@@ -47,7 +37,7 @@ def test_otp_roundtrip_over_deterministic_source():
 def test_empty_message_keeps_full_kem_block():
     src = deterministic_pair_source()
     params = derive_params(src, 32, 0.5, 0.25, 0)
-    triple = he_gen(src, 32, seed=7)
+    triple = sample_n(src, 32, seed=7)
     ctxt = he_encrypt(params, src, triple.x, b"", np.random.default_rng(1), SCHEME_OTP)
     assert ctxt.c2.body == b""
     assert 0 <= ctxt.c1.g < (1 << params.t)
@@ -56,7 +46,7 @@ def test_empty_message_keeps_full_kem_block():
 def test_stream_roundtrip_requires_ell_256():
     src = deterministic_pair_source()
     params = derive_params(src, 280, 0.5, 2.0**-8, 0, ell_target=256)
-    triple = he_gen(src, 280, seed=3)
+    triple = sample_n(src, 280, seed=3)
     rng = np.random.default_rng(5)
     msg = bytes(np.random.default_rng(0).bytes(300))
     ctxt = he_encrypt(params, src, triple.x, msg, rng, SCHEME_STREAM)
@@ -71,7 +61,7 @@ def test_stream_roundtrip_requires_ell_256():
 def test_otp_message_longer_than_key_rejected():
     src = deterministic_pair_source()
     params = derive_params(src, 32, 0.5, 0.25, 0)
-    triple = he_gen(src, 32, seed=9)
+    triple = sample_n(src, 32, seed=9)
     with pytest.raises(KeyTooShort):
         he_encrypt(params, src, triple.x, b"x" * 40, np.random.default_rng(1), SCHEME_OTP)
 
@@ -79,7 +69,7 @@ def test_otp_message_longer_than_key_rejected():
 def test_bottom_propagates_from_tampered_tag():
     src = deterministic_pair_source()
     params = derive_params(src, 48, 0.5, 0.25, 0)
-    triple = he_gen(src, 48, seed=11)
+    triple = sample_n(src, 48, seed=11)
     ctxt = he_encrypt(params, src, triple.x, b"msg", np.random.default_rng(3), SCHEME_OTP)
     bad = HybridCiphertext(
         IkemCiphertext(ctxt.c1.g ^ 1, ctxt.c1.s_prime, ctxt.c1.s), ctxt.c2

@@ -21,7 +21,7 @@ from corrkem import (
     satellite_source,
     surprisal,
 )
-from corrkem.errors import InfeasibleKeyLength, LengthMismatch
+from corrkem.errors import DimensionMismatch, InfeasibleKeyLength, LengthMismatch
 from corrkem.ikem import IkemParams, encode_sample, key_spec, tag_spec
 from corrkem.source import avg_cond_min_entropy
 from corrkem.uhf import hash_value
@@ -215,6 +215,16 @@ def test_decap_validates_lengths():
         y_vec[0] = bad
         with pytest.raises(LengthMismatch):
             decap(params, src, y_vec, ctxt)
+
+
+@pytest.mark.parametrize("field", ["nu", "eps", "sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_params_reject_non_finite(field, value):
+    # a NaN nu never prunes: decap would walk all |X|^n candidates
+    fields = dict(n=8, t=4, ell=2, nu=3.0, eps=0.5, sigma=0.25, q_e=0, source_digest="d")
+    fields[field] = value
+    with pytest.raises(DimensionMismatch):
+        IkemParams(**fields)
 
 
 def test_roundtrip_exhaustive_micro():

@@ -6,7 +6,6 @@ import pytest
 from corrkem import (
     Distribution,
     avg_cond_min_entropy,
-    iid_cond_min_entropy,
     make_table_source,
     min_entropy,
     product_source,
@@ -36,6 +35,11 @@ def test_make_table_source_perfect_pair():
 def test_make_table_source_rejects_bad_sum():
     with pytest.raises(NotNormalized):
         make_table_source((2, 2, 1), {(0, 0, 0): 0.5, (1, 1, 0): 0.4})
+    # a NaN cell makes the sum NaN, which no tolerance comparison admits
+    with pytest.raises(NotNormalized):
+        make_table_source((2, 2, 1), {(0, 0, 0): 1.0, (1, 1, 0): float("nan")})
+    with pytest.raises(NotNormalized):
+        Distribution(2, np.array([1.0, np.nan]))
 
 
 def test_table_matches_satellite_construction():
@@ -150,7 +154,7 @@ def test_iid_additivity_against_product_oracle(rng):
         pmf /= pmf.sum()
         src = JointSource(sizes, pmf)
         for n in (1, 2, 3):
-            fast = iid_cond_min_entropy(src, 0, (1,), n)
+            fast = n * avg_cond_min_entropy(src, 0, (1,))
             big = product_source(src, n)
             slow = avg_cond_min_entropy(big, 0, (1,))
             assert fast == pytest.approx(slow, abs=1e-9)
@@ -161,10 +165,9 @@ def test_iid_additivity_against_product_oracle(rng):
 def test_iid_additivity_spec_numbers():
     sat = satellite_source(0.1, 0.1, 0.3)
     per = avg_cond_min_entropy(sat, 0, (1,))
-    assert iid_cond_min_entropy(sat, 0, (1,), 3) == pytest.approx(3 * per)
     assert 3 * per == pytest.approx(0.8589, abs=5e-4)
     det = make_table_source((2, 2, 1), {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
-    assert iid_cond_min_entropy(det, 0, (1,), 7) == pytest.approx(0.0)
+    assert 7 * avg_cond_min_entropy(det, 0, (1,)) == pytest.approx(0.0)
 
 
 def test_surprisal_examples():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrkem import UhfSeed, UhfSpec, hash_value, pairwise_independence_census, sample_seed
+from corrkem._kernels import census_max_dev
 from corrkem.errors import LengthMismatch, RegimeTooLarge
 from corrkem.uhf import (
     encode_symbols,
@@ -81,6 +82,15 @@ def test_linearity_in_b():
 @pytest.mark.parametrize("w,m", [(3, 1), (4, 2), (4, 4), (5, 3)])
 def test_census_exactly_zero(w, m):
     assert pairwise_independence_census(UhfSpec(w, m)) == 0.0
+
+
+@pytest.mark.parametrize("w,m", [(3, 1), (4, 2)])
+def test_census_closed_form_on_zero_table(w, m):
+    # every product is 0, so both outputs equal msb_m(b): each diagonal
+    # cell holds n^2/2^m of the n^2 seeds where n^2/4^m are expected
+    n = 1 << w
+    prod = np.zeros((n, n), np.int32)
+    assert census_max_dev(prod, w, m) == n * n * ((1 << m) - 1) // 4**m
 
 
 def test_census_regime_guard():

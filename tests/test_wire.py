@@ -13,7 +13,7 @@ from corrkem import (
     satellite_source,
 )
 from corrkem import wire
-from corrkem.errors import FormatError
+from corrkem.errors import FormatError, RegimeTooLarge
 
 from conftest import deterministic_pair_source, dishonest
 
@@ -44,6 +44,41 @@ def test_unlisted_cells_default_to_zero():
     }
     src = wire.source_from_json(doc)
     assert src.pmf[0, 1, 0] == 0.0
+
+
+def _one_cell_table(**cell):
+    return {"type": "table", "alphabets": [1, 1, 1],
+            "pmf": [{"x": 0, "y": 0, "z": 0, "p": 1.0, **cell}]}
+
+
+def test_source_json_string_satellite_field():
+    with pytest.raises(FormatError):
+        wire.source_from_json({"type": "satellite", "pa": "0.05", "pb": 0.05, "pe": 0.3})
+
+
+def test_source_json_string_cell_coordinate():
+    with pytest.raises(FormatError):
+        wire.source_from_json(_one_cell_table(x="0"))
+
+
+def test_source_json_string_probability():
+    assert wire.source_from_json(_one_cell_table(p=1)).pmf[0, 0, 0] == 1.0
+    with pytest.raises(FormatError):
+        wire.source_from_json(_one_cell_table(p="1"))
+
+
+def test_source_json_duplicate_cell():
+    # listed mass 2, but a last-wins read would keep one cell and pass
+    doc = _one_cell_table()
+    doc["pmf"].append(dict(doc["pmf"][0]))
+    with pytest.raises(FormatError):
+        wire.source_from_json(doc)
+
+
+def test_source_json_dense_table_over_cell_cap():
+    doc = {"type": "table", "alphabets": [100000, 100000, 100000], "pmf": []}
+    with pytest.raises(RegimeTooLarge):
+        wire.source_from_json(doc)
 
 
 def test_params_json_roundtrip():

@@ -12,8 +12,10 @@ counter so the tool can warn when a triple exceeds its q_e budget.
 
 import argparse
 import json
+import os
 import secrets
 import sys
+import tempfile
 
 import numpy as np
 
@@ -119,13 +121,27 @@ def _load_session(args):
 
 
 def _bump_uses(args, params) -> None:
-    """Track encapsulations per sender sample; warn past the budget."""
+    """Count one more encapsulation of the sender sample; warn past the
+    budget.
+
+    Runs before the ciphertext is written, so a failed write still
+    counts as a use.  The new document goes to a temp file in the
+    sample's directory and replaces the sample atomically.
+    """
     with open(args.sample, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["uses"] = int(doc.get("uses", 0)) + 1
-    with open(args.sample, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    mode = os.stat(args.sample).st_mode & 0o7777
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.sample)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.chmod(tmp, mode)
+        os.replace(tmp, args.sample)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     if doc["uses"] > params.q_e + 1:
         print(
             f"warning: sample used {doc['uses']} times, beyond the q_e={params.q_e} budget",
@@ -172,11 +188,11 @@ def cmd_encap(args) -> int:
     x_vec = wire.load_sample(args.sample, params)
     rng = np.random.default_rng(_seed_of(args))
     ctxt, key = encap(params, source, x_vec, rng)
+    _bump_uses(args, params)
     with open(f"{args.out}.ctxt", "wb") as fh:
         fh.write(wire.kem_ciphertext_to_bytes(params, source, ctxt))
     with open(f"{args.out}.key", "wb") as fh:
         fh.write(wire.key_to_bytes(key))
-    _bump_uses(args, params)
     print(f"wrote {args.out}.ctxt and {args.out}.key")
     return EXIT_OK
 
@@ -204,9 +220,9 @@ def cmd_encrypt(args) -> int:
     scheme = SCHEME_OTP if args.scheme == "otp" else SCHEME_STREAM
     rng = np.random.default_rng(_seed_of(args))
     ctxt = he_encrypt(params, source, x_vec, message, rng, scheme)
+    _bump_uses(args, params)
     with open(args.out, "wb") as fh:
         fh.write(wire.hybrid_to_bytes(params, source, ctxt))
-    _bump_uses(args, params)
     print(f"wrote {args.out}")
     return EXIT_OK
 

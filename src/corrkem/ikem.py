@@ -10,6 +10,13 @@ receiver's candidate list
 and accepts iff exactly one candidate reproduces the tag.  Anything
 else is the protocol failure ``BOTTOM`` (never an exception).
 
+The list is built level by level over symbol positions, and all of it
+is tagged at once: the tag msb_t(a*x) XOR msb_t(b) is affine over GF(2)
+in the packed code x, so one (position, symbol) table per ciphertext
+gives every candidate's tag by XOR, and only the matching candidate's
+key is hashed.  A list that outgrows MAX_CANDIDATES prefixes at some
+position raises RegimeTooLarge.
+
 Operating points come from two one-sided bounds evaluated against the
 source's vector conditional min-entropies H(X|Y) = n*h(X|Y) and
 H(X|Z) = n*h(X|Z):
@@ -27,13 +34,16 @@ rounding in those directions is always safe.
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from . import gf2
 from .errors import (
     DimensionMismatch,
     InfeasibleKeyLength,
     LengthMismatch,
+    RegimeTooLarge,
     UndefinedConditional,
 )
 from .source import JointSource, avg_cond_min_entropy, check_symbols
@@ -43,6 +53,15 @@ from .uhf import UhfSeed, UhfSpec, encode_symbols, hash_value, sample_seed, symb
 # always re-checked against nu with the exact accumulation order, so the
 # slack can only admit extra work, never change the enumerated set.
 _PRUNE_SLACK = 1e-9
+
+# Largest number of candidate prefixes one enumeration level may hold.
+# An honest list has at most 2^nu entries; a hostile nu stops here
+# instead of materialising up to |X|^n rows.
+MAX_CANDIDATES = 1 << 20
+
+# Candidates decap tags per numpy call: blocks keep the tagging's
+# memory small next to the list itself.
+_TAG_BLOCK = 1 << 14
 
 
 class _BottomType:
@@ -258,54 +277,114 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     """Yield the candidate x-vectors with surprisal <= nu, each once,
     in lexicographic order.
 
-    Depth-first over symbol positions; a branch is cut when its partial
-    surprisal plus the minimal achievable suffix surprisal already
-    exceeds nu.  Leaves re-check the full sum with the exact order of
-    additions used by :func:`corrkem.source.surprisal`, so the output
-    equals the brute-force filter exactly.  A receiver symbol outside
-    the alphabet raises LengthMismatch.
+    Level-synchronous over symbol positions: the frontier holds every
+    surviving prefix (in lexicographic order) with its partial
+    surprisal.  A symbol that exceeds nu even after the cheapest
+    prefix and the cheapest suffix is dropped from its whole level; a
+    position left with one symbol extends every prefix without
+    branching; otherwise each prefix branches on the level's symbols
+    and a child is cut when its partial surprisal plus the cheapest
+    suffix exceeds nu.  Leaves check the full sum with the exact order
+    of additions used by :func:`corrkem.source.surprisal`, so the
+    output equals the brute-force filter exactly.
+
+    The whole list is built before the first row is yielded.  A level
+    that would hold more than MAX_CANDIDATES prefixes raises
+    RegimeTooLarge; a receiver symbol outside the alphabet raises
+    LengthMismatch.
     """
     if nu < 0:
         raise DimensionMismatch("nu must be >= 0")
     y_vec = np.asarray(y_vec, dtype=np.int64)
     check_symbols(y_vec, source.alphabet_sizes[1])
-    n = y_vec.shape[0]
-    nx = source.alphabet_sizes[0]
-    cond = source.conditional_xy()
-    py = source.pmf.sum(axis=(0, 2))
-    for yi in y_vec:
-        if py[yi] <= 0.0:
-            raise UndefinedConditional(f"P(y={yi}) = 0")
+    undefined = source.pmf.sum(axis=(0, 2))[y_vec] <= 0.0
+    if undefined.any():
+        raise UndefinedConditional(f"P(y={y_vec[undefined.argmax()]}) = 0")
     with np.errstate(divide="ignore"):
-        per_pos = -np.log2(cond[:, y_vec])  # (nx, n); +inf where P = 0
+        cost = -np.log2(source.conditional_xy()[:, y_vec].T)  # (n, nx); +inf where P = 0
+    n, nx = cost.shape
+    mins = cost.min(axis=1)
     min_suffix = np.zeros(n + 1)
-    for i in range(n - 1, -1, -1):
-        min_suffix[i] = per_pos[:, i].min() + min_suffix[i + 1]
-
-    choice = np.full(n, -1, dtype=np.int64)
-    partial = np.zeros(n + 1)
+    min_suffix[:n] = np.cumsum(mins[::-1])[::-1]
+    min_prefix = np.zeros(n + 1)
+    min_prefix[1:] = np.cumsum(mins)
     limit = nu + _PRUNE_SLACK
-    i = 0
-    while i >= 0:
-        choice[i] += 1
-        if choice[i] >= nx:
-            choice[i] = -1
-            i -= 1
+    # every partial[i] >= min_prefix[i] (rounding is monotone), so these
+    # symbols fail the per-child cut below at every node of their level
+    feasible = (min_prefix[:n, None] + cost) + min_suffix[1:, None] <= limit
+    width = feasible.sum(axis=1)
+    if not width.all():  # some position has no feasible symbol: empty list
+        return
+    forced = feasible.argmax(axis=1)  # the only symbol where width == 1
+    forced_cost = cost[np.arange(n), forced].tolist()
+    single = (width == 1).tolist()
+
+    part = np.zeros(1)
+    branches = []  # (position, symbols, kept flat child indices)
+    for i in range(n):
+        last = i == n - 1
+        if single[i] and not last:
+            part = part + forced_cost[i]
             continue
-        v = per_pos[choice[i], i]
-        if partial[i] + v + min_suffix[i + 1] > limit:
-            continue
-        partial[i + 1] = partial[i] + v
-        if i == n - 1:
-            if partial[n] <= nu:
-                yield choice.copy()
-            continue
-        i += 1
+        syms = np.flatnonzero(feasible[i])
+        if part.size * syms.size > MAX_CANDIDATES:
+            raise RegimeTooLarge(
+                f"candidate list exceeds {MAX_CANDIDATES} prefixes at position {i};"
+                " nu is too large for this source"
+            )
+        child = (part[:, None] + cost[i, syms][None, :]).ravel()
+        bound = child if last else child + min_suffix[i + 1]
+        kept = np.flatnonzero(bound <= (nu if last else limit))
+        part = child[kept]
+        branches.append((i, syms, kept))
+
+    rows = np.empty((part.size, n), dtype=np.int64)
+    rows[:] = forced  # right at the unbranched positions; the rest are overwritten
+    node = np.arange(part.size)  # each leaf's prefix index at the current level
+    for i, syms, kept in reversed(branches):
+        flat = kept[node]
+        node = flat // syms.size
+        rank = flat - node * syms.size
+        rows[:, i] = rank if syms.size == nx else syms[rank]
+    yield from rows
+
+
+def _tag_table(tspec: UhfSpec, a: int, n: int, alphabet_size: int) -> np.ndarray:
+    """T[i, s] = msb_t(a * (s << bits*(n-1-i))) as little-endian uint64
+    limbs, shape (n, |X|, ceil(t/64)).
+
+    The field product is GF(2)-linear in the packed code, so the tag of
+    any candidate x is XOR_i T[i, x_i] XOR msb_t(b).  Built from the
+    n*bits products a * x^j, each one shift-and-reduce from the last.
+    """
+    w, t = tspec.input_bits, tspec.output_bits
+    bits = symbol_bits(alphabet_size)
+    low, top, mask = gf2.reduction_low(w), 1 << (w - 1), (1 << w) - 1
+    powers = []
+    for _ in range(n * bits):
+        powers.append(a >> (w - t))
+        a = ((a << 1) & mask) ^ (low if a & top else 0)
+    limbs = (t + 63) // 64
+    per_bit = _limbs(powers, t).reshape(n, bits, limbs)[::-1]  # [i, j]: bit j of symbol i
+    table = np.zeros((n, alphabet_size, limbs), dtype=np.uint64)
+    symbols = np.arange(alphabet_size)
+    for j in range(bits):
+        table[:, ((symbols >> j) & 1) == 1] ^= per_bit[:, j, None, :]
+    return table
+
+
+def _limbs(values, t: int) -> np.ndarray:
+    """t-bit ints as rows of ceil(t/64) little-endian uint64 limbs."""
+    words = [[(v >> shift) & 0xFFFF_FFFF_FFFF_FFFF for v in values] for shift in range(0, t, 64)]
+    return np.array(words, dtype=np.uint64).T
 
 
 def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     """The unique tag-consistent candidate's key, or BOTTOM.
 
+    The candidate list comes from :func:`enumerate_typical`; every
+    candidate is tagged at once from one :func:`_tag_table` per
+    ciphertext, and only the key of the unique match is hashed.
     BOTTOM covers both zero and multiple tag matches; it means the
     ciphertext could not be decapsulated, not that the input was
     malformed (malformed inputs raise).
@@ -319,13 +398,17 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
         raise LengthMismatch("tag wider than t bits")
     ctxt.s.validate(tspec)
     ctxt.s_prime.validate(kspec)
-    match_code = -1
-    for cand in enumerate_typical(source, y_vec, params.nu):
-        code, _ = encode_symbols(cand, source.alphabet_sizes[0])
-        if hash_value(tspec, ctxt.s, code) == ctxt.g:
-            if match_code >= 0:
-                return BOTTOM
-            match_code = code
-    if match_code < 0:
+    nx = source.alphabet_sizes[0]
+    table = _tag_table(tspec, ctxt.s.a, params.n, nx)
+    want = _limbs([ctxt.g ^ (ctxt.s.b >> (tspec.input_bits - params.t))], params.t)
+    positions = np.arange(params.n)
+    rows = enumerate_typical(source, y_vec, params.nu)
+    matches = []
+    while block := list(islice(rows, _TAG_BLOCK)):
+        cands = np.concatenate(block).reshape(len(block), params.n)
+        tags = np.bitwise_xor.reduce(table[positions, cands], axis=1)
+        matches.extend(cands[(tags == want).all(axis=1)])
+    if len(matches) != 1:
         return BOTTOM
-    return IkemKey(hash_value(kspec, ctxt.s_prime, match_code), params.ell)
+    code, _ = encode_symbols(matches[0], nx)
+    return IkemKey(hash_value(kspec, ctxt.s_prime, code), params.ell)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 
 import pytest
 
@@ -274,3 +275,68 @@ def test_encap_warns_past_budget(tmp_path, det_source_file, capsys):
         main(["encap", "--source", det_source_file, "--params", params_path,
               "--sample", f"{prefix}.alice.json", "--out", prefix, "--seed", "2"])
     assert "budget" in capsys.readouterr().err
+
+
+def test_decrypt_hostile_nu_exit_4(tmp_path, sat_source_file, capsys):
+    # a params file whose nu admits all 2^40 vectors: decrypt stops at
+    # the candidate budget instead of enumerating them
+    from corrkem.ikem import IkemParams, source_digest
+
+    src = wire.load_source(sat_source_file)
+    params = IkemParams(n=40, t=20, ell=8, nu=1e6, eps=0.5, sigma=0.5, q_e=0,
+                        source_digest=source_digest(src))
+    params_path = str(tmp_path / "hostile-params.json")
+    wire.save_json(params_path, wire.params_to_json(params))
+    session = ["--source", sat_source_file, "--params", params_path]
+    prefix = str(tmp_path / "run")
+    assert main(["gen", *session, "--out", prefix, "--seed", "7"]) == 0
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"x")
+    out = str(tmp_path / "ct.bin")
+    assert main(["encrypt", *session, "--sample", f"{prefix}.alice.json", "--in", str(msg),
+                 "--out", out, "--seed", "8"]) == 0
+    capsys.readouterr()
+    code = main(["decrypt", *session, "--sample", f"{prefix}.bob.json", "--in", out,
+                 "--out", str(tmp_path / "plain.bin")])
+    assert code == 4
+    assert "regime too large" in capsys.readouterr().err
+    assert not (tmp_path / "plain.bin").exists()
+
+
+def test_use_counter_is_replaced_atomically(tmp_path, det_source_file):
+    _, params_path = _plan(tmp_path, det_source_file, 32, 0.5, 0.25)
+    session = ["--source", det_source_file, "--params", params_path]
+    prefix = str(tmp_path / "run")
+    assert main(["gen", *session, "--out", prefix, "--seed", "1"]) == 0
+    sample = tmp_path / "run.alice.json"
+    assert main(["encap", *session, "--sample", str(sample), "--out", prefix, "--seed", "2"]) == 0
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"")
+    assert main(["encrypt", *session, "--sample", str(sample), "--in", str(msg),
+                 "--out", str(tmp_path / "ct.bin"), "--seed", "3"]) == 0
+    assert json.loads(sample.read_text())["uses"] == 2
+    # the temp file the counter goes through is renamed, never left behind
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == {"source.json", os.path.basename(params_path),
+                     "run.alice.json", "run.bob.json", "run.eve.json",
+                     "run.ctxt", "run.key", "msg.bin", "ct.bin"}
+
+
+def test_use_counter_bumped_before_output_write(tmp_path, det_source_file):
+    # the ciphertext is released only after the use is counted: a failed
+    # output write (missing directory, exit 1) still leaves the count
+    _, params_path = _plan(tmp_path, det_source_file, 32, 0.5, 0.25)
+    session = ["--source", det_source_file, "--params", params_path]
+    prefix = str(tmp_path / "run")
+    assert main(["gen", *session, "--out", prefix, "--seed", "1"]) == 0
+    sample = tmp_path / "run.alice.json"
+    missing = tmp_path / "missing"
+    assert main(["encap", *session, "--sample", str(sample),
+                 "--out", str(missing / "run"), "--seed", "2"]) == 1
+    assert json.loads(sample.read_text())["uses"] == 1
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"")
+    assert main(["encrypt", *session, "--sample", str(sample), "--in", str(msg),
+                 "--out", str(missing / "ct.bin"), "--seed", "3"]) == 1
+    assert json.loads(sample.read_text())["uses"] == 2
+    assert not missing.exists()

@@ -1,9 +1,13 @@
 """Encapsulation, typical-set decoding, parameter derivation."""
 
+import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrkem import (
     BOTTOM,
@@ -21,10 +25,19 @@ from corrkem import (
     satellite_source,
     surprisal,
 )
-from corrkem.errors import DimensionMismatch, InfeasibleKeyLength, LengthMismatch
-from corrkem.ikem import IkemParams, encode_sample, key_spec, tag_spec
-from corrkem.source import avg_cond_min_entropy
-from corrkem.uhf import hash_value
+from corrkem.errors import DimensionMismatch, InfeasibleKeyLength, LengthMismatch, RegimeTooLarge
+from corrkem.ikem import (
+    MAX_CANDIDATES,
+    IkemKey,
+    IkemParams,
+    _tag_table,
+    encode_sample,
+    key_spec,
+    source_digest,
+    tag_spec,
+)
+from corrkem.source import avg_cond_min_entropy, sample_with_rng
+from corrkem.uhf import UhfSpec, encode_symbols, hash_value, symbol_bits
 
 from conftest import deterministic_pair_source, leaky_uniform_source
 
@@ -145,30 +158,146 @@ def test_enumerate_typical_spec_examples():
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def _random_table_source(rng, nx, ny, forced_rate=0.0):
+    """Random (nx, ny, 1) source with zero cells; each y-column keeps a
+    single x with probability forced_rate, so its positions are forced."""
+    pmf = rng.random((nx, ny, 1)) * (rng.random((nx, ny, 1)) < 0.8)
+    pmf[0, 0, 0] += 0.2
+    for y in range(ny):
+        if rng.random() < forced_rate:
+            only = int(rng.integers(0, nx))
+            pmf[:, y, 0] = 0.0
+            pmf[only, y, 0] = rng.random() + 0.1
+    pmf /= pmf.sum()
+    return make_table_source(
+        (nx, ny, 1),
+        {(x, y, 0): pmf[x, y, 0] for x in range(nx) for y in range(ny)},
+    )
+
+
+def _brute_list(src, y_vec, nu):
+    nx = src.alphabet_sizes[0]
+    return [
+        xv
+        for xv in product(range(nx), repeat=len(y_vec))
+        if surprisal(src, np.array(xv), y_vec) <= nu
+    ]
+
+
 def test_enumerate_typical_matches_brute_force(rng):
-    for _ in range(40):
+    forced_seen = 0
+    for trial in range(60):
         nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 4))
-        n = int(rng.integers(1, 5))
-        pmf = rng.random((nx, ny, 1)) * (rng.random((nx, ny, 1)) < 0.8)
-        pmf[0, 0, 0] += 0.2
-        pmf /= pmf.sum()
-        src = make_table_source(
-            (nx, ny, 1),
-            {(x, y, 0): pmf[x, y, 0] for x in range(nx) for y in range(ny)},
-        )
-        py = pmf.sum(axis=(0, 2))
+        n = int(rng.integers(1, 6))
+        src = _random_table_source(rng, nx, ny, forced_rate=0.4 if trial % 2 else 0.0)
+        py = src.pmf.sum(axis=(0, 2))
         y_vec = np.array([int(v) for v in rng.integers(0, ny, size=n)])
         if any(py[v] <= 0 for v in y_vec):
             continue
-        nu = float(rng.random() * 3 * n)
-        fast = [tuple(v) for v in enumerate_typical(src, y_vec, nu)]
-        brute = [
-            xv
-            for xv in product(range(nx), repeat=n)
-            if surprisal(src, np.array(xv), y_vec) <= nu
-        ]
-        assert fast == brute  # same set, same (lexicographic) order
-        assert len(fast) <= 2.0**nu + 1e-9  # mass bound on the list size
+        cond = src.conditional_xy()
+        forced_seen += int(((cond[:, y_vec] > 0).sum(axis=0) == 1).sum())
+        # zero, random, and past saturation (every positive-probability vector)
+        for nu in (0.0, float(rng.random() * 3 * n), 1e6):
+            fast = [tuple(v) for v in enumerate_typical(src, y_vec, nu)]
+            assert fast == _brute_list(src, y_vec, nu)  # same set, same order
+            assert len(fast) <= 2.0 ** min(nu, 64) + 1e-9  # mass bound on the list size
+    assert forced_seen > 20
+
+
+def test_hostile_nu_hits_candidate_budget(monkeypatch):
+    # a params file with a huge nu asks for all 2^40 vectors: the
+    # enumeration stops at MAX_CANDIDATES, quickly and in bounded memory
+    src = satellite_source(0.05, 0.05, 0.3)
+    params = IkemParams(
+        n=40, t=20, ell=8, nu=1e6, eps=0.5, sigma=0.5, q_e=0, source_digest=source_digest(src)
+    )
+    triple = sample_n(src, 40, seed=1)
+    ctxt, _ = encap(params, src, triple.x, np.random.default_rng(2))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(RegimeTooLarge):
+            decap(params, src, triple.y, ctxt)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 64 * MAX_CANDIDATES  # a few arrays of one level, not |X|^n rows
+    # a list of exactly the budget is still enumerated; one more level is not
+    monkeypatch.setattr("corrkem.ikem.MAX_CANDIDATES", 1 << 10)
+    assert sum(1 for _ in enumerate_typical(src, triple.y[:10], 1e6)) == 1 << 10
+    with pytest.raises(RegimeTooLarge):
+        next(enumerate_typical(src, triple.y[:11], 1e6))
+
+
+def _tag_by_table(tspec, seed, x, nx):
+    table = _tag_table(tspec, seed.a, len(x), nx)
+    limbs = np.bitwise_xor.reduce(table[np.arange(len(x)), x], axis=0)
+    value = sum(int(v) << (64 * k) for k, v in enumerate(limbs))
+    return value ^ (seed.b >> (tspec.input_bits - tspec.output_bits))
+
+
+@st.composite
+def _tag_cases(draw):
+    nx = draw(st.sampled_from([2, 3, 5, 16]))
+    bits = symbol_bits(nx)
+    n = draw(st.integers(1, 280 // bits))
+    t = draw(st.sampled_from([1, 20, 63, 64, 65, 130]))
+    w = min(280, max(n * bits, t) + draw(st.integers(0, 8)))
+    a = draw(st.integers(0, (1 << w) - 1))
+    b = draw(st.integers(0, (1 << w) - 1))
+    x = draw(st.lists(st.integers(0, nx - 1), min_size=n, max_size=n))
+    return UhfSpec(w, t), UhfSeed(a, b), np.array(x, dtype=np.int64), nx
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tag_cases())
+def test_tag_table_matches_hash_value(case):
+    # the table-XOR tag is the hash of the packed code, by linearity of
+    # a*x over GF(2); w up to 280 and t past one 64-bit limb
+    tspec, seed, x, nx = case
+    code, _ = encode_symbols(x, nx)
+    assert _tag_by_table(tspec, seed, x, nx) == hash_value(tspec, seed, code)
+
+
+def test_decap_matches_brute_force_oracle(rng):
+    # oracle: filter all |X|^n vectors by surprisal, hash every survivor
+    # with hash_value, and keep the key of a unique tag match
+    outcomes = {"key": 0, "no match": 0, "ambiguous": 0}
+    for trial in range(120):
+        nx, ny = int(rng.choice([2, 3, 5])), int(rng.integers(1, 4))
+        n = int(rng.integers(1, 5))
+        src = _random_table_source(rng, nx, ny, forced_rate=0.3)
+        py = src.pmf.sum(axis=(0, 2))
+        y_vec = rng.choice(np.flatnonzero(py > 0), size=n)
+        nu = float(rng.choice([0.0, rng.random() * 2 * n, 1e6]))
+        t = int(rng.choice([1, 2, 4, 20, 65]))
+        params = IkemParams(
+            n=n, t=t, ell=int(rng.integers(1, 9)), nu=nu, eps=0.5, sigma=0.5,
+            q_e=0, source_digest=source_digest(src),
+        )
+        tspec, kspec = tag_spec(src, params), key_spec(src, params)
+        cands = _brute_list(src, y_vec, nu)
+        if cands and rng.random() < 0.8:
+            x = np.array(cands[int(rng.integers(len(cands)))])
+        else:
+            x = rng.integers(0, nx, size=n)
+        ctxt, _ = encap(params, src, x, rng)
+        for g in (ctxt.g, ctxt.g ^ 1):  # the true tag, then a flipped one
+            matches = [
+                code
+                for code in (encode_symbols(c, nx)[0] for c in cands)
+                if hash_value(tspec, ctxt.s, code) == g
+            ]
+            got = decap(params, src, y_vec, IkemCiphertext(g, ctxt.s_prime, ctxt.s))
+            if len(matches) == 1:
+                assert got == IkemKey(hash_value(kspec, ctxt.s_prime, matches[0]), params.ell)
+                outcomes["key"] += 1
+            else:
+                assert got is BOTTOM
+                outcomes["no match" if not matches else "ambiguous"] += 1
+    assert min(outcomes.values()) > 10, outcomes
 
 
 def test_decap_roundtrip_and_tamper():
@@ -274,15 +403,15 @@ def test_roundtrip_exhaustive_micro():
                     assert got.bits == hash_value(kspec, s_prime, code)
 
 
-def test_decap_failure_rate_within_eps():
+@pytest.mark.parametrize("n, trials", [(8, 3000), (16, 1000)], ids=["n8", "n16"])
+def test_decap_failure_rate_within_eps(n, trials):
+    # n = 16 lists 2517 candidates per decap
     src = satellite_source(0.05, 0.05, 0.3)
-    params = reliability_params(src, n=8, eps=0.25, ell=8)
+    params = reliability_params(src, n=n, eps=0.25, ell=8)
     rng = np.random.default_rng(13)
-    trials, failures = 3000, 0
-    from corrkem.source import sample_with_rng
-
+    failures = 0
     for _ in range(trials):
-        triple = sample_with_rng(src, 8, rng)
+        triple = sample_with_rng(src, n, rng)
         ctxt, key = encap(params, src, triple.x, rng)
         got = decap(params, src, triple.y, ctxt)
         if got is BOTTOM or got != key:

@@ -31,9 +31,11 @@ from .hybrid import he_decrypt, he_encrypt
 from .ikem import (
     BOTTOM,
     decap,
+    derive_lengths,
     derive_params,
     encap,
     hash_width,
+    source_digest,
 )
 from .source import avg_cond_min_entropy, sample_n
 from . import wire
@@ -111,12 +113,22 @@ def _seed_of(args) -> int:
 
 
 def _load_session(args):
+    """Source and params, checked against each other: the params must
+    carry the source's digest and the (nu, t) that the source, n, eps,
+    sigma and q_e give, so a file cannot widen the decap list."""
     source = wire.load_source(args.source)
     params = wire.load_params(args.params)
-    from .ikem import source_digest
-
     if params.source_digest != source_digest(source):
         raise FormatError("params were derived for a different source")
+    try:
+        h_xy = params.n * avg_cond_min_entropy(source, 0, (1,))
+        nu, t, _ = derive_lengths(h_xy, 0.0, params.eps, params.sigma, params.q_e)
+    except OverflowError as exc:
+        raise FormatError(f"params out of range: {exc}") from exc
+    if (params.nu, params.t) != (nu, t):
+        raise FormatError(
+            f"params give nu={params.nu}, t={params.t}; the source gives nu={nu}, t={t}"
+        )
     return source, params
 
 
@@ -128,9 +140,11 @@ def _bump_uses(args, params) -> None:
     counts as a use.  The new document goes to a temp file in the
     sample's directory and replaces the sample atomically.
     """
-    with open(args.sample, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["uses"] = int(doc.get("uses", 0)) + 1
+    doc = wire._read_json(args.sample, "sample")
+    uses = wire._json_number(doc.get("uses", 0), int, "uses")
+    if uses < 0:
+        raise FormatError(f"uses must be >= 0, got {uses}")
+    doc["uses"] = uses + 1
     mode = os.stat(args.sample).st_mode & 0o7777
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.sample)), suffix=".tmp")
     try:
@@ -288,10 +302,7 @@ def main(argv=None) -> int:
     except RegimeTooLarge as exc:
         print(f"regime too large: {exc}; use micro params", file=sys.stderr)
         return EXIT_REGIME
-    except (FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CorrkemError as exc:
+    except (CorrkemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

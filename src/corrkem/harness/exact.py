@@ -45,30 +45,33 @@ def _iid_xz(source: JointSource, n: int):
     return encode_flat(np.arange(pxz.shape[0]), n, nx), pxz
 
 
-def _guard_width(w: int) -> None:
+def _exact_width(source: JointSource, params: IkemParams) -> int:
+    """The session's hash width, refused past the exhaustive regime
+    before any n-fold table is built."""
+    w = hash_width(source, params)
     if w > KERNEL_MAX_WIDTH:
         raise RegimeTooLarge(
             f"hash width {w} exceeds the exhaustive regime ({KERNEL_MAX_WIDTH});"
             " use micro params"
         )
+    return w
+
+
+def _hash_tables(w: int, codes: np.ndarray, t: int, ell: int):
+    """tag[a, i] = msb_t(a * codes[i]) and key[a, i] = msb_ell(a * codes[i])
+    for every multiplier a, as (2^w, len(codes)) int64 tables."""
+    prod = mul_table(w)[:, codes].astype(np.int64)
+    return prod >> (w - t), prod >> (w - ell)
 
 
 def _challenge_tables(source: JointSource, params: IkemParams, q_e: int = 0):
-    w = hash_width(source, params)
-    _guard_width(w)
+    w = _exact_width(source, params)
     codes, pxz = _iid_xz(source, params.n)
     keep = pxz.sum(axis=1) > 0.0
-    codes = codes[keep]
-    pxz = pxz[keep]
-    na = 1 << w
-    work = codes.shape[0] * na ** (2 + 2 * q_e)
+    work = int(keep.sum()) * (1 << w) ** (2 + 2 * q_e)
     if work > WORK_LIMIT:
         raise RegimeTooLarge(f"enumeration work {work} exceeds {WORK_LIMIT}; use micro params")
-    table = mul_table(w)
-    prod = table[:, codes].astype(np.int64)
-    tag = prod >> (w - params.t)
-    key = prod >> (w - params.ell)
-    return tag, key, pxz
+    return (*_hash_tables(w, codes[keep], params.t, params.ell), pxz[keep])
 
 
 def exact_challenge_sd(source: JointSource, params: IkemParams) -> tuple[float, int]:
@@ -143,10 +146,9 @@ def _reference_pair(joint: np.ndarray, k_axis: int, ell: int):
 
 
 def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, int]:
-    w = hash_width(source, params)
-    _guard_width(w)
+    w = _exact_width(source, params)
     nx, ny, nz1 = source.alphabet_sizes
-    n = params.n
+    n, t = params.n, params.t
     pxyz = product_source(source, n).pmf
 
     xf, yf, zf = np.nonzero(pxyz > 0.0)
@@ -155,49 +157,27 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
     if xf.shape[0] * na * na > WORK_LIMIT:
         raise RegimeTooLarge("composability enumeration exceeds the work limit")
 
-    # candidate lists per distinct receiver pattern
-    y_present = np.unique(yf)
-    col_of: dict[int, int] = {}
-    cols: list[int] = []
+    # one column per distinct sample code, over the support and every
+    # receiver pattern's candidate list
+    y_present, ycol = np.unique(yf, return_inverse=True)
+    codes = [encode_flat(xf, n, nx)]
+    for y in y_present:
+        listed = enumerate_typical(source, np.unravel_index(y, (ny,) * n), params.nu)
+        codes.append(np.array([encode_symbols(x, nx)[0] for x in listed], dtype=np.int64))
+    cols, col_of = np.unique(np.concatenate(codes), return_inverse=True)
+    tag, key = _hash_tables(w, cols, t, params.ell)
+    xcol, *list_cols = np.split(col_of, np.cumsum([c.shape[0] for c in codes])[:-1])
 
-    def column(code: int) -> int:
-        got = col_of.get(code)
-        if got is None:
-            got = len(cols)
-            col_of[code] = got
-            cols.append(code)
-        return got
+    cand = np.full((len(y_present), na << t), -1, dtype=np.int64)
+    slot_base = np.arange(na, dtype=np.int64)[:, None] << t
+    for row, col in enumerate(list_cols):
+        slots = (slot_base + tag[:, col]).ravel()
+        cand[row, slots] = np.broadcast_to(col, (na, col.shape[0])).ravel()
+        cand[row, np.bincount(slots, minlength=na << t) > 1] = -2
 
-    xcodes_sup = encode_flat(xf, n, nx)
-    xcol = np.array([column(int(c)) for c in xcodes_sup], dtype=np.int64)
-    cand_lists = {}
-    for yflat in y_present:
-        y_vec = np.array(np.unravel_index(yflat, (ny,) * n))
-        entries = []
-        for cand in enumerate_typical(source, y_vec, params.nu):
-            code, _ = encode_symbols(cand, nx)
-            entries.append(column(code))
-        cand_lists[int(yflat)] = entries
-
-    table = mul_table(w)
-    colcodes = np.array(cols, dtype=np.int64)
-    prod = table[:, colcodes].astype(np.int64)
-    tag = prod >> (w - params.t)
-    key = prod >> (w - params.ell)
-
-    ymap = {int(yflat): i for i, yflat in enumerate(y_present)}
-    ycol = np.array([ymap[int(v)] for v in yf], dtype=np.int64)
-    cand = np.full((len(y_present), na, 1 << params.t), -1, dtype=np.int64)
-    for yflat, entries in cand_lists.items():
-        row = ymap[yflat]
-        for col in entries:
-            g_per_a = tag[:, col]
-            for a in range(na):
-                slot = cand[row, a, g_per_a[a]]
-                cand[row, a, g_per_a[a]] = col if slot == -1 else -2
-
+    cand = cand.reshape(len(y_present), na, 1 << t)
     sd = float(
-        compose_sd(tag, key, xcol, ycol, zf.astype(np.int64), ptr, cand, params.t, params.ell, nz1**n)
+        compose_sd(tag, key, xcol, ycol, zf.astype(np.int64), ptr, cand, t, params.ell, nz1**n)
     )
     return sd, na * na * xf.shape[0]
 

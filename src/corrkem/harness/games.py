@@ -86,48 +86,30 @@ def wilson_halfwidth(p_hat: float, trials: int) -> float:
 # exact bound checks
 
 
+def _exact_report(game: str, result: tuple[float, int], bound: float) -> GameReport:
+    """Report an exact (distance, enumerated terms) pair against its bound."""
+    sd, work = result
+    return GameReport(game, sd, work, True, bound, sd <= bound + _TIE_SLACK)
+
+
 def ot_bound_check(source: JointSource, params: IkemParams) -> GameReport:
     """Exact challenge SD against the sigma target."""
-    sd, work = exact_challenge_sd(source, params)
-    return GameReport(
-        game="ot-bound",
-        advantage_estimate=sd,
-        trials=work,
-        exact=True,
-        bound=params.sigma,
-        passed=sd <= params.sigma + _TIE_SLACK,
-    )
+    return _exact_report("ot-bound", exact_challenge_sd(source, params), params.sigma)
 
 
-def cea_bound_check(source: JointSource, params: IkemParams, q_e: int | None = None) -> GameReport:
-    """Exact transcript SD against 2*sigma (the q_e-query conclusion
-    carries the factor two)."""
-    q = params.q_e if q_e is None else q_e
-    sd, work = cea_transcript_sd(source, params, q)
-    bound = 2.0 * params.sigma
-    return GameReport(
-        game=f"cea-bound(q_e={q})",
-        advantage_estimate=sd,
-        trials=work,
-        exact=True,
-        bound=bound,
-        passed=sd <= bound + _TIE_SLACK,
-    )
+def cea_bound_check(source: JointSource, params: IkemParams) -> GameReport:
+    """Exact transcript SD at the params' q_e against 2*sigma (the
+    q_e-query conclusion carries the factor two)."""
+    q = params.q_e
+    sd_work = cea_transcript_sd(source, params, q)
+    return _exact_report(f"cea-bound(q_e={q})", sd_work, 2.0 * params.sigma)
 
 
 def composability_check(source: JointSource, params: IkemParams) -> GameReport:
     """Exact four-tuple SD (with the failure symbol in the receiver key
     alphabet) against eps + sigma."""
-    sd, work = composability_sd(source, params)
-    bound = params.eps + params.sigma
-    return GameReport(
-        game="composability",
-        advantage_estimate=sd,
-        trials=work,
-        exact=True,
-        bound=bound,
-        passed=sd <= bound + _TIE_SLACK,
-    )
+    sd_work = composability_sd(source, params)
+    return _exact_report("composability", sd_work, params.eps + params.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +244,12 @@ def _uniform_key(rng, ell: int) -> IkemKey:
     return IkemKey(rand_bits(rng, ell), ell)
 
 
+def _mc_report(game: str, wins: int, trials: int, bound: float, seed: int) -> GameReport:
+    """Advantage |wins/trials - 1/2| against bound plus three sigma_mc."""
+    adv = abs(wins / trials - 0.5)
+    return GameReport(game, adv, trials, False, bound, adv <= bound + 3.0 * mc_sigma(trials), seed)
+
+
 def run_ikem_game(
     source: JointSource,
     params: IkemParams,
@@ -301,16 +289,7 @@ def run_ikem_game(
         view = Transcript(tuple(triple.z), tuple(responses), (ctxt, shown.bits), b, q_e)
         if adversary.guess(rng, state, view.challenge[0], view.challenge[1]) == b:
             wins += 1
-    adv = abs(wins / trials - 0.5)
-    return GameReport(
-        game=f"ikem(q_e={q_e})",
-        advantage_estimate=adv,
-        trials=trials,
-        exact=False,
-        bound=bound,
-        passed=adv <= bound + 3.0 * mc_sigma(trials),
-        seed=seed,
-    )
+    return _mc_report(f"ikem(q_e={q_e})", wins, trials, bound, seed)
 
 
 def run_he_game(
@@ -349,16 +328,7 @@ def run_he_game(
         ctxt = he_encrypt(params, source, triple.x, m1 if b else m0, rng, scheme_tag)
         if adversary.guess(rng, state, ctxt) == b:
             wins += 1
-    adv = abs(wins / trials - 0.5)
-    return GameReport(
-        game=f"he(q_e={q_e},{scheme_tag})",
-        advantage_estimate=adv,
-        trials=trials,
-        exact=False,
-        bound=bound,
-        passed=adv <= bound + 3.0 * mc_sigma(trials),
-        seed=seed,
-    )
+    return _mc_report(f"he(q_e={q_e},{scheme_tag})", wins, trials, bound, seed)
 
 
 def correctness_mc(source: JointSource, params: IkemParams, trials: int, seed: int) -> GameReport:

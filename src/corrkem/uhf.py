@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from ._kernels import cea_sd, census_max_dev, mul_table
+from ._kernels import census_max_dev, mul_table
 from .errors import DimensionMismatch, LengthMismatch, RegimeTooLarge
 
 CENSUS_MAX_WIDTH = 12
@@ -143,24 +143,3 @@ def pairwise_independence_census(spec: UhfSpec) -> float:
     worst = census_max_dev(prod, w, m)
     return float(worst) / float((1 << w) ** 2)
 
-
-def extractor_sd(spec: UhfSpec, probs: np.ndarray) -> float:
-    """Exact SD((S, h_S(X)); (S, U_m)) for X with the given pmf.
-
-    probs[i] is the probability of input value i (length 2^w, zeros
-    allowed).  Exhaustive in the seed space, so w <= 12.  Together with
-    the leftover-hash bound this realizes the seeded-extractor check:
-    SD <= 0.5 * sqrt(2^(m - Hmin)).
-    """
-    w, m = spec.input_bits, spec.output_bits
-    if w > CENSUS_MAX_WIDTH:
-        raise RegimeTooLarge(f"extractor enumeration needs w <= {CENSUS_MAX_WIDTH}")
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (1 << w,):
-        raise DimensionMismatch("probs must cover all 2^w inputs")
-    table = mul_table(w)
-    xs = np.nonzero(probs > 0.0)[0]
-    key = (table[:, xs].astype(np.int64)) >> (w - m)
-    tag = np.zeros_like(key)  # no tag leaked: t = 0
-    pxz = probs[xs][:, None]
-    return float(cea_sd(tag, key, pxz, 0, m, 0))

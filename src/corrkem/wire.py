@@ -49,6 +49,16 @@ def source_to_json(source: JointSource) -> dict:
     return {"type": "table", "alphabets": list(source.alphabet_sizes), "pmf": cells}
 
 
+def _read_json(path, what: str):
+    """The JSON document in the UTF-8 file at `path`; a file that cannot
+    be read or parsed raises FormatError naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise FormatError(f"{what} file is not readable JSON: {exc}") from exc
+
+
 def _json_number(value, kinds, what: str):
     """`value` if it is a JSON number of one of `kinds` (never a bool)."""
     if isinstance(value, bool) or not isinstance(value, kinds):
@@ -84,12 +94,7 @@ def source_from_json(doc: dict) -> JointSource:
 
 
 def load_source(path) -> JointSource:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"source file is not valid JSON: {exc}") from exc
-    return source_from_json(doc)
+    return source_from_json(_read_json(path, "source"))
 
 
 def params_to_json(params: IkemParams) -> dict:
@@ -106,28 +111,19 @@ def params_to_json(params: IkemParams) -> dict:
 
 
 def params_from_json(doc: dict) -> IkemParams:
+    """Params from their JSON document: n, t, ell and q_e must be JSON
+    integers, nu, eps and sigma JSON numbers."""
     try:
-        return IkemParams(
-            n=int(doc["n"]),
-            t=int(doc["t"]),
-            ell=int(doc["ell"]),
-            nu=float(doc["nu"]),
-            eps=float(doc["eps"]),
-            sigma=float(doc["sigma"]),
-            q_e=int(doc["q_e"]),
-            source_digest=str(doc["source_digest"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        fields = {k: _json_number(doc[k], int, k) for k in ("n", "t", "ell", "q_e")}
+        for k in ("nu", "eps", "sigma"):
+            fields[k] = float(_json_number(doc[k], (int, float), k))
+        return IkemParams(**fields, source_digest=str(doc["source_digest"]))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"malformed params document: {exc}") from exc
 
 
 def load_params(path) -> IkemParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"params file is not valid JSON: {exc}") from exc
-    return params_from_json(doc)
+    return params_from_json(_read_json(path, "params"))
 
 
 def save_json(path, doc: dict) -> None:
@@ -146,15 +142,16 @@ def sample_to_json(role: str, params: IkemParams, symbols) -> dict:
 
 
 def load_sample(path, params: IkemParams) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"sample file is not valid JSON: {exc}") from exc
+    """The sample's symbols: a list of exactly n JSON integers (their
+    range is checked where the protocol reads them)."""
+    doc = _read_json(path, "sample")
     try:
-        digest = doc["digest"]
-        symbols = np.asarray(doc["symbols"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+        digest, symbols = doc["digest"], doc["symbols"]
+        if not (isinstance(symbols, list) and len(symbols) == params.n
+                and all(type(s) is int for s in symbols)):  # never a bool or a float
+            raise FormatError(f"sample symbols must be a list of n={params.n} JSON integers")
+        symbols = np.array(symbols, dtype=np.int64)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"malformed sample file: {exc}") from exc
     if digest != params_digest(params).hex():
         raise FormatError("sample was generated under different params")

@@ -1,10 +1,15 @@
 """Command-line workflows and exit codes."""
 
+import copy
 import itertools
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from corrkem.cli import main
 
@@ -277,17 +282,21 @@ def test_encap_warns_past_budget(tmp_path, det_source_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_decrypt_hostile_nu_exit_4(tmp_path, sat_source_file, capsys):
-    # a params file whose nu admits all 2^40 vectors: decrypt stops at
-    # the candidate budget instead of enumerating them
-    from corrkem.ikem import IkemParams, source_digest
-
-    src = wire.load_source(sat_source_file)
-    params = IkemParams(n=40, t=20, ell=8, nu=1e6, eps=0.5, sigma=0.5, q_e=0,
-                        source_digest=source_digest(src))
+def _hostile_session(tmp_path, sat_source_file, params):
     params_path = str(tmp_path / "hostile-params.json")
     wire.save_json(params_path, wire.params_to_json(params))
-    session = ["--source", sat_source_file, "--params", params_path]
+    return ["--source", sat_source_file, "--params", params_path]
+
+
+def test_decrypt_hostile_nu_exit_4(tmp_path, sat_source_file, capsys):
+    # a consistent params file at small eps and long n: nu = 46.08 lists
+    # far more than MAX_CANDIDATES prefixes, so decrypt stops at the
+    # candidate budget instead of enumerating them
+    from corrkem.ikem import reliability_params
+
+    params = reliability_params(wire.load_source(sat_source_file), n=40, eps=0.25, ell=8)
+    assert (round(params.nu, 2), params.t) == (46.08, 48)
+    session = _hostile_session(tmp_path, sat_source_file, params)
     prefix = str(tmp_path / "run")
     assert main(["gen", *session, "--out", prefix, "--seed", "7"]) == 0
     msg = tmp_path / "msg.bin"
@@ -301,6 +310,46 @@ def test_decrypt_hostile_nu_exit_4(tmp_path, sat_source_file, capsys):
     assert code == 4
     assert "regime too large" in capsys.readouterr().err
     assert not (tmp_path / "plain.bin").exists()
+
+
+def test_inconsistent_nu_exit_1(tmp_path, sat_source_file, capsys):
+    # a params file whose nu admits all 2^40 vectors is refused on load,
+    # before any enumeration
+    from corrkem.ikem import IkemParams, source_digest
+
+    src = wire.load_source(sat_source_file)
+    params = IkemParams(n=40, t=20, ell=8, nu=1e6, eps=0.5, sigma=0.5, q_e=0,
+                        source_digest=source_digest(src))
+    session = _hostile_session(tmp_path, sat_source_file, params)
+    assert main(["gen", *session, "--out", str(tmp_path / "run"), "--seed", "7"]) == 1
+    assert "nu=1000000.0" in capsys.readouterr().err
+    assert not (tmp_path / "run.alice.json").exists()
+
+
+def test_unreadable_paths_exit_1(tmp_path, det_source_file):
+    # directories, non-UTF-8 files and missing files are format errors
+    _, params_path = _plan(tmp_path, det_source_file, 8, 0.5, 0.25)
+    session = ["--source", det_source_file, "--params", params_path]
+    prefix = str(tmp_path / "run")
+    assert main(["gen", *session, "--out", prefix, "--seed", "7"]) == 0
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"")
+    out = str(tmp_path / "ct.bin")
+    assert main(["encrypt", *session, "--sample", f"{prefix}.alice.json", "--in", str(msg),
+                 "--out", out, "--seed", "8"]) == 0
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    decrypt = ["decrypt", *session, "--sample", f"{prefix}.bob.json"]
+    for argv in (
+        ["gen", "--source", str(tmp_path), "--params", params_path, "--out", prefix],
+        ["gen", "--source", str(utf16), "--params", params_path, "--out", prefix],
+        ["gen", "--source", det_source_file, "--params", str(utf16), "--out", prefix],
+        ["gen", "--source", det_source_file, "--params", str(tmp_path / "none.json"), "--out", prefix],
+        [*decrypt[:-1], str(utf16), "--in", out, "--out", str(tmp_path / "plain.bin")],
+        [*decrypt, "--in", str(tmp_path), "--out", str(tmp_path / "plain.bin")],
+        [*decrypt, "--in", out, "--out", str(tmp_path)],
+    ):
+        assert main(argv) == 1, argv
 
 
 def test_use_counter_is_replaced_atomically(tmp_path, det_source_file):
@@ -340,3 +389,93 @@ def test_use_counter_bumped_before_output_write(tmp_path, det_source_file):
                  "--out", str(missing / "ct.bin"), "--seed", "3"]) == 1
     assert json.loads(sample.read_text())["uses"] == 2
     assert not missing.exists()
+
+
+def test_use_counter_must_be_a_non_negative_integer(tmp_path, det_source_file):
+    _, params_path = _plan(tmp_path, det_source_file, 8, 0.5, 0.25)
+    session = ["--source", det_source_file, "--params", params_path]
+    prefix = str(tmp_path / "run")
+    assert main(["gen", *session, "--out", prefix, "--seed", "1"]) == 0
+    sample = tmp_path / "run.alice.json"
+    honest = json.loads(sample.read_text())
+    for uses in ("abc", None, -1, 1.5, True, [1]):
+        wire.save_json(sample, dict(honest, uses=uses))
+        assert main(["encap", *session, "--sample", str(sample), "--out", prefix,
+                     "--seed", "2"]) == 1, uses
+        assert json.loads(sample.read_text())["uses"] == uses
+        assert not (tmp_path / "run.ctxt").exists()
+
+
+@pytest.fixture(scope="module")
+def honest_session(tmp_path_factory):
+    """One plan -> gen -> encrypt session on the deterministic pair source
+    at n = 8: the source, params and sample documents and the hybrid block."""
+    d = tmp_path_factory.mktemp("session")
+    paths = {"source": d / "source.json", "alice": d / "run.alice.json",
+             "bob": d / "run.bob.json", "msg": d / "msg.bin", "block": d / "ct.bin"}
+    wire.save_json(paths["source"], wire.source_to_json(deterministic_pair_source()))
+    paths["params"] = Path(_plan(d, str(paths["source"]), 8, 0.5, 0.25)[1])
+    session = ["--source", str(paths["source"]), "--params", str(paths["params"])]
+    assert main(["gen", *session, "--out", str(d / "run"), "--seed", "7"]) == 0
+    paths["msg"].write_bytes(b"")
+    assert main(["encrypt", *session, "--sample", str(paths["alice"]), "--in", str(paths["msg"]),
+                 "--out", str(paths["block"]), "--seed", "8"]) == 0
+    docs = {k: json.loads(paths[k].read_text()) for k in ("source", "params", "alice", "bob")}
+    return {k: str(v) for k, v in paths.items()}, docs, paths["block"].read_bytes()
+
+
+# replacements for one JSON value: a swapped type or an out-of-range number
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.integers(-(2**70), 2**70), st.floats(),
+    st.sampled_from([-1, 0, 2**63, 10**400, 1e308, -1e-320]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from("xyzp"), st.integers(-1, 2), max_size=2),
+)
+
+
+def _mutate(data, doc):
+    """Delete or replace one value at a random depth of a JSON document."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            break
+        node = child
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(_JSON_VALUES)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), target=st.sampled_from(["source", "params", "alice", "bob", "block"]))
+def test_one_mutated_input_exits_0_to_4(honest_session, data, target):
+    # the file boundary: one changed document or block never escapes
+    # cli.main as an exception, and always maps to a documented exit code
+    paths, docs, block = honest_session
+    with tempfile.TemporaryDirectory() as d:
+        mutated = dict(paths)
+        mutated[target] = os.path.join(d, "mutated")
+        if target == "block":
+            raw = bytearray(block)
+            if data.draw(st.booleans()):
+                raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+            else:
+                del raw[data.draw(st.integers(0, len(raw) - 1)):]
+            with open(mutated[target], "wb") as fh:
+                fh.write(raw)
+        else:
+            doc = copy.deepcopy(docs[target])
+            _mutate(data, doc)
+            wire.save_json(mutated[target], doc)
+        session = ["--source", mutated["source"], "--params", mutated["params"]]
+        if target == "alice":
+            argv = ["encrypt", *session, "--sample", mutated["alice"], "--in", paths["msg"],
+                    "--out", os.path.join(d, "ct.bin")]
+        else:
+            argv = ["decrypt", *session, "--sample", mutated["bob"], "--in", mutated["block"],
+                    "--out", os.path.join(d, "plain.bin")]
+        assert main(argv) in range(5)

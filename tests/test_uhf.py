@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from corrkem import UhfSeed, UhfSpec, hash_value, pairwise_independence_census, sample_seed
-from corrkem._kernels import census_max_dev
+from corrkem._kernels import cea_sd, census_max_dev, mul_table
 from corrkem.errors import LengthMismatch, RegimeTooLarge
 from corrkem.uhf import (
     encode_symbols,
-    extractor_sd,
     seed_from_bytes,
     seed_to_bytes,
     symbol_bits,
@@ -96,6 +95,17 @@ def test_census_closed_form_on_zero_table(w, m):
 def test_census_regime_guard():
     with pytest.raises(RegimeTooLarge):
         pairwise_independence_census(UhfSpec(13, 4))
+
+
+def extractor_sd(spec: UhfSpec, probs) -> float:
+    """Exact SD((S, h_S(X)); (S, U_m)) for X with pmf probs over all 2^w
+    inputs: the transcript distance with no tag (t = 0) and no queries.
+    With the leftover-hash bound this is the seeded-extractor check
+    SD <= 0.5 * sqrt(2^(m - Hmin))."""
+    w, m = spec.input_bits, spec.output_bits
+    xs = np.nonzero(probs > 0.0)[0]
+    key = mul_table(w)[:, xs].astype(np.int64) >> (w - m)
+    return float(cea_sd(np.zeros_like(key), key, probs[xs][:, None], 0, m, 0))
 
 
 def _naive_extractor_sd(spec: UhfSpec, probs) -> float:

@@ -90,6 +90,16 @@ def test_params_json_roundtrip():
         wire.params_from_json({"n": 1})
 
 
+def test_params_json_fields_are_typed():
+    doc = wire.params_to_json(derive_params(deterministic_pair_source(), 24, 0.5, 0.25, 0))
+    for field, bad in (("n", "24"), ("n", 24.9), ("t", None), ("ell", [3]), ("q_e", True),
+                       ("nu", "0"), ("eps", False), ("sigma", 10**400)):
+        with pytest.raises(FormatError):
+            wire.params_from_json(dict(doc, **{field: bad}))
+    with pytest.raises(FormatError):
+        wire.params_from_json(["n", 24])
+
+
 def test_kem_ciphertext_roundtrip_and_digest_binding():
     src = deterministic_pair_source()
     params = derive_params(src, 24, 0.5, 0.25, 0)
@@ -159,3 +169,30 @@ def test_sample_doc_roundtrip(tmp_path):
     other = dishonest(params, t=params.t + 1)
     with pytest.raises(FormatError):
         wire.load_sample(path, other)
+
+
+def test_sample_symbols_are_n_json_integers(tmp_path):
+    src = deterministic_pair_source()
+    params = derive_params(src, 4, 0.5, 0.25, 0)
+    doc = wire.triple_to_sample_docs(params, sample_n(src, 4, seed=6))["bob"]
+    path = tmp_path / "bob.json"
+    for bad in ([0.7, 0, 0, 0], ["0", 0, 0, 0], [True, 0, 0, 0], [0, 0, 0], [0] * 5,
+                "0000", None, {"0": 0}, [2**70, 0, 0, 0]):
+        wire.save_json(path, dict(doc, symbols=bad))
+        with pytest.raises(FormatError):
+            wire.load_sample(path, params)
+    wire.save_json(path, [doc])
+    with pytest.raises(FormatError):
+        wire.load_sample(path, params)
+
+
+def test_unreadable_json_files_are_format_errors(tmp_path):
+    params = derive_params(deterministic_pair_source(), 4, 0.5, 0.25, 0)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for path in (tmp_path, utf16, deep, tmp_path / "missing.json"):
+        for load in (wire.load_source, wire.load_params, lambda p: wire.load_sample(p, params)):
+            with pytest.raises(FormatError):
+                load(path)

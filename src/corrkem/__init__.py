@@ -10,15 +10,7 @@ enumeration at micro scale and Monte Carlo at desk scale.
 """
 
 from ._kernels import BACKEND
-from .dem import (
-    SCHEME_OTP,
-    SCHEME_STREAM,
-    DemCiphertext,
-    otp_decrypt,
-    otp_encrypt,
-    stream_decrypt,
-    stream_encrypt,
-)
+from .dem import SCHEME_OTP, SCHEME_STREAM, DemCiphertext
 from .hybrid import HybridCiphertext, he_decrypt, he_encrypt
 from .ikem import (
     BOTTOM,
@@ -78,8 +70,6 @@ __all__ = [
     "he_encrypt",
     "make_table_source",
     "min_entropy",
-    "otp_decrypt",
-    "otp_encrypt",
     "pairwise_independence_census",
     "product_source",
     "reliability_params",
@@ -88,7 +78,5 @@ __all__ = [
     "satellite_source",
     "source_digest",
     "statistical_distance",
-    "stream_decrypt",
-    "stream_encrypt",
     "surprisal",
 ]

@@ -32,6 +32,10 @@ from .gf2 import reduction_low
 
 BACKEND = "numpy"
 
+# Widest field the exhaustive kernels enumerate: the product table and
+# the census grow as 4^w.
+MAX_WIDTH = 12
+
 
 # ---------------------------------------------------------------------------
 # GF(2^w) multiplication table
@@ -40,11 +44,11 @@ BACKEND = "numpy"
 def mul_table(w: int) -> np.ndarray:
     """Dense (2^w, 2^w) table of field products a*x.
 
-    Limited to w <= 12; the exhaustive-enumeration regime never needs
-    more, and the table grows as 4^w.
+    Limited to w <= MAX_WIDTH; the exhaustive-enumeration regime never
+    needs more.
     """
-    if not 1 <= w <= 12:
-        raise ValueError("product table limited to 1 <= w <= 12")
+    if not 1 <= w <= MAX_WIDTH:
+        raise ValueError(f"product table limited to 1 <= w <= {MAX_WIDTH}")
     low = reduction_low(w)
     n = 1 << w
     top = 1 << (w - 1)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success or passing report, 1 usage/format problems,
-2 infeasible operating point, 3 protocol failure (decapsulation or
-decryption returned bottom), 4 enumeration regime too large.
+Exit codes: 0 success or passing report, 1 usage/format problems
+(numbers that overflow a float included), 2 infeasible operating
+point, 3 protocol failure (decapsulation or decryption returned
+bottom), 4 enumeration regime too large.
 
 Every subcommand is deterministic for a given ``--seed`` (default is
 the documented constant ``DEFAULT_SEED``); pass ``--random-seed`` to
@@ -120,11 +121,8 @@ def _load_session(args):
     params = wire.load_params(args.params)
     if params.source_digest != source_digest(source):
         raise FormatError("params were derived for a different source")
-    try:
-        h_xy = params.n * avg_cond_min_entropy(source, 0, (1,))
-        nu, t, _ = derive_lengths(h_xy, 0.0, params.eps, params.sigma, params.q_e)
-    except OverflowError as exc:
-        raise FormatError(f"params out of range: {exc}") from exc
+    h_xy = params.n * avg_cond_min_entropy(source, 0, (1,))
+    nu, t, _ = derive_lengths(h_xy, 0.0, params.eps, params.sigma, params.q_e)
     if (params.nu, params.t) != (nu, t):
         raise FormatError(
             f"params give nu={params.nu}, t={params.t}; the source gives nu={nu}, t={t}"
@@ -304,6 +302,9 @@ def main(argv=None) -> int:
         return EXIT_REGIME
     except (CorrkemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # plan arguments or params numbers past float range
+        print(f"error: numbers out of range: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

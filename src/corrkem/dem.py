@@ -11,7 +11,8 @@ Two schemes share the key space:
 Keys are the :class:`~corrkem.ikem.IkemKey` bit strings (int +
 declared length) that decapsulation returns; the bit string maps to
 bytes big-endian with zero-padded high bits, matching the key-file
-wire format.
+wire format.  :func:`encrypt` and :func:`decrypt` are the whole
+interface; each scheme is one XOR, its own inverse.
 """
 
 from dataclasses import dataclass
@@ -36,39 +37,17 @@ class DemCiphertext:
             raise DimensionMismatch(f"unknown scheme {self.scheme_tag!r}")
 
 
-def otp_encrypt(key: IkemKey, message: bytes) -> DemCiphertext:
-    """XOR with the top bits of the key; needs |message| <= |key| bits."""
-    nbits = 8 * len(message)
-    if nbits > key.length:
-        raise KeyTooShort(f"{nbits}-bit message, {key.length}-bit key")
-    return DemCiphertext(_xor_prefix(key, message), SCHEME_OTP)
-
-
-def otp_decrypt(key: IkemKey, ctxt: DemCiphertext) -> bytes:
-    nbits = 8 * len(ctxt.body)
-    if nbits > key.length:
-        raise KeyTooShort(f"{nbits}-bit ciphertext, {key.length}-bit key")
-    return _xor_prefix(key, ctxt.body)
-
-
-def _xor_prefix(key: IkemKey, data: bytes) -> bytes:
-    if not data:
-        return b""
+def _xor_otp(key: IkemKey, data: bytes) -> bytes:
+    """XOR with the top bits of the key; needs |data| <= |key| bits."""
     nbits = 8 * len(data)
-    prefix = key.bits >> (key.length - nbits)
-    return (int.from_bytes(data, "big") ^ prefix).to_bytes(len(data), "big")
+    if nbits > key.length:
+        raise KeyTooShort(f"{nbits} bits of data exceed the {key.length}-bit key")
+    pad = key.bits >> (key.length - nbits)
+    return (int.from_bytes(data, "big") ^ pad).to_bytes(len(data), "big")
 
 
-def stream_encrypt(key: IkemKey, message: bytes) -> DemCiphertext:
-    """XOR with a ChaCha20 keystream; arbitrary message length."""
-    return DemCiphertext(_chacha_xor(key, message), SCHEME_STREAM)
-
-
-def stream_decrypt(key: IkemKey, ctxt: DemCiphertext) -> bytes:
-    return _chacha_xor(key, ctxt.body)
-
-
-def _chacha_xor(key: IkemKey, data: bytes) -> bytes:
+def _xor_stream(key: IkemKey, data: bytes) -> bytes:
+    """XOR with a ChaCha20 keystream; any data length."""
     if key.length != STREAM_KEY_BITS:
         raise BadKeyLength(f"stream scheme needs {STREAM_KEY_BITS}-bit keys, got {key.length}")
     raw = key.bits.to_bytes(STREAM_KEY_BITS // 8, "big")
@@ -76,15 +55,16 @@ def _chacha_xor(key: IkemKey, data: bytes) -> bytes:
     return Cipher(algo, mode=None).encryptor().update(data)
 
 
+# Both schemes XOR a pad into the data, so each is its own inverse.
+_XOR = {SCHEME_OTP: _xor_otp, SCHEME_STREAM: _xor_stream}
+
+
 def encrypt(key: IkemKey, message: bytes, scheme_tag: str) -> DemCiphertext:
-    if scheme_tag == SCHEME_OTP:
-        return otp_encrypt(key, message)
-    if scheme_tag == SCHEME_STREAM:
-        return stream_encrypt(key, message)
-    raise DimensionMismatch(f"unknown scheme {scheme_tag!r}")
+    xor = _XOR.get(scheme_tag)
+    if xor is None:
+        raise DimensionMismatch(f"unknown scheme {scheme_tag!r}")
+    return DemCiphertext(xor(key, message), scheme_tag)
 
 
 def decrypt(key: IkemKey, ctxt: DemCiphertext) -> bytes:
-    if ctxt.scheme_tag == SCHEME_OTP:
-        return otp_decrypt(key, ctxt)
-    return stream_decrypt(key, ctxt)
+    return _XOR[ctxt.scheme_tag](key, ctxt.body)

@@ -9,18 +9,20 @@ SD-preserving reduction, see :mod:`corrkem._kernels`);
 unreduced enumeration as oracles for the tests.  The one-time
 challenge distance is the q_e = 0 transcript distance throughout.
 
-Work is bounded by the published regime guard
+Work is bounded by the published regime guard: both the enumerated
+terms and the cells of the transcript table the kernel fills,
 
-    |support(X^n)| * (2^w)^(2 + 2*q_e) <= 2^24
+    |support(X^n)| * (2^w)^(2 + 2*q_e)              <= 2^24
+    |Z^n| * (2^w * 2^w * 2^(t + ell))^(1 + q_e)     <= 2^24,
 
-and RegimeTooLarge is raised beyond it.
+and RegimeTooLarge is raised beyond them.
 """
 
 from itertools import product as _iterprod
 
 import numpy as np
 
-from .._kernels import cea_sd, challenge_sd, compose_sd, mul_table
+from .._kernels import MAX_WIDTH, cea_sd, challenge_sd, compose_sd, mul_table
 from ..errors import RegimeTooLarge
 from ..ikem import IkemParams, enumerate_typical, hash_width
 from ..source import Distribution, JointSource, product_source
@@ -28,7 +30,6 @@ from ..uhf import encode_flat, encode_symbols
 
 WORK_LIMIT = 1 << 24
 JOINT_CELL_LIMIT = 1 << 22
-KERNEL_MAX_WIDTH = 12
 
 
 def lhl_bound(t: int, ell: int, h_xz: float) -> float:
@@ -49,10 +50,9 @@ def _exact_width(source: JointSource, params: IkemParams) -> int:
     """The session's hash width, refused past the exhaustive regime
     before any n-fold table is built."""
     w = hash_width(source, params)
-    if w > KERNEL_MAX_WIDTH:
+    if w > MAX_WIDTH:
         raise RegimeTooLarge(
-            f"hash width {w} exceeds the exhaustive regime ({KERNEL_MAX_WIDTH});"
-            " use micro params"
+            f"hash width {w} exceeds the exhaustive regime ({MAX_WIDTH}); use micro params"
         )
     return w
 
@@ -69,8 +69,13 @@ def _challenge_tables(source: JointSource, params: IkemParams, q_e: int = 0):
     codes, pxz = _iid_xz(source, params.n)
     keep = pxz.sum(axis=1) > 0.0
     work = int(keep.sum()) * (1 << w) ** (2 + 2 * q_e)
-    if work > WORK_LIMIT:
-        raise RegimeTooLarge(f"enumeration work {work} exceeds {WORK_LIMIT}; use micro params")
+    # cells of the (z, seed multipliers, tags, keys) table the kernel fills
+    cells = pxz.shape[1] * ((1 << (2 * w + params.t + params.ell)) ** (1 + q_e))
+    if max(work, cells) > WORK_LIMIT:
+        raise RegimeTooLarge(
+            f"enumeration of {work} terms over {cells} cells exceeds {WORK_LIMIT};"
+            " use micro params"
+        )
     return (*_hash_tables(w, codes[keep], params.t, params.ell), pxz[keep])
 
 
@@ -163,7 +168,7 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
     codes = [encode_flat(xf, n, nx)]
     for y in y_present:
         listed = enumerate_typical(source, np.unravel_index(y, (ny,) * n), params.nu)
-        codes.append(np.array([encode_symbols(x, nx)[0] for x in listed], dtype=np.int64))
+        codes.append(np.array([encode_symbols(x, nx) for x in listed], dtype=np.int64))
     cols, col_of = np.unique(np.concatenate(codes), return_inverse=True)
     tag, key = _hash_tables(w, cols, t, params.ell)
     xcol, *list_cols = np.split(col_of, np.cumsum([c.shape[0] for c in codes])[:-1])
@@ -280,7 +285,7 @@ def naive_composability_sd(source: JointSource, params: IkemParams) -> float:
         s2 = UhfSeed(a2, b2)
         for xi, yi, zi in zip(xf, yflat_arr, zf):
             p = pxyz[xi, yi, zi] * seed_p
-            code, _ = encode_symbols(np.unravel_index(xi, (nx,) * n), nx)
+            code = encode_symbols(np.unravel_index(xi, (nx,) * n), nx)
             g = hash_value(tspec, s, code)
             ka = hash_value(kspec, s2, code)
             ctxt = IkemCiphertext(g, s2, s)

@@ -20,33 +20,13 @@ import numpy as np
 from ..errors import DimensionMismatch, QueryBudgetExceeded, RegimeTooLarge
 from ..gf2 import mul_vector
 from ..hybrid import he_encrypt
-from ..ikem import BOTTOM, IkemKey, IkemParams, encap, decap, hash_width, key_spec
+from ..ikem import IkemParams, encap, decap, hash_width, key_spec
 from ..source import JointSource, sample_with_rng
 from ..uhf import encode_flat, hash_value, rand_bits
 from .exact import cea_transcript_sd, composability_sd, exact_challenge_sd
 
 _TIE_SLACK = 1e-12
 _POSTERIOR_LIMIT = 1 << 20
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Everything one game trial shows the adversary: the side
-    information, the ordered oracle responses, and the challenge."""
-
-    z_vec: tuple
-    oracle_responses: tuple  # ((ciphertext, key), ...) in query order
-    challenge: tuple  # (ciphertext, shown key bits)
-    hidden_bit: int
-    q_e: int
-
-    def __post_init__(self):
-        if len(self.oracle_responses) > self.q_e:
-            raise QueryBudgetExceeded(
-                f"{len(self.oracle_responses)} responses recorded, budget {self.q_e}"
-            )
-        if self.hidden_bit not in (0, 1):
-            raise DimensionMismatch("hidden bit must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -240,13 +220,33 @@ class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
 # Monte Carlo games
 
 
-def _uniform_key(rng, ell: int) -> IkemKey:
-    return IkemKey(rand_bits(rng, ell), ell)
+def _count_trials(trials: int, seed: int, trial) -> int:
+    """How many of `trials` calls of trial(rng) return true, all on one
+    generator seeded by `seed`."""
+    if trials < 1:
+        raise DimensionMismatch("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    return sum(trial(rng) for _ in range(trials))
 
 
-def _mc_report(game: str, wins: int, trials: int, bound: float, seed: int) -> GameReport:
-    """Advantage |wins/trials - 1/2| against bound plus three sigma_mc."""
-    adv = abs(wins / trials - 0.5)
+def _budgeted(fn, q_e: int, what: str):
+    """`fn`, refusing calls past the q_e-th with QueryBudgetExceeded."""
+    calls = 0
+
+    def oracle(*args):
+        nonlocal calls
+        calls += 1
+        if calls > q_e:
+            raise QueryBudgetExceeded(f"more than q_e={q_e} {what} queries")
+        return fn(*args)
+
+    return oracle
+
+
+def _mc_report(game: str, trials: int, seed: int, bound: float, trial) -> GameReport:
+    """Advantage |wins/trials - 1/2| of the trial(rng) wins against
+    bound plus three sigma_mc."""
+    adv = abs(_count_trials(trials, seed, trial) / trials - 0.5)
     return GameReport(game, adv, trials, False, bound, adv <= bound + 3.0 * mc_sigma(trials), seed)
 
 
@@ -257,39 +257,26 @@ def run_ikem_game(
     q_e: int,
     trials: int,
     seed: int,
-    bound: float | None = None,
     debug: bool = False,
 ) -> GameReport:
-    """Key-indistinguishability game; advantage = |wins/trials - 1/2|.
+    """Key-indistinguishability game against sigma (2*sigma when q_e > 0);
+    advantage = |wins/trials - 1/2|.
 
     The oracle re-encapsulates under the trial's sender sample with
     fresh seeds and enforces the q_e budget.
     """
-    if trials < 1:
-        raise DimensionMismatch("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    if bound is None:
-        bound = params.sigma if q_e == 0 else 2.0 * params.sigma
-    wins = 0
-    for _ in range(trials):
+
+    def trial(rng) -> bool:
         triple = sample_with_rng(source, params.n, rng)
-        responses = []
-
-        def oracle():
-            if len(responses) >= q_e:
-                raise QueryBudgetExceeded(f"more than q_e={q_e} encapsulation queries")
-            responses.append(encap(params, source, triple.x, rng))
-            return responses[-1]
-
-        info = {"x": triple.x} if debug else {}
-        state = adversary.pre_challenge(rng, triple.z, oracle, info)
+        oracle = _budgeted(lambda: encap(params, source, triple.x, rng), q_e, "encapsulation")
+        state = adversary.pre_challenge(rng, triple.z, oracle, {"x": triple.x} if debug else {})
         ctxt, real_key = encap(params, source, triple.x, rng)
         b = int(rng.integers(0, 2))
-        shown = real_key if b == 0 else _uniform_key(rng, params.ell)
-        view = Transcript(tuple(triple.z), tuple(responses), (ctxt, shown.bits), b, q_e)
-        if adversary.guess(rng, state, view.challenge[0], view.challenge[1]) == b:
-            wins += 1
-    return _mc_report(f"ikem(q_e={q_e})", wins, trials, bound, seed)
+        shown = real_key.bits if b == 0 else rand_bits(rng, params.ell)
+        return adversary.guess(rng, state, ctxt, shown) == b
+
+    bound = params.sigma if q_e == 0 else 2.0 * params.sigma
+    return _mc_report(f"ikem(q_e={q_e})", trials, seed, bound, trial)
 
 
 def run_he_game(
@@ -300,35 +287,23 @@ def run_he_game(
     trials: int,
     seed: int,
     scheme_tag: str = "OTP",
-    bound: float | None = None,
 ) -> GameReport:
-    """Hybrid-encryption indistinguishability game with an encryption
-    oracle limited to q_e chosen-message queries."""
-    if trials < 1:
-        raise DimensionMismatch("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    if bound is None:
-        bound = params.sigma
-    wins = 0
-    for _ in range(trials):
-        triple = sample_with_rng(source, params.n, rng)
-        queries = 0
+    """Hybrid-encryption indistinguishability game against sigma, with
+    an encryption oracle limited to q_e chosen-message queries."""
 
-        def oracle(message: bytes):
-            nonlocal queries
-            queries += 1
-            if queries > q_e:
-                raise QueryBudgetExceeded(f"more than q_e={q_e} encryption queries")
+    def trial(rng) -> bool:
+        triple = sample_with_rng(source, params.n, rng)
+
+        def encrypt(message: bytes):
             return he_encrypt(params, source, triple.x, message, rng, scheme_tag)
 
-        state, m0, m1 = adversary.choose(rng, triple.z, oracle, {})
+        state, m0, m1 = adversary.choose(rng, triple.z, _budgeted(encrypt, q_e, "encryption"), {})
         if len(m0) != len(m1):
             raise DimensionMismatch("challenge messages must have equal length")
         b = int(rng.integers(0, 2))
-        ctxt = he_encrypt(params, source, triple.x, m1 if b else m0, rng, scheme_tag)
-        if adversary.guess(rng, state, ctxt) == b:
-            wins += 1
-    return _mc_report(f"he(q_e={q_e},{scheme_tag})", wins, trials, bound, seed)
+        return adversary.guess(rng, state, encrypt(m1 if b else m0)) == b
+
+    return _mc_report(f"he(q_e={q_e},{scheme_tag})", trials, seed, params.sigma, trial)
 
 
 def correctness_mc(source: JointSource, params: IkemParams, trials: int, seed: int) -> GameReport:
@@ -336,22 +311,12 @@ def correctness_mc(source: JointSource, params: IkemParams, trials: int, seed: i
     Wilson half-widths."""
     if trials < 1000:
         raise DimensionMismatch("correctness estimation needs >= 1000 trials")
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(trials):
+
+    def trial(rng) -> bool:
         triple = sample_with_rng(source, params.n, rng)
         ctxt, key = encap(params, source, triple.x, rng)
-        got = decap(params, source, triple.y, ctxt)
-        if got is BOTTOM or got != key:
-            failures += 1
-    rate = failures / trials
-    margin = 3.0 * wilson_halfwidth(rate, trials)
-    return GameReport(
-        game="correctness",
-        advantage_estimate=rate,
-        trials=trials,
-        exact=False,
-        bound=params.eps,
-        passed=rate <= params.eps + margin,
-        seed=seed,
-    )
+        return decap(params, source, triple.y, ctxt) != key  # BOTTOM is never a key
+
+    rate = _count_trials(trials, seed, trial) / trials
+    passed = rate <= params.eps + 3.0 * wilson_halfwidth(rate, trials)
+    return GameReport("correctness", rate, trials, False, params.eps, passed, seed)

@@ -2,17 +2,16 @@
 
 Gen is :func:`corrkem.source.sample_n`, one n-fold correlated draw.
 Enc encapsulates a key from the sender's sample and feeds it to the
-one-time DEM, Dec decapsulates and decrypts.  A decapsulation failure propagates as BOTTOM without
-ever touching the DEM; mismatched session digests are a format error,
-not a protocol failure.
+one-time DEM, Dec decapsulates and decrypts.  A decapsulation failure
+propagates as BOTTOM without ever touching the DEM; mismatched
+session digests are a format error, not a protocol failure.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dem import SCHEME_OTP, SCHEME_STREAM, STREAM_KEY_BITS, DemCiphertext, decrypt, encrypt
-from .errors import BadKeyLength, KeyTooShort
+from .dem import SCHEME_OTP, DemCiphertext, decrypt, encrypt
 from .ikem import BOTTOM, IkemCiphertext, IkemParams, decap, encap
 from .source import JointSource
 
@@ -31,10 +30,8 @@ def he_encrypt(
     rng: np.random.Generator,
     scheme_tag: str = SCHEME_OTP,
 ) -> HybridCiphertext:
-    if scheme_tag == SCHEME_OTP and 8 * len(message) > params.ell:
-        raise KeyTooShort(f"{8 * len(message)}-bit message exceeds ell={params.ell}")
-    if scheme_tag == SCHEME_STREAM and params.ell != STREAM_KEY_BITS:
-        raise BadKeyLength(f"stream scheme needs ell={STREAM_KEY_BITS}, params have {params.ell}")
+    """Encapsulate a key and encrypt under it; the DEM raises
+    KeyTooShort or BadKeyLength when ell does not fit the scheme."""
     c1, key = encap(params, source, x_vec, rng)
     c2 = encrypt(key, message, scheme_tag)
     return HybridCiphertext(c1, c2)

@@ -252,8 +252,7 @@ def encode_sample(source: JointSource, params: IkemParams, vec) -> int:
     vec = np.asarray(vec, dtype=np.int64)
     if vec.shape != (params.n,):
         raise LengthMismatch(f"sample must have n={params.n} symbols")
-    code, _ = encode_symbols(vec, source.alphabet_sizes[0])
-    return code
+    return encode_symbols(vec, source.alphabet_sizes[0])
 
 
 def encap(
@@ -410,5 +409,5 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
         matches.extend(cands[(tags == want).all(axis=1)])
     if len(matches) != 1:
         return BOTTOM
-    code, _ = encode_symbols(matches[0], nx)
+    code = encode_symbols(matches[0], nx)
     return IkemKey(hash_value(kspec, ctxt.s_prime, code), params.ell)

@@ -10,6 +10,7 @@ base 2).  Tables that do not sum to 1 within 1e-12 are rejected, never
 renormalized.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ from .errors import (
 )
 
 NORM_TOL = 1e-12
-# Largest dense (x, y, z) table make_table_source allocates: 32 MiB of
-# float64.
+# Largest dense (x, y, z) table make_table_source or product_source
+# allocates: 32 MiB of float64.
 MAX_TABLE_CELLS = 1 << 22
 
 
@@ -248,11 +249,17 @@ def product_source(source: JointSource, n: int) -> JointSource:
     """Explicit n-fold IID product table (oracle for additivity checks).
 
     Vector symbols are flattened in row-major (big-endian) order, so
-    coordinate alphabets grow as |X|^n.  Intended for tiny n only.
+    coordinate alphabets grow as |X|^n.  Intended for tiny n only: a
+    table of more than MAX_TABLE_CELLS cells raises RegimeTooLarge
+    before anything is allocated.
     """
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
     pmf = source.pmf
+    if pmf.size > 1 and n * math.log2(pmf.size) > math.log2(MAX_TABLE_CELLS):
+        raise RegimeTooLarge(
+            f"{n}-fold product of a {pmf.size}-cell table has more than {MAX_TABLE_CELLS} cells"
+        )
     out = pmf
     for _ in range(n - 1):
         out = np.einsum("abc,xyz->axbycz", out, pmf).reshape(

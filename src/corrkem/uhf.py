@@ -21,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from ._kernels import census_max_dev, mul_table
+from ._kernels import MAX_WIDTH, census_max_dev, mul_table
 from .errors import DimensionMismatch, LengthMismatch, RegimeTooLarge
-
-CENSUS_MAX_WIDTH = 12
 
 
 @dataclass(frozen=True)
@@ -94,23 +92,20 @@ def seed_from_bytes(spec: UhfSpec, raw: bytes) -> UhfSeed:
     return seed
 
 
-def encode_symbols(symbols, alphabet_size: int) -> tuple[int, int]:
+def encode_symbols(symbols, alphabet_size: int) -> int:
     """Pack a symbol vector into one integer.
 
     Each symbol takes ceil(log2(alphabet_size)) bits, first symbol most
-    significant.  Returns (code, total_bits); injective for fixed
-    length and alphabet.
+    significant; injective for fixed length and alphabet.
     """
     bits = symbol_bits(alphabet_size)
     code = 0
-    count = 0
     for s in symbols:
         s = int(s)
         if not 0 <= s < alphabet_size:
             raise LengthMismatch(f"symbol {s} outside alphabet of {alphabet_size}")
         code = (code << bits) | s
-        count += 1
-    return code, bits * count
+    return code
 
 
 def encode_flat(flat, n: int, alphabet_size: int) -> np.ndarray:
@@ -133,12 +128,12 @@ def pairwise_independence_census(spec: UhfSpec) -> float:
     """Max deviation of pair frequencies from 2^-2m over the full seed
     space, all ordered input pairs, and all output pairs.
 
-    Exhaustive: 2^2w seeds times 2^2w input pairs, so w <= 12.  For
-    this family the return value is exactly 0.0.
+    Exhaustive: 2^2w seeds times 2^2w input pairs, so w <= MAX_WIDTH.
+    For this family the return value is exactly 0.0.
     """
     w, m = spec.input_bits, spec.output_bits
-    if w > CENSUS_MAX_WIDTH:
-        raise RegimeTooLarge(f"census needs w <= {CENSUS_MAX_WIDTH}, got {w}")
+    if w > MAX_WIDTH:
+        raise RegimeTooLarge(f"census needs w <= {MAX_WIDTH}, got {w}")
     prod = mul_table(w)
     worst = census_max_dev(prod, w, m)
     return float(worst) / float((1 << w) ** 2)

@@ -20,6 +20,7 @@ whole number of bytes with zero-padded high bits.
   digest.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -98,16 +99,7 @@ def load_source(path) -> JointSource:
 
 
 def params_to_json(params: IkemParams) -> dict:
-    return {
-        "n": params.n,
-        "t": params.t,
-        "ell": params.ell,
-        "nu": params.nu,
-        "eps": params.eps,
-        "sigma": params.sigma,
-        "q_e": params.q_e,
-        "source_digest": params.source_digest,
-    }
+    return dataclasses.asdict(params)
 
 
 def params_from_json(doc: dict) -> IkemParams:

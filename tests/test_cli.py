@@ -87,6 +87,18 @@ def test_plan_oversized_source_exit_4(tmp_path):
     assert code == 4
 
 
+def test_plan_overflow_exit_1(tmp_path, sat_source_file, capsys):
+    # nu = inf from a denormal eps, and q_e or n too large for a float
+    huge = "9" * 400
+    for eps, qe, n in (("1e-320", "0", "8"), ("0.5", huge, "8"), ("0.5", "0", huge)):
+        out = tmp_path / "overflow.json"
+        code = main(["plan", "--source", sat_source_file, "--n", n, "--eps", eps,
+                     "--sigma", "0.25", "--qe", qe, "--out", str(out)])
+        assert code == 1
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_gen_encap_decap_roundtrip(tmp_path, det_source_file):
     _, params_path = _plan(tmp_path, det_source_file, 64, 0.5, 2.0**-8)
     prefix = str(tmp_path / "run")
@@ -255,6 +267,24 @@ def test_verify_regime_guard_exits_4(tmp_path, det_source_file):
     code = main(["verify", "--source", det_source_file, "--params", params_path,
                  "--mode", "cea-bound"])
     assert code == 4
+
+
+def test_verify_nfold_table_past_the_cell_limit_exits_4(tmp_path, capsys):
+    # X a uniform bit, Y = 8X + U with U uniform on 0-7, Z uniform: a
+    # 512-cell source whose 12-fold tables (2^60 and 2^108 cells) the
+    # exact checks must refuse instead of allocating
+    path = tmp_path / "wide.json"
+    cells = [{"x": x, "y": 8 * x + u, "z": z, "p": 1 / 256}
+             for x in range(2) for u in range(8) for z in range(16)]
+    wire.save_json(path, {"type": "table", "alphabets": [2, 16, 16], "pmf": cells})
+    params_path = str(tmp_path / "params.json")
+    assert main(["plan", "--source", str(path), "--n", "12", "--eps", "0.5",
+                 "--sigma", "0.45", "--out", params_path]) == 0
+    assert "hash width     12" in capsys.readouterr().out
+    for mode in ("ot-bound", "cea-bound", "composability"):
+        assert main(["verify", "--source", str(path), "--params", params_path,
+                     "--mode", mode]) == 4, mode
+        assert "regime too large" in capsys.readouterr().err
 
 
 def test_random_seed_opt_out(tmp_path, det_source_file):

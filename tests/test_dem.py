@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrkem import (
-    DemCiphertext,
-    IkemKey,
-    otp_decrypt,
-    otp_encrypt,
-    stream_decrypt,
-    stream_encrypt,
-)
+from corrkem import SCHEME_OTP, SCHEME_STREAM, DemCiphertext, IkemKey
+from corrkem.dem import decrypt, encrypt
 from corrkem.errors import BadKeyLength, KeyTooShort
 
 # keystream block for the all-zero 256-bit key, zero nonce, counter 0,
@@ -28,28 +22,28 @@ CHACHA_ZERO_KEYSTREAM = bytes.fromhex(
 def test_otp_zero_key_is_identity():
     key = IkemKey(0, 64)
     msg = b"\xde\xad\xbe\xef"
-    assert otp_encrypt(key, msg).body == msg
+    assert encrypt(key, msg, SCHEME_OTP).body == msg
 
 
 def test_otp_xor_table():
     # byte-scale version of the 4-bit truth table: 0xAA ^ 0x66 = 0xCC
     key = IkemKey(0xAA, 8)
-    out = otp_encrypt(key, b"\x66")
+    out = encrypt(key, b"\x66", SCHEME_OTP)
     assert out.body == b"\xcc"
-    assert otp_decrypt(key, out) == b"\x66"
+    assert decrypt(key, out) == b"\x66"
 
 
 def test_otp_uses_top_bits_for_short_messages():
     key = IkemKey(0b1010_1100_1, 9)  # 9-bit key, top byte is 0xAC << ...
-    out = otp_encrypt(key, b"\x00")
+    out = encrypt(key, b"\x00", SCHEME_OTP)
     assert out.body == bytes([0b1010_1100])
 
 
 def test_otp_rejects_long_messages():
     with pytest.raises(KeyTooShort):
-        otp_encrypt(IkemKey(0, 8), b"ab")
+        encrypt(IkemKey(0, 8), b"ab", SCHEME_OTP)
     with pytest.raises(KeyTooShort):
-        otp_decrypt(IkemKey(0, 8), DemCiphertext(b"ab", "OTP"))
+        decrypt(IkemKey(0, 8), DemCiphertext(b"ab", "OTP"))
 
 
 def test_otp_roundtrip_exhaustive_single_byte():
@@ -57,7 +51,7 @@ def test_otp_roundtrip_exhaustive_single_byte():
         key = IkemKey(key_bits, 8)
         for m in (0, 1, 127, 200, 255):
             msg = bytes([m])
-            assert otp_decrypt(key, otp_encrypt(key, msg)) == msg
+            assert decrypt(key, encrypt(key, msg, SCHEME_OTP)) == msg
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,7 +59,7 @@ def test_otp_roundtrip_exhaustive_single_byte():
 def test_otp_roundtrip_property(message, key_seed):
     length = max(1, 8 * len(message))
     key = IkemKey(key_seed % (1 << length), length)
-    assert otp_decrypt(key, otp_encrypt(key, message)) == message
+    assert decrypt(key, encrypt(key, message, SCHEME_OTP)) == message
 
 
 def test_otp_perfect_secrecy_exhaustive():
@@ -75,7 +69,7 @@ def test_otp_perfect_secrecy_exhaustive():
     for m in (0x00, 0x41, 0x9F, 0xFF):
         counts = np.zeros(256)
         for key_bits in range(256):
-            body = otp_encrypt(IkemKey(key_bits, 8), bytes([m])).body[0]
+            body = encrypt(IkemKey(key_bits, 8), bytes([m]), SCHEME_OTP).body[0]
             counts[body] += 1
         dists[m] = counts / 256
     msgs = list(dists)
@@ -86,7 +80,7 @@ def test_otp_perfect_secrecy_exhaustive():
 
 def test_stream_keystream_matches_published_vector():
     key = IkemKey(0, 256)
-    out = stream_encrypt(key, b"\x00" * 64)
+    out = encrypt(key, b"\x00" * 64, SCHEME_STREAM)
     assert out.body == CHACHA_ZERO_KEYSTREAM
 
 
@@ -94,9 +88,9 @@ def test_stream_roundtrip_1kib():
     rng = np.random.default_rng(8)
     key = IkemKey(int.from_bytes(rng.bytes(32), "big"), 256)
     msg = rng.bytes(1024)
-    out = stream_encrypt(key, msg)
+    out = encrypt(key, msg, SCHEME_STREAM)
     assert len(out.body) == len(msg)
-    assert stream_decrypt(key, out) == msg
+    assert decrypt(key, out) == msg
 
 
 def test_stream_distinct_keys_distinct_bodies():
@@ -105,15 +99,15 @@ def test_stream_distinct_keys_distinct_bodies():
     seen = set()
     for _ in range(1000):
         key = IkemKey(int.from_bytes(rng.bytes(32), "big"), 256)
-        seen.add(stream_encrypt(key, msg).body)
+        seen.add(encrypt(key, msg, SCHEME_STREAM).body)
     assert len(seen) == 1000
 
 
 def test_stream_rejects_wrong_key_length():
     with pytest.raises(BadKeyLength):
-        stream_encrypt(IkemKey(0, 128), b"hi")
+        encrypt(IkemKey(0, 128), b"hi", SCHEME_STREAM)
     with pytest.raises(BadKeyLength):
-        stream_decrypt(IkemKey(0, 255), DemCiphertext(b"hi", "STREAM"))
+        decrypt(IkemKey(0, 255), DemCiphertext(b"hi", "STREAM"))
 
 
 def test_ciphertext_length_leaks_only_message_length():
@@ -121,5 +115,5 @@ def test_ciphertext_length_leaks_only_message_length():
     stream_key = IkemKey(7, 256)
     for size in (0, 1, 5, 8):
         msg = bytes(range(size))
-        assert len(otp_encrypt(otp_key, msg).body) == size
-        assert len(stream_encrypt(stream_key, msg).body) == size
+        assert len(encrypt(otp_key, msg, SCHEME_OTP).body) == size
+        assert len(encrypt(stream_key, msg, SCHEME_STREAM).body) == size

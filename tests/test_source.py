@@ -20,6 +20,7 @@ from corrkem.errors import (
     InvalidCoordinate,
     NotNormalized,
     ProbabilityOutOfRange,
+    RegimeTooLarge,
     SupportMismatch,
     UndefinedConditional,
 )
@@ -160,6 +161,17 @@ def test_iid_additivity_against_product_oracle(rng):
             assert fast == pytest.approx(slow, abs=1e-9)
             values.append(fast)
     assert any(v > 0 for v in values)
+
+
+def test_product_source_refuses_tables_past_the_cell_limit():
+    # 2^n cells: n = 22 is the largest table built, n = 23 and a
+    # 512-cell source at n = 12 (2^108 cells) are refused before allocation
+    bit = make_table_source((2, 1, 1), {(0, 0, 0): 0.5, (1, 0, 0): 0.5})
+    assert product_source(bit, 22).pmf.size == 1 << 22
+    with pytest.raises(RegimeTooLarge):
+        product_source(bit, 23)
+    with pytest.raises(RegimeTooLarge):
+        product_source(make_table_source((2, 16, 16), {(0, 0, 0): 1.0}), 12)
 
 
 def test_iid_additivity_spec_numbers():

@@ -164,9 +164,7 @@ def test_seed_serialization_roundtrip():
 
 
 def test_encode_symbols_big_endian():
-    code, bits = encode_symbols([1, 2, 0], 5)  # 3-bit symbols
-    assert bits == 9
-    assert code == (1 << 6) | (2 << 3)
+    assert encode_symbols([1, 2, 0], 5) == (1 << 6) | (2 << 3)  # 3-bit symbols
     assert symbol_bits(1) == 0
     assert symbol_bits(2) == 1
     assert symbol_bits(5) == 3

@@ -3,9 +3,11 @@
 ``BACKEND`` names the array backend; it is always ``"numpy"``.  Each
 kernel is checked against an independent oracle in the tests:
 ``mul_table`` against scalar :func:`corrkem.gf2.mul`, ``cea_sd``
-against full (a, b) seed enumeration at q_e = 0 and 1, ``compose_sd``
+against full (a, b) seed enumeration at q_e = 0 and 1 and against its
+definition on random tables, ``compose_sd``
 against the naive composability enumeration, and ``census_max_dev``
-against its closed form on a degenerate all-zero product table.
+against its closed form on a degenerate all-zero product table and a
+per-pair recount on a planted fault.
 
 The exact statistical-distance kernels exploit one structural fact
 about the affine hash family h_{a,b}(x) = msb_m(a*x XOR b): the b part
@@ -20,11 +22,25 @@ The SD kernels take pre-shifted hash-output tables:
     tag[a, i] = msb_t(a * xcode_i)      (na, nx) int64
     key[a, i] = msb_ell(a * xcode_i)    (na, nx) int64
 
-and bincount one joint table per block of fixed seeds.
-The one-time challenge distance is the q_e = 0 transcript distance.
-The census kernel, being itself the verification oracle for the hash
-family, enumerates the full (a, b) seed space with no shortcut.
+``cea_sd`` reads them as one-hot matrices T[(a, g), i] = [tag[a, i] = g]
+and K[(a, k), i] = [key[a, i] = k] and gets the transcript joint of
+every seed tuple from one dense product per z value,
+J_z = (T^(1+q_e) diag(pxz[:, z])) (K^(1+q_e))^T, with ^ the row-wise
+Khatri-Rao power.  The challenge key is the last right digit, and the
+distance sums |J - its mean over that digit|.  The one-time challenge
+distance is the q_e = 0 transcript distance.
+
+The census, itself the verification oracle for the hash family,
+enumerates the full (a, b) seed space with no shortcut: the Gram
+matrix O^T O of the one-hot matrix O[(a, b), (x, output)] counts every
+output pair of every input pair, and x1 = x2 is left out.
+
+Both kernels work in blocks of rows (the census also of seeds), so no
+temporary exceeds BLOCK_CELLS / 8 cells at any width the regime
+guards admit.
 """
+
+from math import isqrt
 
 import numpy as np
 
@@ -35,6 +51,9 @@ BACKEND = "numpy"
 # Widest field the exhaustive kernels enumerate: the product table and
 # the census grow as 4^w.
 MAX_WIDTH = 12
+
+# Memory budget of one kernel call, in 8-byte cells (32 MiB).
+BLOCK_CELLS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -69,26 +88,53 @@ def mul_table(w: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise-independence census: full (a, b) seed enumeration
+# Blocked one-hot matrices
+
+
+def _block(total: int, cells_per_row: int, step: int = 1) -> int:
+    """Rows per block (a multiple of `step`, at least one step) so that
+    one (rows, cells_per_row) array stays within BLOCK_CELLS // 8 cells."""
+    rows = (BLOCK_CELLS // 8) // max(1, cells_per_row) // step * step
+    return min(total, max(step, rows))
+
+
+def _khatri_rao_rows(table, bits, factors, rows):
+    """Rows `rows` of the `factors`-fold row-wise Khatri-Rao power of the
+    one-hot table onehot[(a, v), x] = [table[a, x] == v], as booleans:
+    row r holds one (a, v) digit per factor, the last least significant."""
+    width = table.shape[0] << bits
+    hit = np.ones((rows.shape[0], table.shape[1]), bool)
+    for j in range(factors):
+        digit = rows // width ** (factors - 1 - j) % width
+        hit &= table[digit >> bits] == (digit & ((1 << bits) - 1))[:, None]
+    return hit
+
+
+# ---------------------------------------------------------------------------
+# Pairwise-independence census: the Gram matrix of the full (a, b) seed space
 
 
 def census_max_dev(prod, w, m):
     n = 1 << w
-    nm = 1 << m
-    shift = w - m
+    nrows = n << m  # one Gram row per (x, output) pair
     expected = (n * n) >> (2 * m)
-    b = np.arange(n, dtype=np.int64)
+    rb = _block(nrows, isqrt(BLOCK_CELLS // 8))
+    sb = _block(n * n, max(n, 2 * rb))
     worst = 0
-    for x1 in range(n):
-        h1 = (((prod[:, x1].astype(np.int64)[:, None] ^ b[None, :]) >> shift) << m).ravel()
-        for x2 in range(n):
-            if x2 == x1:
-                continue
-            h2 = ((prod[:, x2].astype(np.int64)[:, None] ^ b[None, :]) >> shift).ravel()
-            counts = np.bincount(h1 + h2, minlength=nm * nm)
-            dev = int(np.abs(counts - expected).max())
-            if dev > worst:
-                worst = dev
+    for i in range(0, nrows, rb):
+        ri = np.arange(i, min(i + rb, nrows))
+        for j in range(i, nrows, rb):  # the Gram matrix is symmetric
+            rj = np.arange(j, min(j + rb, nrows))
+            gram = np.zeros((len(ri), len(rj)), np.float32)  # exact up to 2^24
+            for s in range(0, n * n, sb):
+                a, b = np.divmod(np.arange(s, min(s + sb, n * n)), n)
+                hashes = (prod[a].T ^ b.astype(prod.dtype)) >> (w - m)  # (x, seed)
+                o_i = _khatri_rao_rows(hashes, m, 1, ri).astype(np.float32)
+                o_j = o_i if j == i else _khatri_rao_rows(hashes, m, 1, rj).astype(np.float32)
+                gram += o_i @ o_j.T
+            dev = np.abs(gram - expected)
+            dev[np.equal.outer(ri >> m, rj >> m)] = 0  # x1 == x2 is not a pair
+            worst = max(worst, int(dev.max()))
     return worst
 
 
@@ -98,38 +144,22 @@ def census_max_dev(prod, w, m):
 
 def cea_sd(tag, key, pxz, t_bits, ell_bits, q_e):
     na, nx = tag.shape
-    nz = pxz.shape[1]
     two_l = 1 << ell_bits
-    nrow = 1 << t_bits
-    qblock = nrow * two_l
-    nfixed = 1 + 2 * q_e  # all seeds except the challenge key seed
-    nouter = na**nfixed
-    nrest = nrow * qblock**q_e
-    nblock = nrest * two_l
-    keyoff = key + np.arange(na, dtype=np.int64)[:, None] * nblock
-    # row index: the challenge tag in the lowest digit, query j's
-    # (tag, key) block q_e - 1 - j places above it
-    scale = [nrow * qblock ** (q_e - 1 - j) for j in range(q_e)]
+    nleft = (na << t_bits) ** (1 + q_e)
+    nright = (na << ell_bits) ** (1 + q_e)
+    br = _block(nright, nx, two_l)
+    bl = _block(nleft, max(nx, br))
     total = 0.0
-    seeds = np.empty(nfixed, np.int64)
-    for z in range(nz):
-        weights = np.broadcast_to(pxz[:, z], (na, nx)).ravel()
-        for st in range(nouter):
-            v = st
-            for j in range(nfixed):
-                seeds[j] = v % na
-                v //= na
-            rest = tag[seeds[0]]
-            for j in range(q_e):
-                gq = tag[seeds[1 + 2 * j]]
-                kq = key[seeds[2 + 2 * j]]
-                rest = rest + ((gq << ell_bits) + kq) * scale[j]
-            codes = ((rest << ell_bits) + keyoff).ravel()
-            joint = np.bincount(codes, weights=weights, minlength=na * nblock)
-            joint = joint.reshape(na, nrest, two_l)
-            ref = joint.sum(axis=2, keepdims=True) / two_l
-            total += np.abs(joint - ref).sum()
-    return 0.5 * total / (nouter * na)
+    for r in range(0, nright, br):
+        right = _khatri_rao_rows(key, ell_bits, 1 + q_e, np.arange(r, min(r + br, nright)))
+        right = right.astype(np.float64)
+        for l in range(0, nleft, bl):
+            left = _khatri_rao_rows(tag, t_bits, 1 + q_e, np.arange(l, min(l + bl, nleft)))
+            for pz in pxz.T:
+                joint = ((left * pz) @ right.T).reshape(left.shape[0], -1, two_l)
+                joint -= joint.sum(axis=2, keepdims=True) / two_l
+                total += np.abs(joint, out=joint).sum()
+    return 0.5 * total / na ** (2 + 2 * q_e)
 
 
 # ---------------------------------------------------------------------------

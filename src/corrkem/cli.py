@@ -265,7 +265,8 @@ def cmd_verify(args) -> int:
         report = harness.cea_bound_check(source, params)
     elif args.mode == "composability":
         report = harness.composability_check(source, params)
-    else:  # he-game
+    else:  # he-game: refuse before building the |X|^n posterior
+        harness.check_he_work(source, params, args.trials)
         adversary = harness.BestGuessOtpHeAdversary(source, params)
         report = harness.run_he_game(
             source, params, adversary, params.q_e, args.trials, seed, SCHEME_OTP

@@ -10,10 +10,15 @@ binomial standard error at p = 1/2 (an upper bound for any p), or a
 Wilson half-width for the one-sided correctness rate.  Exact checks
 compare enumerated statistical distances directly against the bound
 with 1e-12 slack for ties.
+
+The hybrid game's work is bounded: the posterior adversary scores all
+|X|^n sender samples per trial, so run_he_game charges trials * |X|^n
+against HE_WORK_LIMIT (2^26) and raises RegimeTooLarge beyond it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .exact import cea_transcript_sd, composability_sd, exact_challenge_sd
 
 _TIE_SLACK = 1e-12
 _POSTERIOR_LIMIT = 1 << 20
+HE_WORK_LIMIT = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -142,14 +148,14 @@ class _PosteriorMixin:
         n = params.n
         if nx**n > _POSTERIOR_LIMIT:
             raise RegimeTooLarge("posterior enumeration needs |X|^n <= 2^20")
-        flat = np.arange(nx**n, dtype=np.int64)
-        self.digits = np.stack(np.unravel_index(flat, (nx,) * n), axis=1)  # (N, n)
-        self.codes = encode_flat(flat, n, nx)
+        self.codes = encode_flat(np.arange(nx**n, dtype=np.int64), n, nx)
         self.pxz1 = source.pmf.sum(axis=1)
         self.w = hash_width(source, params)
 
     def prior_given_z(self, z_vec) -> np.ndarray:
-        return np.prod(self.pxz1[self.digits, np.asarray(z_vec)[None, :]], axis=1)
+        """P(x, z_vec) for every flat sample x, multiplied first symbol
+        first: ((p0 * p1) * p2) ..."""
+        return reduce(np.multiply.outer, self.pxz1[:, np.asarray(z_vec)].T).ravel()
 
     def hash_all(self, seed, out_bits: int) -> np.ndarray:
         vals = mul_vector(seed.a, self.codes, self.w)
@@ -279,6 +285,13 @@ def run_ikem_game(
     return _mc_report(f"ikem(q_e={q_e})", trials, seed, bound, trial)
 
 
+def check_he_work(source: JointSource, params: IkemParams, trials: int) -> None:
+    """RegimeTooLarge when trials * |X|^n exceeds HE_WORK_LIMIT."""
+    nx = source.alphabet_sizes[0]
+    if trials * nx**params.n > HE_WORK_LIMIT:
+        raise RegimeTooLarge(f"{trials} trials over {nx}^{params.n} samples exceed {HE_WORK_LIMIT}")
+
+
 def run_he_game(
     source: JointSource,
     params: IkemParams,
@@ -289,7 +302,11 @@ def run_he_game(
     scheme_tag: str = "OTP",
 ) -> GameReport:
     """Hybrid-encryption indistinguishability game against sigma, with
-    an encryption oracle limited to q_e chosen-message queries."""
+    an encryption oracle limited to q_e chosen-message queries.
+
+    Refuses more than HE_WORK_LIMIT trials * |X|^n before the first trial.
+    """
+    check_he_work(source, params, trials)
 
     def trial(rng) -> bool:
         triple = sample_with_rng(source, params.n, rng)

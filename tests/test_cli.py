@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,21 @@ def test_verify_he_game_and_composability(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["exact"] and report["pass"]
+
+
+def test_verify_he_game_past_the_work_limit_exits_4(tmp_path, sat_source_file, capsys):
+    # 10000 trials over 2^20 sender samples: hours of posterior scoring
+    from corrkem import reliability_params, satellite_source
+
+    params = reliability_params(satellite_source(0.05, 0.05, 0.3), n=20, eps=0.25, ell=8)
+    params_path = tmp_path / "params.json"
+    wire.save_json(params_path, wire.params_to_json(params))
+    start = time.perf_counter()
+    code = main(["verify", "--source", sat_source_file, "--params", str(params_path),
+                 "--mode", "he-game"])
+    assert code == 4
+    assert time.perf_counter() - start < 1.0
+    assert "regime too large" in capsys.readouterr().err
 
 
 def test_verify_regime_guard_exits_4(tmp_path, det_source_file):

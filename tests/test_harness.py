@@ -1,8 +1,12 @@
 """Security harness: exact checks, detectors, Monte Carlo games."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from corrkem import _kernels
 from corrkem import IkemParams, derive_params, make_table_source, statistical_distance
 from corrkem.errors import QueryBudgetExceeded, RegimeTooLarge
 from corrkem.harness import (
@@ -133,6 +137,66 @@ def test_work_limit_counts_kernel_cells():
         cea_transcript_sd(src, _micro_params(t=3, ell=3, q_e=1), 1)
     with pytest.raises(RegimeTooLarge):  # one-time path, w = 8: 2^32 cells
         exact_challenge_sd(_uniform_x_source(256), _micro_params(t=8, ell=8))
+
+
+def _dict_transcript_sd(tag, key, pxz, two_l, q_e):
+    """Transcript SD from its definition: for each seed tuple (challenge
+    tag seed, challenge key seed, then each query's tag and key seeds),
+    a dict joint over views (z, challenge tag, query outputs) and
+    challenge keys, against the key spread uniformly over 2^ell values."""
+    na, nx = tag.shape
+    total = 0.0
+    for seeds in itertools.product(range(na), repeat=2 + 2 * q_e):
+        joint: dict = {}
+        for x in range(nx):
+            view = [tag[seeds[0], x]]
+            for j in range(q_e):
+                view += [tag[seeds[2 + 2 * j], x], key[seeds[3 + 2 * j], x]]
+            k = key[seeds[1], x]
+            for z in range(pxz.shape[1]):
+                keys = joint.setdefault((z, *view), {})
+                keys[k] = keys.get(k, 0.0) + pxz[x, z]
+        for keys in joint.values():
+            u = sum(keys.values()) / two_l
+            total += sum(abs(keys.get(k, 0.0) - u) for k in range(two_l))
+    return 0.5 * total / na ** (2 + 2 * q_e)
+
+
+@pytest.mark.parametrize("q_e, max_bits", [(0, 3), (1, 2)])
+def test_cea_sd_matches_dict_definition(monkeypatch, q_e, max_bits):
+    # random tables past what the w <= 2 full-seed oracle reaches at
+    # q_e = 1: t, ell > 1 and several z values
+    rng = np.random.default_rng(80 + q_e)
+    for _ in range(4):
+        na = int(rng.integers(2, 9))
+        nx = int(rng.integers(1, 13))
+        nz = int(rng.integers(1, 4))
+        t, ell = (int(v) for v in rng.integers(1, max_bits + 1, 2))
+        tag = rng.integers(0, 1 << t, (na, nx))
+        key = rng.integers(0, 1 << ell, (na, nx))
+        pxz = rng.random((nx, nz)) * (rng.random((nx, nz)) < 0.8)
+        pxz /= pxz.sum()
+        fast = _kernels.cea_sd(tag, key, pxz, t, ell, q_e)
+        assert fast == pytest.approx(_dict_transcript_sd(tag, key, pxz, 1 << ell, q_e), abs=1e-12)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "BLOCK_CELLS", 8 * 16)
+            assert _kernels.cea_sd(tag, key, pxz, t, ell, q_e) == pytest.approx(fast, abs=1e-12)
+
+
+@pytest.mark.parametrize("xbits, t, q_e", [(8, 4, 0), (4, 2, 1)])
+def test_cea_sd_memory_within_budget_at_the_work_limit(xbits, t, q_e):
+    # both cases fill a 2^24-cell transcript table, the most the guard admits
+    from corrkem.harness.exact import _challenge_tables
+
+    params = _micro_params(t=t, ell=t, q_e=q_e)
+    tag, key, pxz = _challenge_tables(_uniform_x_source(1 << xbits), params, q_e)
+    tracemalloc.start()
+    try:
+        _kernels.cea_sd(tag, key, pxz, t, t, q_e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _kernels.BLOCK_CELLS
 
 
 def test_cea_transcript_distribution_matches_sd(rng):
@@ -275,6 +339,21 @@ def test_he_game_random_guess():
         src, params, RandomGuessHeAdversary(1), 0, 1500, seed=9, scheme_tag="OTP"
     )
     assert report.passed
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_posterior_prior_matches_gather_formula(n):
+    rng = np.random.default_rng(n)
+    pmf = rng.random((4, 1, 3))
+    pmf /= pmf.sum()
+    src = make_table_source((4, 1, 3), {idx: p for idx, p in np.ndenumerate(pmf)})
+    adversary = BestGuessAdversary(src, _micro_params(n=n))
+    digits = np.stack(np.unravel_index(np.arange(4**n), (4,) * n), axis=1)
+    pxz1 = pmf.sum(axis=1)
+    for _ in range(5):
+        z_vec = rng.integers(0, 3, n)
+        old = np.prod(pxz1[digits, z_vec[None, :]], axis=1)
+        assert np.array_equal(adversary.prior_given_z(z_vec), old)
 
 
 def test_he_game_budget():

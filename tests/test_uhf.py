@@ -1,8 +1,11 @@
 """Hash family: exact pairwise independence, linearity, extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from corrkem import _kernels
 from corrkem import UhfSeed, UhfSpec, hash_value, pairwise_independence_census, sample_seed
 from corrkem._kernels import cea_sd, census_max_dev, mul_table
 from corrkem.errors import LengthMismatch, RegimeTooLarge
@@ -90,6 +93,63 @@ def test_census_closed_form_on_zero_table(w, m):
     n = 1 << w
     prod = np.zeros((n, n), np.int32)
     assert census_max_dev(prod, w, m) == n * n * ((1 << m) - 1) // 4**m
+
+
+def _census_by_pairs(prod, w, m):
+    # one bincount of the (h(x1), h(x2)) pairs over all (a, b) seeds
+    # per ordered input pair x1 != x2
+    n, nm = 1 << w, 1 << m
+    a, b = np.divmod(np.arange(n * n), n)
+    worst = 0
+    for x1 in range(n):
+        for x2 in range(n):
+            if x1 != x2:
+                h1 = (prod[a, x1] ^ b) >> (w - m)
+                h2 = (prod[a, x2] ^ b) >> (w - m)
+                counts = np.bincount(h1 * nm + h2, minlength=nm * nm)
+                worst = max(worst, int(np.abs(counts - n * n // nm**2).max()))
+    return worst
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_census_counts_a_planted_fault(monkeypatch, m):
+    prod = mul_table(4).copy()
+    prod[5, 9] ^= 0b1001
+    dev = census_max_dev(prod, 4, m)
+    assert dev == _census_by_pairs(prod, 4, m)
+    assert dev > 0
+    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 8 * 64)
+    assert census_max_dev(prod, 4, m) == dev
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("m", [1, 12])
+def test_census_memory_within_budget_at_the_widest_field(monkeypatch, m):
+    # a w = 12 census takes hours, so stop it after its first seed
+    # blocks: every later block has the same shapes
+    prod = mul_table(12)
+    onehot = _kernels._khatri_rao_rows
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 40:
+            raise _Stop
+        return onehot(*args)
+
+    monkeypatch.setattr(_kernels, "_khatri_rao_rows", counted)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            census_max_dev(prod, 12, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _kernels.BLOCK_CELLS
 
 
 def test_census_regime_guard():

@@ -30,17 +30,22 @@ Khatri-Rao power.  The challenge key is the last right digit, and the
 distance sums |J - its mean over that digit|.  The one-time challenge
 distance is the q_e = 0 transcript distance.
 
-The census, itself the verification oracle for the hash family,
-enumerates the full (a, b) seed space with no shortcut: the Gram
-matrix O^T O of the one-hot matrix O[(a, b), (x, output)] counts every
-output pair of every input pair, and x1 = x2 is left out.
+``compose_sd`` never fills the (K_A, K_B) plane.  The reference puts
+each view's mass M uniformly on the diagonal K_A = K_B, so with D(k)
+the view's mass where decapsulation returns the sender's own key k,
+the view adds M - sum_k min(D(k), M / 2^ell) to the distance.  ``cand``
+holds the unique tag-matching list entry, or -1 for none or several.
 
-Both kernels work in blocks of rows (the census also of seeds), so no
-temporary exceeds BLOCK_CELLS / 8 cells at any width the regime
+The census, itself the verification oracle for the hash family,
+enumerates the full (a, b) seed space with no shortcut: one float32
+Gram matrix O^T O of the one-hot matrix O[(a, b), (x, output)],
+accumulated over seed blocks, counts every output pair of every input
+pair, and x1 = x2 is left out.
+
+``cea_sd`` works in blocks of rows and the census in blocks of seeds,
+so no temporary exceeds BLOCK_CELLS / 8 cells at any width the regime
 guards admit.
 """
-
-from math import isqrt
 
 import numpy as np
 
@@ -48,8 +53,8 @@ from .gf2 import reduction_low
 
 BACKEND = "numpy"
 
-# Widest field the exhaustive kernels enumerate: the product table and
-# the census grow as 4^w.
+# Widest field the exhaustive kernels enumerate: the product table
+# grows as 4^w.
 MAX_WIDTH = 12
 
 # Memory budget of one kernel call, in 8-byte cells (32 MiB).
@@ -116,26 +121,17 @@ def _khatri_rao_rows(table, bits, factors, rows):
 
 def census_max_dev(prod, w, m):
     n = 1 << w
-    nrows = n << m  # one Gram row per (x, output) pair
-    expected = (n * n) >> (2 * m)
-    rb = _block(nrows, isqrt(BLOCK_CELLS // 8))
-    sb = _block(n * n, max(n, 2 * rb))
-    worst = 0
-    for i in range(0, nrows, rb):
-        ri = np.arange(i, min(i + rb, nrows))
-        for j in range(i, nrows, rb):  # the Gram matrix is symmetric
-            rj = np.arange(j, min(j + rb, nrows))
-            gram = np.zeros((len(ri), len(rj)), np.float32)  # exact up to 2^24
-            for s in range(0, n * n, sb):
-                a, b = np.divmod(np.arange(s, min(s + sb, n * n)), n)
-                hashes = (prod[a].T ^ b.astype(prod.dtype)) >> (w - m)  # (x, seed)
-                o_i = _khatri_rao_rows(hashes, m, 1, ri).astype(np.float32)
-                o_j = o_i if j == i else _khatri_rao_rows(hashes, m, 1, rj).astype(np.float32)
-                gram += o_i @ o_j.T
-            dev = np.abs(gram - expected)
-            dev[np.equal.outer(ri >> m, rj >> m)] = 0  # x1 == x2 is not a pair
-            worst = max(worst, int(dev.max()))
-    return worst
+    rows = np.arange(n << m)  # one Gram row per (x, output) pair
+    gram = np.zeros((rows.shape[0], rows.shape[0]), np.float32)  # exact up to 2^24
+    sb = _block(n * n, rows.shape[0])
+    for s in range(0, n * n, sb):
+        a, b = np.divmod(np.arange(s, min(s + sb, n * n)), n)
+        hashes = (prod[a].T ^ b.astype(prod.dtype)) >> (w - m)  # (x, seed)
+        onehot = _khatri_rao_rows(hashes, m, 1, rows).astype(np.float32)
+        gram += onehot @ onehot.T
+    dev = np.abs(gram - ((n * n) >> (2 * m)))
+    dev[np.equal.outer(rows >> m, rows >> m)] = 0  # x1 == x2 is not a pair
+    return int(dev.max())
 
 
 # ---------------------------------------------------------------------------
@@ -163,35 +159,28 @@ def cea_sd(tag, key, pxz, t_bits, ell_bits, q_e):
 
 
 # ---------------------------------------------------------------------------
-# Exact SD of (Z, C*, K_A, K_B) against (Z, C*, U, U) with duplicated U.
-# K_B takes the extra value two_l for decapsulation failure.
-# cand[y, a, g] = column of the unique tag-matching list entry,
-# -1 when none matches, -2 when several do.
+# Exact SD of (Z, C*, K_A, K_B) against (Z, C*, U, U) with duplicated U,
+# from the key-agreement overlap (module docstring).
+# cand[y, a, g] = column of the unique tag-matching list entry, else -1.
 
 
 def compose_sd(tag, key, xcol, ycol, zcol, ptr, cand, t_bits, ell_bits, nz):
     na = tag.shape[0]
-    two_l = 1 << ell_bits
-    nrow = 1 << t_bits
-    kb_vals = two_l + 1
-    nrows_all = nz * nrow
-    nblock = nrows_all * two_l * kb_vals
-    a2off = np.arange(na, dtype=np.int64)[:, None] * nblock
-    diag_mask = np.equal.outer(np.arange(two_l), np.arange(kb_vals))
-    weights = np.broadcast_to(ptr, (na, ptr.shape[0])).ravel()
-    total = 0.0
+    nview = nz << t_bits
+    ka = key[:, xcol]
+    # (a', k) part of each (a', z, g, k) cell
+    cell = (np.arange(na, dtype=np.int64)[:, None] * nview << ell_bits) + ka
+    overlap = 0.0
     for a in range(na):
         g = tag[a, xcol]
         m = cand[ycol, a, g]
-        rc = zcol * nrow + g
-        ka = key[:, xcol]
-        kb = np.where(m < 0, two_l, key[:, np.maximum(m, 0)])
-        codes = ((rc * two_l + ka) * kb_vals + kb + a2off).ravel()
-        joint = np.bincount(codes, weights=weights, minlength=na * nblock)
-        joint = joint.reshape(na, nrows_all, two_l, kb_vals)
-        ref = joint.sum(axis=(2, 3), keepdims=True) / two_l * diag_mask
-        total += np.abs(joint - ref).sum()
-    return 0.5 * total / (na * na)
+        view = (zcol << t_bits) + g
+        mass = np.bincount(view, weights=ptr, minlength=nview) / (1 << ell_bits)
+        agree = (m >= 0) & (key[:, m] == ka)
+        own = np.bincount((cell + (view << ell_bits)).ravel(), weights=(agree * ptr).ravel(),
+                          minlength=(na * nview) << ell_bits).reshape(na, nview, -1)
+        overlap += np.minimum(own, mass[:, None], out=own).sum()
+    return ptr.sum() - overlap / (na * na)
 
 
 def challenge_sd(tag, key, pxz, t_bits, ell_bits):

@@ -12,6 +12,7 @@ counter so the tool can warn when a triple exceeds its q_e budget.
 """
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -52,6 +53,7 @@ EXIT_REGIME = 4
 VERIFY_MODES = ("correctness", "ot-bound", "cea-bound", "he-game", "composability")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="corrkem", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -299,7 +301,7 @@ def main(argv=None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except RegimeTooLarge as exc:
-        print(f"regime too large: {exc}; use micro params", file=sys.stderr)
+        print(f"regime too large: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except (CorrkemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,12 +10,12 @@ unreduced enumeration as oracles for the tests.  The one-time
 challenge distance is the q_e = 0 transcript distance throughout.
 
 Work is bounded by the published regime guard: both the enumerated
-terms and the cells of the transcript table the kernel fills,
+terms and the cells of the (z, a, g, a', k) table the kernel fills,
 
     |support(X^n)| * (2^w)^(2 + 2*q_e)              <= 2^24
     |Z^n| * (2^w * 2^w * 2^(t + ell))^(1 + q_e)     <= 2^24,
 
-and RegimeTooLarge is raised beyond them.
+with q_e = 0 for composability; RegimeTooLarge is raised beyond them.
 """
 
 from itertools import product as _iterprod
@@ -25,11 +25,10 @@ import numpy as np
 from .._kernels import MAX_WIDTH, cea_sd, challenge_sd, compose_sd, mul_table
 from ..errors import RegimeTooLarge
 from ..ikem import IkemParams, enumerate_typical, hash_width
-from ..source import Distribution, JointSource, product_source
+from ..source import MAX_TABLE_CELLS, Distribution, JointSource, product_source
 from ..uhf import encode_flat, encode_symbols
 
 WORK_LIMIT = 1 << 24
-JOINT_CELL_LIMIT = 1 << 22
 
 
 def lhl_bound(t: int, ell: int, h_xz: float) -> float:
@@ -64,18 +63,22 @@ def _hash_tables(w: int, codes: np.ndarray, t: int, ell: int):
     return prod >> (w - t), prod >> (w - ell)
 
 
+def _check_work(support: int, nz: int, w: int, params: IkemParams, q_e: int) -> None:
+    """Refuse past WORK_LIMIT enumerated terms or (z, a, g, a', k)^(1+q_e) cells."""
+    terms = support * (1 << w) ** (2 + 2 * q_e)
+    cells = nz * (1 << (2 * w + params.t + params.ell)) ** (1 + q_e)
+    if max(terms, cells) > WORK_LIMIT:
+        raise RegimeTooLarge(
+            f"enumeration of {terms} terms over {cells} cells exceeds {WORK_LIMIT};"
+            " use micro params"
+        )
+
+
 def _challenge_tables(source: JointSource, params: IkemParams, q_e: int = 0):
     w = _exact_width(source, params)
     codes, pxz = _iid_xz(source, params.n)
     keep = pxz.sum(axis=1) > 0.0
-    work = int(keep.sum()) * (1 << w) ** (2 + 2 * q_e)
-    # cells of the (z, seed multipliers, tags, keys) table the kernel fills
-    cells = pxz.shape[1] * ((1 << (2 * w + params.t + params.ell)) ** (1 + q_e))
-    if max(work, cells) > WORK_LIMIT:
-        raise RegimeTooLarge(
-            f"enumeration of {work} terms over {cells} cells exceeds {WORK_LIMIT};"
-            " use micro params"
-        )
+    _check_work(int(keep.sum()), pxz.shape[1], w, params, q_e)
     return (*_hash_tables(w, codes[keep], params.t, params.ell), pxz[keep])
 
 
@@ -110,7 +113,8 @@ def cea_transcript_distribution(source: JointSource, params: IkemParams, q_e: in
     na = tag.shape[0]
     nz = pxz.shape[1]
     shape = (nz,) + (na, 1 << params.t, na, 1 << params.ell) * (1 + q_e)
-    _guard_cells(shape)
+    if np.prod(shape, dtype=float) > MAX_TABLE_CELLS:
+        raise RegimeTooLarge(f"joint table of shape {shape} exceeds {MAX_TABLE_CELLS} cells")
     joint = np.zeros(shape)
     a_idx = np.arange(na, dtype=np.int64)
     grids = np.meshgrid(*([a_idx] * (2 + 2 * q_e)), indexing="ij", sparse=True)
@@ -126,12 +130,6 @@ def cea_transcript_distribution(source: JointSource, params: IkemParams, q_e: in
             joint[tuple([z] + index)] += p
     joint /= na ** (2 + 2 * q_e)
     return _reference_pair(joint, k_axis=4, ell=params.ell)
-
-
-def _guard_cells(shape) -> None:
-    cells = int(np.prod(shape))
-    if cells > JOINT_CELL_LIMIT:
-        raise RegimeTooLarge(f"joint table of {cells} cells exceeds {JOINT_CELL_LIMIT}")
 
 
 def _reference_pair(joint: np.ndarray, k_axis: int, ell: int):
@@ -159,8 +157,7 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
     xf, yf, zf = np.nonzero(pxyz > 0.0)
     ptr = pxyz[xf, yf, zf]
     na = 1 << w
-    if xf.shape[0] * na * na > WORK_LIMIT:
-        raise RegimeTooLarge("composability enumeration exceeds the work limit")
+    _check_work(xf.shape[0], nz1**n, w, params, 0)
 
     # one column per distinct sample code, over the support and every
     # receiver pattern's candidate list
@@ -178,7 +175,7 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
     for row, col in enumerate(list_cols):
         slots = (slot_base + tag[:, col]).ravel()
         cand[row, slots] = np.broadcast_to(col, (na, col.shape[0])).ravel()
-        cand[row, np.bincount(slots, minlength=na << t) > 1] = -2
+        cand[row, np.bincount(slots, minlength=na << t) > 1] = -1
 
     cand = cand.reshape(len(y_present), na, 1 << t)
     sd = float(

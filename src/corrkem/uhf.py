@@ -17,11 +17,12 @@ high bits zero-padded.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import gf2
-from ._kernels import MAX_WIDTH, census_max_dev, mul_table
+from ._kernels import BLOCK_CELLS, census_max_dev, mul_table
 from .errors import DimensionMismatch, LengthMismatch, RegimeTooLarge
 
 
@@ -110,12 +111,10 @@ def encode_symbols(symbols, alphabet_size: int) -> int:
 
 def encode_flat(flat, n: int, alphabet_size: int) -> np.ndarray:
     """:func:`encode_symbols` of each row-major flat index into the
-    n-fold alphabet, vectorized."""
+    n-fold alphabet: a lookup in the table of all |X|^n codes."""
     bits = symbol_bits(alphabet_size)
-    code = np.zeros(np.shape(flat), dtype=np.int64)
-    for digit in np.unravel_index(flat, (alphabet_size,) * n):
-        code = (code << bits) | digit
-    return code
+    digits = [np.arange(alphabet_size, dtype=np.int64) << bits * i for i in reversed(range(n))]
+    return reduce(lambda c, d: np.bitwise_or.outer(c, d).ravel(), digits)[flat]
 
 
 def symbol_bits(alphabet_size: int) -> int:
@@ -128,13 +127,13 @@ def pairwise_independence_census(spec: UhfSpec) -> float:
     """Max deviation of pair frequencies from 2^-2m over the full seed
     space, all ordered input pairs, and all output pairs.
 
-    Exhaustive: 2^2w seeds times 2^2w input pairs, so w <= MAX_WIDTH.
+    Exhaustive over all 2^2w seeds, into one 2^(w+m)-square Gram matrix
+    of (input, output) pairs that must fit one kernel block:
+    4^(w+m) <= BLOCK_CELLS / 8, i.e. w + m <= 9, else RegimeTooLarge.
     For this family the return value is exactly 0.0.
     """
     w, m = spec.input_bits, spec.output_bits
-    if w > MAX_WIDTH:
-        raise RegimeTooLarge(f"census needs w <= {MAX_WIDTH}, got {w}")
-    prod = mul_table(w)
-    worst = census_max_dev(prod, w, m)
-    return float(worst) / float((1 << w) ** 2)
+    if 4 ** (w + m) > BLOCK_CELLS // 8:
+        raise RegimeTooLarge(f"census Gram matrix of 4^{w + m} cells exceeds one kernel block")
+    return census_max_dev(mul_table(w), w, m) / float((1 << w) ** 2)
 

@@ -278,6 +278,42 @@ def test_verify_he_game_past_the_work_limit_exits_4(tmp_path, sat_source_file, c
     assert "regime too large" in capsys.readouterr().err
 
 
+def test_verify_composability_past_the_work_limit_exits_4(tmp_path, capsys):
+    # X = Y uniform on 256 symbols, Z constant: n = 1, eps = 2^-5 and
+    # sigma = 0.9 give t = 4, ell = 5 and w = 8, so 2^24 terms fit the
+    # work limit but the (z, a, g, a', k) table has 2^(16 + 4 + 5) cells
+    src_path = str(tmp_path / "u256.json")
+    wire.save_json(src_path, {"type": "table", "alphabets": [256, 256, 1],
+                              "pmf": [{"x": x, "y": x, "z": 0, "p": 1 / 256} for x in range(256)]})
+    params_path = str(tmp_path / "params.json")
+    assert main(["plan", "--source", src_path, "--n", "1", "--eps", str(2.0**-5),
+                 "--sigma", "0.9", "--out", params_path]) == 0
+    assert "hash width     8" in capsys.readouterr().out
+    for mode in ("ot-bound", "composability"):
+        start = time.perf_counter()
+        assert main(["verify", "--source", src_path, "--params", params_path,
+                     "--mode", mode]) == 4, mode
+        assert time.perf_counter() - start < 1.0, mode
+        err = capsys.readouterr().err
+        assert "regime too large" in err and err.count("use micro params") == 1
+
+
+def test_parser_is_built_once_and_reused(tmp_path, det_source_file):
+    from corrkem.cli import build_parser
+
+    assert build_parser() is build_parser()
+    # one parser serves different subcommands in one process
+    _, params_path = _plan(tmp_path, det_source_file, 64, 0.5, 2.0**-8)
+    assert main(["gen", "--source", det_source_file, "--params", params_path,
+                 "--out", str(tmp_path / "s")]) == 0
+    assert main(["gen", "--source", det_source_file, "--params", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "s")]) == 1
+    assert main(["plan", "--source", det_source_file, "--n", "8", "--eps", "0.5",
+                 "--sigma", "1e-30", "--out", str(tmp_path / "p.json")]) == 2
+    assert main(["verify", "--source", det_source_file, "--params", params_path,
+                 "--mode", "cea-bound"]) == 4
+
+
 def test_verify_regime_guard_exits_4(tmp_path, det_source_file):
     _, params_path = _plan(tmp_path, det_source_file, 64, 0.5, 2.0**-8)
     code = main(["verify", "--source", det_source_file, "--params", params_path,

@@ -137,6 +137,11 @@ def test_work_limit_counts_kernel_cells():
         cea_transcript_sd(src, _micro_params(t=3, ell=3, q_e=1), 1)
     with pytest.raises(RegimeTooLarge):  # one-time path, w = 8: 2^32 cells
         exact_challenge_sd(_uniform_x_source(256), _micro_params(t=8, ell=8))
+    # composability with X = Y uniform on 256 symbols: 2^24 terms fit,
+    # the 2^(16 + 4 + 8) cells of its (z, a, g, a', k) table do not
+    same = make_table_source((256, 256, 1), {(x, x, 0): 1 / 256 for x in range(256)})
+    with pytest.raises(RegimeTooLarge):
+        composability_sd(same, _micro_params(t=4, ell=8, nu=0.0))
 
 
 def _dict_transcript_sd(tag, key, pxz, two_l, q_e):

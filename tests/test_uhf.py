@@ -1,5 +1,6 @@
 """Hash family: exact pairwise independence, linearity, extraction."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from corrkem import UhfSeed, UhfSpec, hash_value, pairwise_independence_census, 
 from corrkem._kernels import cea_sd, census_max_dev, mul_table
 from corrkem.errors import LengthMismatch, RegimeTooLarge
 from corrkem.uhf import (
+    encode_flat,
     encode_symbols,
     seed_from_bytes,
     seed_to_bytes,
@@ -122,30 +124,12 @@ def test_census_counts_a_planted_fault(monkeypatch, m):
     assert census_max_dev(prod, 4, m) == dev
 
 
-class _Stop(Exception):
-    pass
-
-
-@pytest.mark.parametrize("m", [1, 12])
-def test_census_memory_within_budget_at_the_widest_field(monkeypatch, m):
-    # a w = 12 census takes hours, so stop it after its first seed
-    # blocks: every later block has the same shapes
-    prod = mul_table(12)
-    onehot = _kernels._khatri_rao_rows
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        if calls > 40:
-            raise _Stop
-        return onehot(*args)
-
-    monkeypatch.setattr(_kernels, "_khatri_rao_rows", counted)
+@pytest.mark.parametrize("w,m", [(8, 1), (6, 3)])
+def test_census_memory_within_budget_at_the_widest_specs(w, m):
+    # the widest admitted specs: a 2^(w+m)-square Gram matrix of 2^18 cells
     tracemalloc.start()
     try:
-        with pytest.raises(_Stop):
-            census_max_dev(prod, 12, m)
+        assert pairwise_independence_census(UhfSpec(w, m)) == 0.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,8 +137,13 @@ def test_census_memory_within_budget_at_the_widest_field(monkeypatch, m):
 
 
 def test_census_regime_guard():
-    with pytest.raises(RegimeTooLarge):
-        pairwise_independence_census(UhfSpec(13, 4))
+    # past w + m = 9 the Gram matrix outgrows one kernel block; a w = 12
+    # census would enumerate 2^24 seeds for hours
+    for w, m in [(12, 1), (9, 1), (7, 3), (13, 4)]:
+        start = time.perf_counter()
+        with pytest.raises(RegimeTooLarge):
+            pairwise_independence_census(UhfSpec(w, m))
+        assert time.perf_counter() - start < 1.0
 
 
 def extractor_sd(spec: UhfSpec, probs) -> float:
@@ -230,3 +219,15 @@ def test_encode_symbols_big_endian():
     assert symbol_bits(5) == 3
     with pytest.raises(LengthMismatch):
         encode_symbols([5], 5)
+
+
+@pytest.mark.parametrize("nx,n", [(1, 100), (1, 3), (2, 10), (3, 5), (5, 4), (16, 3)])
+def test_encode_flat_matches_encode_symbols(nx, n):
+    size = nx**n
+    rng = np.random.default_rng(nx * 100 + n)
+    subset = rng.integers(0, size, 50)  # unsorted, with repeats
+    for flat in (np.arange(size), subset):
+        # row-major digits; np.unravel_index stops at 64 dimensions
+        rows = np.array([flat // nx ** (n - 1 - i) % nx for i in range(n)]).T
+        expected = [encode_symbols(row, nx) for row in rows]
+        assert encode_flat(flat, n, nx).tolist() == expected

@@ -1,13 +1,16 @@
-"""Benchmark the exact-enumeration kernels.
+"""Benchmark the exact-enumeration kernels and decapsulation.
 
 Run:  python3 benchmarks/bench_kernels.py
-Times are the best of three calls after one warm-up.
+Times are the best of three calls after one warm-up.  The decap rows
+decapsulate one encapsulation on satellite_source(0.05, 0.05, 0.3)
+with reliability_params(eps=0.25).
 """
 
 import time
 
 import numpy as np
 
+from corrkem import decap, encap, reliability_params, sample_n, satellite_source
 from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table
 
 
@@ -54,6 +57,13 @@ def main():
     ptr /= ptr.sum()
     cand = rng.integers(-1, 16, (16, 16, 2)).astype(np.int64)
     cases["compose_sd w=4"] = (compose_sd, (prod4 >> 3, prod4 >> 3, xcol, ycol, zcol, ptr, cand, 1, 1, 2))
+
+    src = satellite_source(0.05, 0.05, 0.3)
+    for n in (16, 24, 32):
+        params = reliability_params(src, n=n, eps=0.25, ell=8)
+        triple = sample_n(src, n, seed=n)
+        ctxt, _ = encap(params, src, triple.x, np.random.default_rng(n))
+        cases[f"decap n={n}"] = (decap, (params, src, triple.y, ctxt))
 
     header = f"{'kernel':<20} {'time':>10}"
     print(header)

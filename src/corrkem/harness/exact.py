@@ -25,7 +25,7 @@ import numpy as np
 from .._kernels import MAX_WIDTH, cea_sd, challenge_sd, compose_sd, mul_table
 from ..errors import RegimeTooLarge
 from ..ikem import IkemParams, enumerate_typical, hash_width
-from ..source import MAX_TABLE_CELLS, Distribution, JointSource, product_source
+from ..source import JointSource, product_source
 from ..uhf import encode_flat, encode_symbols
 
 WORK_LIMIT = 1 << 24
@@ -98,49 +98,6 @@ def cea_transcript_sd(source: JointSource, params: IkemParams, q_e: int) -> tupl
     na = tag.shape[0]
     sd = float(cea_sd(tag, key, pxz, params.t, params.ell, q_e))
     return sd, na ** (2 + 2 * q_e) * pxz.shape[0] * pxz.shape[1]
-
-
-def cea_transcript_distribution(source: JointSource, params: IkemParams, q_e: int):
-    """Joint of (Z, C*, K*, V^(q_e)) and its reference, as a pair of
-    Distributions; q_e = 0 is the one-time challenge tuple.
-
-    Seeds appear through their multiplier component only; the additive
-    component is exactly marginal (see module docstring).  Flattened
-    index order: (z, a_tag*, g*, a_key*, k*, then per query
-    a_tag_j, g_j, a_key_j, k_j).
-    """
-    tag, key, pxz = _challenge_tables(source, params, q_e)
-    na = tag.shape[0]
-    nz = pxz.shape[1]
-    shape = (nz,) + (na, 1 << params.t, na, 1 << params.ell) * (1 + q_e)
-    if np.prod(shape, dtype=float) > MAX_TABLE_CELLS:
-        raise RegimeTooLarge(f"joint table of shape {shape} exceeds {MAX_TABLE_CELLS} cells")
-    joint = np.zeros(shape)
-    a_idx = np.arange(na, dtype=np.int64)
-    grids = np.meshgrid(*([a_idx] * (2 + 2 * q_e)), indexing="ij", sparse=True)
-    for i in range(tag.shape[1]):
-        index: list = []
-        for j in range(1 + q_e):
-            at, ak = grids[2 * j], grids[2 * j + 1]
-            index += [at, tag[:, i][at], ak, key[:, i][ak]]
-        for z in range(nz):
-            p = pxz[i, z]
-            if p <= 0.0:
-                continue
-            joint[tuple([z] + index)] += p
-    joint /= na ** (2 + 2 * q_e)
-    return _reference_pair(joint, k_axis=4, ell=params.ell)
-
-
-def _reference_pair(joint: np.ndarray, k_axis: int, ell: int):
-    ref = joint.sum(axis=k_axis, keepdims=True) / (1 << ell)
-    ref = np.broadcast_to(ref, joint.shape).copy()
-    true_flat = joint.reshape(-1)
-    ref_flat = ref.reshape(-1)
-    return (
-        Distribution(true_flat.shape[0], true_flat),
-        Distribution(ref_flat.shape[0], ref_flat),
-    )
 
 
 # ---------------------------------------------------------------------------

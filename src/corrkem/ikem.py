@@ -10,12 +10,15 @@ receiver's candidate list
 and accepts iff exactly one candidate reproduces the tag.  Anything
 else is the protocol failure ``BOTTOM`` (never an exception).
 
-The list is built level by level over symbol positions, and all of it
-is tagged at once: the tag msb_t(a*x) XOR msb_t(b) is affine over GF(2)
-in the packed code x, so one (position, symbol) table per ciphertext
-gives every candidate's tag by XOR, and only the matching candidate's
-key is hashed.  A list that outgrows MAX_CANDIDATES prefixes at some
-position raises RegimeTooLarge.
+The tag msb_t(a*x) XOR msb_t(b) is affine over GF(2) in the packed
+code x: one (position, symbol) table per ciphertext gives any
+candidate's tag by XOR, split over any cut of the positions as
+tag(x) = T_L(x_L) XOR T_R(x_R) XOR msb_t(b).  Decap enumerates the
+half-lists of the two halves and joins them on the tag by sort and
+binary search (Schroeppel-Shamir list merging), never walking T(y)
+itself; only the match's key is hashed.  A half-list past
+MAX_CANDIDATES prefixes at some position, or a join of more pairs,
+raises RegimeTooLarge.
 
 Operating points come from two one-sided bounds evaluated against the
 source's vector conditional min-entropies H(X|Y) = n*h(X|Y) and
@@ -34,7 +37,6 @@ rounding in those directions is always safe.
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -54,14 +56,11 @@ from .uhf import UhfSeed, UhfSpec, encode_symbols, hash_value, sample_seed, symb
 # slack can only admit extra work, never change the enumerated set.
 _PRUNE_SLACK = 1e-9
 
-# Largest number of candidate prefixes one enumeration level may hold.
-# An honest list has at most 2^nu entries; a hostile nu stops here
-# instead of materialising up to |X|^n rows.
-MAX_CANDIDATES = 1 << 20
-
-# Candidates decap tags per numpy call: blocks keep the tagging's
-# memory small next to the list itself.
-_TAG_BLOCK = 1 << 14
+# Largest number of candidate prefixes one enumeration level may hold,
+# and of half-list pairs decap may join.  An honest list has at most
+# 2^nu entries, and decap enumerates it as two half-lists; a hostile nu
+# stops here instead of materialising up to |X|^n rows.
+MAX_CANDIDATES = 1 << 18
 
 
 class _BottomType:
@@ -272,6 +271,18 @@ def encap(
     return IkemCiphertext(g, s_prime, s), IkemKey(key, params.ell)
 
 
+def _cost_matrix(source: JointSource, y_vec) -> np.ndarray:
+    """cost[i, s] = -log2 P(x = s | y_i), +inf where P = 0; raises for a
+    receiver symbol outside the alphabet or of probability 0."""
+    y_vec = np.asarray(y_vec, dtype=np.int64)
+    check_symbols(y_vec, source.alphabet_sizes[1])
+    undefined = source.pmf.sum(axis=(0, 2))[y_vec] <= 0.0
+    if undefined.any():
+        raise UndefinedConditional(f"P(y={y_vec[undefined.argmax()]}) = 0")
+    with np.errstate(divide="ignore"):
+        return -np.log2(source.conditional_xy()[:, y_vec].T)
+
+
 def enumerate_typical(source: JointSource, y_vec, nu: float):
     """Yield the candidate x-vectors with surprisal <= nu, each once,
     in lexicographic order.
@@ -294,13 +305,7 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     """
     if nu < 0:
         raise DimensionMismatch("nu must be >= 0")
-    y_vec = np.asarray(y_vec, dtype=np.int64)
-    check_symbols(y_vec, source.alphabet_sizes[1])
-    undefined = source.pmf.sum(axis=(0, 2))[y_vec] <= 0.0
-    if undefined.any():
-        raise UndefinedConditional(f"P(y={y_vec[undefined.argmax()]}) = 0")
-    with np.errstate(divide="ignore"):
-        cost = -np.log2(source.conditional_xy()[:, y_vec].T)  # (n, nx); +inf where P = 0
+    cost = _cost_matrix(source, y_vec)
     n, nx = cost.shape
     mins = cost.min(axis=1)
     min_suffix = np.zeros(n + 1)
@@ -318,13 +323,14 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     forced_cost = cost[np.arange(n), forced].tolist()
     single = (width == 1).tolist()
 
-    part = np.zeros(1)
+    part = 0.0  # a float until the first branch: same sums, no array op per forced position
     branches = []  # (position, symbols, kept flat child indices)
     for i in range(n):
         last = i == n - 1
         if single[i] and not last:
             part = part + forced_cost[i]
             continue
+        part = np.atleast_1d(part)
         syms = np.flatnonzero(feasible[i])
         if part.size * syms.size > MAX_CANDIDATES:
             raise RegimeTooLarge(
@@ -337,9 +343,9 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
         part = child[kept]
         branches.append((i, syms, kept))
 
-    rows = np.empty((part.size, n), dtype=np.int64)
+    rows = np.empty((np.size(part), n), dtype=np.int64)  # n = 0: one empty row
     rows[:] = forced  # right at the unbranched positions; the rest are overwritten
-    node = np.arange(part.size)  # each leaf's prefix index at the current level
+    node = np.arange(len(rows))  # each leaf's prefix index at the current level
     for i, syms, kept in reversed(branches):
         flat = kept[node]
         node = flat // syms.size
@@ -358,11 +364,13 @@ def _tag_table(tspec: UhfSpec, a: int, n: int, alphabet_size: int) -> np.ndarray
     """
     w, t = tspec.input_bits, tspec.output_bits
     bits = symbol_bits(alphabet_size)
-    low, top, mask = gf2.reduction_low(w), 1 << (w - 1), (1 << w) - 1
+    poly, shift = (1 << w) | gf2.reduction_low(w), w - t
     powers = []
     for _ in range(n * bits):
-        powers.append(a >> (w - t))
-        a = ((a << 1) & mask) ^ (low if a & top else 0)
+        powers.append(a >> shift)
+        a <<= 1
+        if a >> w:
+            a ^= poly
     limbs = (t + 63) // 64
     per_bit = _limbs(powers, t).reshape(n, bits, limbs)[::-1]  # [i, j]: bit j of symbol i
     table = np.zeros((n, alphabet_size, limbs), dtype=np.uint64)
@@ -378,15 +386,30 @@ def _limbs(values, t: int) -> np.ndarray:
     return np.array(words, dtype=np.uint64).T
 
 
+def _half_list(source: JointSource, y_half: np.ndarray, budget: float) -> np.ndarray:
+    """enumerate_typical's rows as one array; none for a negative budget."""
+    if budget < 0:
+        return np.empty((0, y_half.size), dtype=np.int64)
+    rows = list(enumerate_typical(source, y_half, budget))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), y_half.size)
+
+
 def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     """The unique tag-consistent candidate's key, or BOTTOM.
 
-    The candidate list comes from :func:`enumerate_typical`; every
-    candidate is tagged at once from one :func:`_tag_table` per
-    ciphertext, and only the key of the unique match is hashed.
-    BOTTOM covers both zero and multiple tag matches; it means the
+    The positions split at h = n // 2.  Any x in T(y) has a left half
+    within nu - min_R and a right half within nu - min_L, where min_L
+    and min_R are each side's cheapest surprisal, so the two
+    half-lists cover T(y).  Pairs whose tags XOR to the ciphertext's
+    are joined on the first tag limb, and a pair is kept iff its
+    surprisal, summed left to right as the list sums it, is <= nu: the
+    matches are exactly the tag-consistent candidates of T(y).
+
+    BOTTOM covers both zero and multiple matches; it means the
     ciphertext could not be decapsulated, not that the input was
-    malformed (malformed inputs raise).
+    malformed (malformed inputs raise).  A half-list past
+    MAX_CANDIDATES prefixes, or a join of more pairs (only a t far
+    below the derived one gets there), raises RegimeTooLarge.
     """
     y_vec = np.asarray(y_vec, dtype=np.int64)
     if y_vec.shape != (params.n,):
@@ -397,16 +420,38 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
         raise LengthMismatch("tag wider than t bits")
     ctxt.s.validate(tspec)
     ctxt.s_prime.validate(kspec)
-    nx = source.alphabet_sizes[0]
-    table = _tag_table(tspec, ctxt.s.a, params.n, nx)
+    n, nx, h = params.n, source.alphabet_sizes[0], params.n // 2
+    cost = _cost_matrix(source, y_vec)
+    mins = cost.min(axis=1)
+    left = _half_list(source, y_vec[:h], params.nu - mins[h:].sum() + _PRUNE_SLACK)
+    right = _half_list(source, y_vec[h:], params.nu - mins[:h].sum() + _PRUNE_SLACK)
+
+    table = _tag_table(tspec, ctxt.s.a, n, nx)
     want = _limbs([ctxt.g ^ (ctxt.s.b >> (tspec.input_bits - params.t))], params.t)
-    positions = np.arange(params.n)
-    rows = enumerate_typical(source, y_vec, params.nu)
-    matches = []
-    while block := list(islice(rows, _TAG_BLOCK)):
-        cands = np.concatenate(block).reshape(len(block), params.n)
-        tags = np.bitwise_xor.reduce(table[positions, cands], axis=1)
-        matches.extend(cands[(tags == want).all(axis=1)])
+    pos_l, pos_r = np.arange(h), np.arange(h, n)
+    need = np.bitwise_xor.reduce(table[pos_l, left], axis=1) ^ want  # right tag to pair with
+    tag_r = np.bitwise_xor.reduce(table[pos_r, right], axis=1)
+    order = np.argsort(tag_r[:, 0])
+    first = tag_r[order, 0]
+    lo = np.searchsorted(first, need[:, 0], "left")
+    count = np.searchsorted(first, need[:, 0], "right") - lo
+    pairs = int(count.sum())
+    if pairs > MAX_CANDIDATES:
+        raise RegimeTooLarge(
+            f"{pairs} half-list pairs share the first tag limb, over {MAX_CANDIDATES};"
+            " t is too small for this list"
+        )
+    # pair k, the (k - start)-th of left row i, takes sorted right row lo[i] + k - start[i]
+    start = np.cumsum(count) - count
+    li = np.repeat(np.arange(left.shape[0]), count)
+    ri = order[np.arange(pairs) + np.repeat(lo - start, count)]
+    same = (need[li] == tag_r[ri]).all(axis=1)
+    li, ri = li[same], ri[same]
+
+    cands = np.concatenate([left[li], right[ri]], axis=1)
+    # the list's own order of additions: left to right from position 0
+    total = np.cumsum(cost[np.arange(n), cands], axis=1)[:, -1]
+    matches = cands[total <= params.nu]
     if len(matches) != 1:
         return BOTTOM
     code = encode_symbols(matches[0], nx)

@@ -101,8 +101,7 @@ def encode_symbols(symbols, alphabet_size: int) -> int:
     """
     bits = symbol_bits(alphabet_size)
     code = 0
-    for s in symbols:
-        s = int(s)
+    for s in np.asarray(symbols, dtype=np.int64).tolist():  # Python ints: no numpy scalars
         if not 0 <= s < alphabet_size:
             raise LengthMismatch(f"symbol {s} outside alphabet of {alphabet_size}")
         code = (code << bits) | s

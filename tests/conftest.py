@@ -10,7 +10,8 @@ published bounds.
 import numpy as np
 import pytest
 
-from corrkem import JointSource, derive_params, make_table_source
+from corrkem import Distribution, JointSource, derive_params, make_table_source
+from corrkem.harness.exact import _challenge_tables
 from corrkem.ikem import IkemParams
 
 
@@ -100,6 +101,32 @@ def dishonest(params: IkemParams, **overrides) -> IkemParams:
     import dataclasses
 
     return dataclasses.replace(params, **overrides)
+
+
+def cea_transcript_distribution(source: JointSource, params: IkemParams, q_e: int):
+    """Oracle for the transcript distance: the joint of (Z, C*, K*, V^(q_e))
+    built cell by cell, and its uniform-challenge-key reference, as a
+    pair of Distributions; q_e = 0 is the one-time challenge tuple.
+
+    Seeds appear through their multiplier only (the additive component
+    is exactly marginal).  Flattened index order: (z, a_tag*, g*,
+    a_key*, k*, then per query a_tag_j, g_j, a_key_j, k_j).
+    """
+    tag, key, pxz = _challenge_tables(source, params, q_e)
+    na = tag.shape[0]
+    shape = (pxz.shape[1],) + (na, 1 << params.t, na, 1 << params.ell) * (1 + q_e)
+    joint = np.zeros(shape)
+    grids = np.meshgrid(*([np.arange(na)] * (2 + 2 * q_e)), indexing="ij", sparse=True)
+    for i in range(tag.shape[1]):
+        index: list = []
+        for j in range(1 + q_e):
+            at, ak = grids[2 * j], grids[2 * j + 1]
+            index += [at, tag[:, i][at], ak, key[:, i][ak]]
+        for z in np.flatnonzero(pxz[i] > 0.0):
+            joint[tuple([z] + index)] += pxz[i, z]
+    joint /= na ** (2 + 2 * q_e)
+    ref = np.broadcast_to(joint.sum(axis=4, keepdims=True) / (1 << params.ell), shape)
+    return Distribution(joint.size, joint.ravel()), Distribution(joint.size, ref.ravel())
 
 
 @pytest.fixture

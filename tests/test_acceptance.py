@@ -25,7 +25,6 @@ from corrkem import wire
 from corrkem.cli import main as cli_main
 from corrkem.harness import (
     BestGuessOtpHeAdversary,
-    cea_transcript_distribution,
     cea_transcript_sd,
     composability_check,
     correctness_mc,
@@ -38,6 +37,7 @@ from corrkem.harness import (
 from corrkem.source import avg_cond_min_entropy
 
 from conftest import (
+    cea_transcript_distribution,
     deterministic_pair_source,
     dishonest,
     he_micro_instance,

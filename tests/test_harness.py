@@ -16,7 +16,6 @@ from corrkem.harness import (
     RandomGuessAdversary,
     RandomGuessHeAdversary,
     cea_bound_check,
-    cea_transcript_distribution,
     cea_transcript_sd,
     composability_check,
     composability_sd,
@@ -33,6 +32,7 @@ from corrkem.harness import (
 from corrkem.source import avg_cond_min_entropy
 
 from conftest import (
+    cea_transcript_distribution,
     deterministic_pair_source,
     dishonest,
     he_micro_instance,

@@ -39,7 +39,7 @@ from corrkem.ikem import (
 from corrkem.source import avg_cond_min_entropy, sample_with_rng
 from corrkem.uhf import UhfSpec, encode_symbols, hash_value, symbol_bits
 
-from conftest import deterministic_pair_source, leaky_uniform_source
+from conftest import deterministic_pair_source, dishonest, leaky_uniform_source
 
 
 def test_derived_length_examples():
@@ -263,15 +263,21 @@ def test_tag_table_matches_hash_value(case):
 
 def test_decap_matches_brute_force_oracle(rng):
     # oracle: filter all |X|^n vectors by surprisal, hash every survivor
-    # with hash_value, and keep the key of a unique tag match
+    # with hash_value, and keep the key of a unique tag match; odd and
+    # even n split unevenly and evenly, and a nu equal to one vector's
+    # surprisal puts a candidate exactly on the boundary
     outcomes = {"key": 0, "no match": 0, "ambiguous": 0}
-    for trial in range(120):
-        nx, ny = int(rng.choice([2, 3, 5])), int(rng.integers(1, 4))
-        n = int(rng.integers(1, 5))
+    ns_seen = set()
+    for trial in range(160):
+        n = int(rng.integers(1, 8))
+        nx = int(rng.choice([a for a in (2, 3, 5) if a**n <= 3125]))
+        ny = int(rng.integers(1, 4))
         src = _random_table_source(rng, nx, ny, forced_rate=0.3)
         py = src.pmf.sum(axis=(0, 2))
         y_vec = rng.choice(np.flatnonzero(py > 0), size=n)
-        nu = float(rng.choice([0.0, rng.random() * 2 * n, 1e6]))
+        typical = np.array([rng.choice(nx, p=src.conditional_xy()[:, v]) for v in y_vec])
+        boundary = surprisal(src, typical, y_vec)
+        nu = float(rng.choice([0.0, rng.random() * 2 * n, 1e6, boundary]))
         t = int(rng.choice([1, 2, 4, 20, 65]))
         params = IkemParams(
             n=n, t=t, ell=int(rng.integers(1, 9)), nu=nu, eps=0.5, sigma=0.5,
@@ -284,7 +290,9 @@ def test_decap_matches_brute_force_oracle(rng):
         else:
             x = rng.integers(0, nx, size=n)
         ctxt, _ = encap(params, src, x, rng)
-        for g in (ctxt.g, ctxt.g ^ 1):  # the true tag, then a flipped one
+        # the true tag, then its lowest and its highest bit flipped (at
+        # t = 65 the highest bit is alone in the second 64-bit limb)
+        for g in (ctxt.g, ctxt.g ^ 1, ctxt.g ^ (1 << (t - 1))):
             matches = [
                 code
                 for code in (encode_symbols(c, nx) for c in cands)
@@ -297,7 +305,94 @@ def test_decap_matches_brute_force_oracle(rng):
             else:
                 assert got is BOTTOM
                 outcomes["no match" if not matches else "ambiguous"] += 1
+        ns_seen.add(n)
     assert min(outcomes.values()) > 10, outcomes
+    assert ns_seen == set(range(1, 8))
+
+
+def test_decap_keeps_candidates_on_the_nu_boundary(rng):
+    # nu is the sender's own surprisal, summed left to right: x sits
+    # exactly on the list's boundary, so decap must return its key; at
+    # n >= 8 a pairwise or per-half sum can round past nu
+    for trial in range(60):
+        n = int(rng.integers(8, 15))
+        src = _random_table_source(rng, 3, 3)
+        py = src.pmf.sum(axis=(0, 2))
+        y_vec = rng.choice(np.flatnonzero(py > 0), size=n)
+        x = np.array([rng.choice(3, p=src.conditional_xy()[:, v]) for v in y_vec])
+        params = IkemParams(
+            n=n, t=48, ell=8, nu=surprisal(src, x, y_vec), eps=0.5, sigma=0.5,
+            q_e=0, source_digest=source_digest(src),
+        )
+        ctxt, key = encap(params, src, x, rng)
+        got = decap(params, src, y_vec, ctxt)
+        assert got == key, (trial, n)
+
+
+def _straddling_cases():
+    """Every (multiplier, tag) of a hand-built n = 4 instance, by its
+    number of matches: Y = X through a binary channel with flip rate
+    0.25, y = 0110, and nu = 5 admits the vectors within two flips of y
+    (a flip costs 2 bits, a kept symbol 0.415): 11 candidates, 8 tags.
+    A match "straddles" the split at h = 2 when it differs from y on
+    both halves."""
+    src = make_table_source(
+        (2, 2, 1),
+        {(0, 0, 0): 0.375, (1, 0, 0): 0.125, (0, 1, 0): 0.125, (1, 1, 0): 0.375},
+    )
+    y_vec = np.array([0, 1, 1, 0])
+    nu = 5.0
+    cands = [c for c in product((0, 1), repeat=4) if sum(a != b for a, b in zip(c, y_vec)) <= 2]
+    assert [tuple(v) for v in enumerate_typical(src, y_vec, nu)] == cands
+    params = IkemParams(
+        n=4, t=3, ell=4, nu=nu, eps=0.5, sigma=0.5, q_e=0, source_digest=source_digest(src)
+    )
+    tspec = tag_spec(src, params)
+    assert tspec.input_bits == 4
+    for a in range(16):
+        seed = UhfSeed(a, 0b1010)
+        by_tag = {}
+        for c in cands:
+            by_tag.setdefault(hash_value(tspec, seed, encode_symbols(c, 2)), []).append(c)
+        for g in range(8):
+            yield src, y_vec, params, seed, g, by_tag.get(g, [])
+
+
+def _straddles(c, y_vec):
+    diff = np.asarray(c) != y_vec
+    return bool(diff[:2].any() and diff[2:].any())
+
+
+def test_decap_hand_built_lists_with_zero_one_and_many_matches():
+    seen = {"none": 0, "one straddling": 0, "many straddling": 0}
+    for src, y_vec, params, seed, g, matched in _straddling_cases():
+        ctxt = IkemCiphertext(g, UhfSeed(3, 5), seed)
+        got = decap(params, src, y_vec, ctxt)
+        if len(matched) == 1:
+            code = encode_symbols(matched[0], 2)
+            assert got == IkemKey(hash_value(key_spec(src, params), ctxt.s_prime, code), 4)
+            seen["one straddling"] += _straddles(matched[0], y_vec)
+        else:
+            assert got is BOTTOM
+            if not matched:
+                seen["none"] += 1
+            else:
+                seen["many straddling"] += sum(_straddles(c, y_vec) for c in matched) >= 2
+    assert min(seen.values()) >= 3, seen
+
+
+def test_dishonest_t_hits_join_bound():
+    # t = 1 instead of the derived 29 at n = 24: the two half-lists of
+    # about 3300 rows agree on the tag in millions of pairs, so decap
+    # refuses before materialising them
+    src = satellite_source(0.05, 0.05, 0.3)
+    params = dishonest(reliability_params(src, n=24, eps=0.25, ell=8), t=1)
+    triple = sample_n(src, 24, seed=3)
+    ctxt, _ = encap(params, src, triple.x, np.random.default_rng(4))
+    start = time.perf_counter()
+    with pytest.raises(RegimeTooLarge, match="pairs"):
+        decap(params, src, triple.y, ctxt)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decap_roundtrip_and_tamper():
@@ -403,9 +498,9 @@ def test_roundtrip_exhaustive_micro():
                     assert got.bits == hash_value(kspec, s_prime, code)
 
 
-@pytest.mark.parametrize("n, trials", [(8, 3000), (16, 1000)], ids=["n8", "n16"])
+@pytest.mark.parametrize("n, trials", [(8, 3000), (16, 1000), (24, 1000)], ids=["n8", "n16", "n24"])
 def test_decap_failure_rate_within_eps(n, trials):
-    # n = 16 lists 2517 candidates per decap
+    # the lists hold 2517 candidates at n = 16 and 536155 at n = 24
     src = satellite_source(0.05, 0.05, 0.3)
     params = reliability_params(src, n=n, eps=0.25, ell=8)
     rng = np.random.default_rng(13)

@@ -214,11 +214,14 @@ def test_seed_serialization_roundtrip():
 
 def test_encode_symbols_big_endian():
     assert encode_symbols([1, 2, 0], 5) == (1 << 6) | (2 << 3)  # 3-bit symbols
+    assert encode_symbols(np.array([1, 2, 0]), 5) == (1 << 6) | (2 << 3)
+    assert encode_symbols([], 5) == 0
     assert symbol_bits(1) == 0
     assert symbol_bits(2) == 1
     assert symbol_bits(5) == 3
-    with pytest.raises(LengthMismatch):
-        encode_symbols([5], 5)
+    for bad in (-1, 5):  # the first symbol outside the alphabet is named
+        with pytest.raises(LengthMismatch, match=f"symbol {bad} "):
+            encode_symbols([0, 4, bad, 7], 5)
 
 
 @pytest.mark.parametrize("nx,n", [(1, 100), (1, 3), (2, 10), (3, 5), (5, 4), (16, 3)])

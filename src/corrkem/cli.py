@@ -199,7 +199,7 @@ def cmd_gen(args) -> int:
 
 def cmd_encap(args) -> int:
     source, params = _load_session(args)
-    x_vec = wire.load_sample(args.sample, params)
+    x_vec = wire.load_sample(args.sample, params, source, "alice")
     rng = np.random.default_rng(_seed_of(args))
     ctxt, key = encap(params, source, x_vec, rng)
     _bump_uses(args, params)
@@ -213,7 +213,7 @@ def cmd_encap(args) -> int:
 
 def cmd_decap(args) -> int:
     source, params = _load_session(args)
-    y_vec = wire.load_sample(args.sample, params)
+    y_vec = wire.load_sample(args.sample, params, source, "bob")
     with open(args.ctxt, "rb") as fh:
         ctxt = wire.kem_ciphertext_from_bytes(params, source, fh.read())
     key = decap(params, source, y_vec, ctxt)
@@ -228,7 +228,7 @@ def cmd_decap(args) -> int:
 
 def cmd_encrypt(args) -> int:
     source, params = _load_session(args)
-    x_vec = wire.load_sample(args.sample, params)
+    x_vec = wire.load_sample(args.sample, params, source, "alice")
     with open(args.infile, "rb") as fh:
         message = fh.read()
     scheme = SCHEME_OTP if args.scheme == "otp" else SCHEME_STREAM
@@ -243,7 +243,7 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     source, params = _load_session(args)
-    y_vec = wire.load_sample(args.sample, params)
+    y_vec = wire.load_sample(args.sample, params, source, "bob")
     with open(args.infile, "rb") as fh:
         ctxt = wire.hybrid_from_bytes(params, source, fh.read())
     message = he_decrypt(params, source, y_vec, ctxt)

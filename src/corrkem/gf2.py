@@ -23,7 +23,7 @@ Widths 1..64 are frozen in ``_LOW_TABLE``; larger widths are searched on
 demand (and cached), so arbitrarily long inputs can be hashed.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -57,24 +57,49 @@ def mul(a: int, b: int, w: int) -> int:
     return res
 
 
-def mul_vector(a: int, codes: np.ndarray, w: int) -> np.ndarray:
-    """Field products a * codes[i] for an int64 array of elements.
+def mul_vector(a: int, n: int, alphabet_size: int, w: int) -> np.ndarray:
+    """Field products a * code for every n-symbol vector, as int64 in
+    row-major flat order (first symbol most significant).
 
-    Vectorized over the array; w is capped at 62 so the shifted
-    intermediate stays inside int64.
+    The XOR outer chain over the rows of :func:`linear_table` at full
+    output width; w is capped at 62 so every product fits int64.
     """
     if not 1 <= w <= 62:
         raise ValueError("mul_vector supports 1 <= w <= 62")
-    low = reduction_low(w)
-    mask = (1 << w) - 1
-    res = np.zeros_like(codes)
-    cur = codes.astype(np.int64, copy=True)
-    for i in range(w):
-        if (a >> i) & 1:
-            res ^= cur
-        carry = cur >> (w - 1)
-        cur = ((cur << 1) & mask) ^ (carry * low)
-    return res
+    table = linear_table(a, w, w, n, alphabet_size)[..., 0].view(np.int64)
+    return reduce(lambda c, d: np.bitwise_xor.outer(c, d).ravel(), table)
+
+
+def linear_table(a: int, w: int, out_bits: int, n: int, alphabet_size: int) -> np.ndarray:
+    """T[i, s] = msb_out(a * (s << bits*(n-1-i))) as little-endian uint64
+    limbs, shape (n, |X|, ceil(out_bits/64)), with bits = ceil(log2 |X|).
+
+    The field product is GF(2)-linear in the packed code, so a * code
+    of any n-symbol vector x is XOR_i T[i, x_i] (then truncated).  Built
+    from the n*bits products a * x^j, each one shift-and-reduce from
+    the last.
+    """
+    bits = (alphabet_size - 1).bit_length()
+    poly, shift = (1 << w) | reduction_low(w), w - out_bits
+    powers = []
+    for _ in range(n * bits):
+        powers.append(a >> shift)
+        a <<= 1
+        if a >> w:
+            a ^= poly
+    nlimbs = (out_bits + 63) // 64
+    per_bit = limbs(powers, out_bits).reshape(n, bits, nlimbs)[::-1]  # [i, j]: bit j of symbol i
+    table = np.zeros((n, alphabet_size, nlimbs), dtype=np.uint64)
+    symbols = np.arange(alphabet_size)
+    for j in range(bits):
+        table[:, ((symbols >> j) & 1) == 1] ^= per_bit[:, j, None, :]
+    return table
+
+
+def limbs(values, bits: int) -> np.ndarray:
+    """bits-wide ints as rows of ceil(bits/64) little-endian uint64 limbs."""
+    words = [[(v >> shift) & 0xFFFF_FFFF_FFFF_FFFF for v in values] for shift in range(0, bits, 64)]
+    return np.array(words, dtype=np.uint64).T
 
 
 @lru_cache(maxsize=None)

@@ -135,9 +135,9 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
         cand[row, np.bincount(slots, minlength=na << t) > 1] = -1
 
     cand = cand.reshape(len(y_present), na, 1 << t)
-    sd = float(
-        compose_sd(tag, key, xcol, ycol, zf.astype(np.int64), ptr, cand, t, params.ell, nz1**n)
-    )
+    # z patterns interned to the support's: a view without mass adds nothing
+    z_present, zcol = np.unique(zf, return_inverse=True)
+    sd = float(compose_sd(tag, key, xcol, ycol, zcol, ptr, cand, t, params.ell, len(z_present)))
     return sd, na * na * xf.shape[0]
 
 

@@ -27,7 +27,7 @@ from ..gf2 import mul_vector
 from ..hybrid import he_encrypt
 from ..ikem import IkemParams, encap, decap, hash_width, key_spec
 from ..source import JointSource, sample_with_rng
-from ..uhf import encode_flat, hash_value, rand_bits
+from ..uhf import hash_value, rand_bits
 from .exact import cea_transcript_sd, composability_sd, exact_challenge_sd
 
 _TIE_SLACK = 1e-12
@@ -144,13 +144,12 @@ class _PosteriorMixin:
     def __init__(self, source: JointSource, params: IkemParams):
         self.source = source
         self.params = params
-        nx = source.alphabet_sizes[0]
-        n = params.n
-        if nx**n > _POSTERIOR_LIMIT:
+        if source.alphabet_sizes[0] ** params.n > _POSTERIOR_LIMIT:
             raise RegimeTooLarge("posterior enumeration needs |X|^n <= 2^20")
-        self.codes = encode_flat(np.arange(nx**n, dtype=np.int64), n, nx)
-        self.pxz1 = source.pmf.sum(axis=1)
         self.w = hash_width(source, params)
+        if self.w > 62:
+            raise RegimeTooLarge(f"posterior hashing needs a hash width <= 62, got {self.w}")
+        self.pxz1 = source.pmf.sum(axis=1)
 
     def prior_given_z(self, z_vec) -> np.ndarray:
         """P(x, z_vec) for every flat sample x, multiplied first symbol
@@ -158,7 +157,7 @@ class _PosteriorMixin:
         return reduce(np.multiply.outer, self.pxz1[:, np.asarray(z_vec)].T).ravel()
 
     def hash_all(self, seed, out_bits: int) -> np.ndarray:
-        vals = mul_vector(seed.a, self.codes, self.w)
+        vals = mul_vector(seed.a, self.params.n, self.source.alphabet_sizes[0], self.w)
         return (vals ^ seed.b) >> (self.w - out_bits)
 
 

@@ -354,38 +354,6 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     yield from rows
 
 
-def _tag_table(tspec: UhfSpec, a: int, n: int, alphabet_size: int) -> np.ndarray:
-    """T[i, s] = msb_t(a * (s << bits*(n-1-i))) as little-endian uint64
-    limbs, shape (n, |X|, ceil(t/64)).
-
-    The field product is GF(2)-linear in the packed code, so the tag of
-    any candidate x is XOR_i T[i, x_i] XOR msb_t(b).  Built from the
-    n*bits products a * x^j, each one shift-and-reduce from the last.
-    """
-    w, t = tspec.input_bits, tspec.output_bits
-    bits = symbol_bits(alphabet_size)
-    poly, shift = (1 << w) | gf2.reduction_low(w), w - t
-    powers = []
-    for _ in range(n * bits):
-        powers.append(a >> shift)
-        a <<= 1
-        if a >> w:
-            a ^= poly
-    limbs = (t + 63) // 64
-    per_bit = _limbs(powers, t).reshape(n, bits, limbs)[::-1]  # [i, j]: bit j of symbol i
-    table = np.zeros((n, alphabet_size, limbs), dtype=np.uint64)
-    symbols = np.arange(alphabet_size)
-    for j in range(bits):
-        table[:, ((symbols >> j) & 1) == 1] ^= per_bit[:, j, None, :]
-    return table
-
-
-def _limbs(values, t: int) -> np.ndarray:
-    """t-bit ints as rows of ceil(t/64) little-endian uint64 limbs."""
-    words = [[(v >> shift) & 0xFFFF_FFFF_FFFF_FFFF for v in values] for shift in range(0, t, 64)]
-    return np.array(words, dtype=np.uint64).T
-
-
 def _half_list(source: JointSource, y_half: np.ndarray, budget: float) -> np.ndarray:
     """enumerate_typical's rows as one array; none for a negative budget."""
     if budget < 0:
@@ -426,8 +394,8 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     left = _half_list(source, y_vec[:h], params.nu - mins[h:].sum() + _PRUNE_SLACK)
     right = _half_list(source, y_vec[h:], params.nu - mins[:h].sum() + _PRUNE_SLACK)
 
-    table = _tag_table(tspec, ctxt.s.a, n, nx)
-    want = _limbs([ctxt.g ^ (ctxt.s.b >> (tspec.input_bits - params.t))], params.t)
+    table = gf2.linear_table(ctxt.s.a, tspec.input_bits, params.t, n, nx)
+    want = gf2.limbs([ctxt.g ^ (ctxt.s.b >> (tspec.input_bits - params.t))], params.t)
     pos_l, pos_r = np.arange(h), np.arange(h, n)
     need = np.bitwise_xor.reduce(table[pos_l, left], axis=1) ^ want  # right tag to pair with
     tag_r = np.bitwise_xor.reduce(table[pos_r, right], axis=1)

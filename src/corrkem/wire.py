@@ -133,17 +133,24 @@ def sample_to_json(role: str, params: IkemParams, symbols) -> dict:
     }
 
 
-def load_sample(path, params: IkemParams) -> np.ndarray:
-    """The sample's symbols: a list of exactly n JSON integers (their
-    range is checked where the protocol reads them)."""
+def load_sample(path, params: IkemParams, source: JointSource, role: str) -> np.ndarray:
+    """The symbols of `role`'s sample ("alice", "bob" or "eve"): a file
+    of that role listing exactly n JSON integers, each in the role's
+    alphabet of `source`."""
     doc = _read_json(path, "sample")
+    size = source.alphabet_sizes[("alice", "bob", "eve").index(role)]
     try:
         digest, symbols = doc["digest"], doc["symbols"]
+        if doc["role"] != role:
+            raise FormatError(f"sample is {doc['role']!r}'s, this command needs {role!r}'s")
         if not (isinstance(symbols, list) and len(symbols) == params.n
                 and all(type(s) is int for s in symbols)):  # never a bool or a float
             raise FormatError(f"sample symbols must be a list of n={params.n} JSON integers")
+        outside = [s for s in symbols if not 0 <= s < size]
+        if outside:
+            raise FormatError(f"sample symbol {outside[0]} outside {role}'s alphabet of {size}")
         symbols = np.array(symbols, dtype=np.int64)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed sample file: {exc}") from exc
     if digest != params_digest(params).hex():
         raise FormatError("sample was generated under different params")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from corrkem.cli import main
 
 from conftest import deterministic_pair_source
-from corrkem import wire
+from corrkem import make_table_source, reliability_params, wire
 
 
 @pytest.fixture
@@ -278,6 +278,18 @@ def test_verify_he_game_past_the_work_limit_exits_4(tmp_path, sat_source_file, c
     assert "regime too large" in capsys.readouterr().err
 
 
+def test_verify_he_game_past_int64_hash_width_exits_4(tmp_path, det_source_file, capsys):
+    # a params file may widen ell past what _load_session re-derives;
+    # the posterior adversary hashes in int64 and refuses w = 100
+    _, params_path = _plan(tmp_path, det_source_file, 4, 0.5, 0.25)
+    doc = json.loads(Path(params_path).read_text())
+    wire.save_json(params_path, dict(doc, ell=100))
+    code = main(["verify", "--source", det_source_file, "--params", params_path,
+                 "--mode", "he-game", "--trials", "10"])
+    assert code == 4
+    assert "regime too large" in capsys.readouterr().err
+
+
 def test_verify_composability_past_the_work_limit_exits_4(tmp_path, capsys):
     # X = Y uniform on 256 symbols, Z constant: n = 1, eps = 2^-5 and
     # sigma = 0.9 give t = 4, ell = 5 and w = 8, so 2^24 terms fit the
@@ -486,6 +498,50 @@ def test_use_counter_must_be_a_non_negative_integer(tmp_path, det_source_file):
                      "--seed", "2"]) == 1, uses
         assert json.loads(sample.read_text())["uses"] == uses
         assert not (tmp_path / "run.ctxt").exists()
+
+
+def test_sample_role_and_symbols_checked_before_any_effect(tmp_path, capsys):
+    # X one bit, Y = X or the erasure 2: bob's alphabet is wider than
+    # alice's.  Each command needs one role's sample with symbols in that
+    # role's alphabet, and refuses any other before a use is counted or
+    # an output written.
+    src = make_table_source(
+        (2, 3, 1), {(0, 0, 0): 0.3, (1, 1, 0): 0.3, (0, 2, 0): 0.2, (1, 2, 0): 0.2}
+    )
+    paths = {"source": tmp_path / "source.json", "params": tmp_path / "params.json"}
+    wire.save_json(paths["source"], wire.source_to_json(src))
+    wire.save_json(paths["params"], wire.params_to_json(reliability_params(src, 8, 0.5, 8)))
+    session = ["--source", str(paths["source"]), "--params", str(paths["params"])]
+    prefix = str(tmp_path / "run")
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"h")  # one OTP key byte
+    assert main(["gen", *session, "--out", prefix, "--seed", "1"]) == 0
+    assert main(["encap", *session, "--sample", f"{prefix}.alice.json", "--out", prefix]) == 0
+    assert main(["encrypt", *session, "--sample", f"{prefix}.alice.json", "--in", str(msg),
+                 "--out", f"{prefix}.ihe"]) == 0
+    docs = {r: json.loads(Path(f"{prefix}.{r}.json").read_text()) for r in ("alice", "bob", "eve")}
+
+    def with_symbol(doc, s):
+        return dict(doc, symbols=[s, *doc["symbols"][1:]])
+
+    bad = {"alice": [docs["bob"], docs["eve"], with_symbol(docs["alice"], 2),
+                     with_symbol(docs["alice"], -1)],
+           "bob": [docs["alice"], docs["eve"], with_symbol(docs["bob"], 3),
+                   with_symbol(docs["bob"], -1)]}
+    out = str(tmp_path / "out")
+    commands = {"encap": ("alice", ["--out", out]),
+                "encrypt": ("alice", ["--in", str(msg), "--out", out]),
+                "decap": ("bob", ["--ctxt", f"{prefix}.ctxt", "--out", out]),
+                "decrypt": ("bob", ["--in", f"{prefix}.ihe", "--out", out])}
+    sample = tmp_path / "sample.json"
+    for command, (role, rest) in commands.items():
+        for doc in bad[role]:
+            wire.save_json(sample, doc)
+            capsys.readouterr()
+            assert main([command, *session, "--sample", str(sample), *rest]) == 1, (command, doc)
+            assert "error: sample" in capsys.readouterr().err
+            assert json.loads(sample.read_text()) == doc  # no use counted
+            assert not list(tmp_path.glob("out*"))
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corrkem import gf2
 from corrkem._kernels import mul_table
+from corrkem.uhf import encode_symbols
 
 PUBLISHED = {3: 0b0011, 4: 0b0011, 8: 0b11011, 64: 0b11011}
 
@@ -80,13 +81,18 @@ def test_mul_table_matches_scalar():
 
 
 def test_mul_vector_matches_scalar():
+    # a * code of every n-symbol vector, in flat order: |X| = 1, |X| not
+    # a power of two, n*bits = w, the he-micro shape and w = 62
     rng = np.random.default_rng(1)
-    for w in (4, 11, 16, 33):
-        codes = rng.integers(0, 1 << min(w, 62), size=50, dtype=np.int64)
-        a = int(rng.integers(0, 1 << min(w, 62)))
-        got = gf2.mul_vector(a, codes, w)
-        for code, value in zip(codes, got):
-            assert int(value) == gf2.mul(a, int(code), w)
+    for nx, n, w in ((1, 3, 4), (3, 4, 11), (5, 3, 9), (16, 3, 12), (2, 10, 62), (7, 2, 62)):
+        for a in (0, 1, (1 << w) - 1, *(int(rng.integers(0, 1 << w)) for _ in range(3))):
+            got = gf2.mul_vector(a, n, nx, w)
+            assert got.dtype == np.int64 and got.shape == (nx**n,)
+            for flat, value in enumerate(got.tolist()):
+                code = encode_symbols(np.unravel_index(flat, (nx,) * n), nx)
+                assert value == gf2.mul(a, code, w)
+    with pytest.raises(ValueError):
+        gf2.mul_vector(1, 1, 2, 63)
 
 
 def test_mul_table_width_guard():

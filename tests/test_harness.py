@@ -257,6 +257,34 @@ def test_composability_matches_naive_oracle(rng):
         assert fast == pytest.approx(slow, abs=1e-12)
 
 
+def test_composability_memory_counts_only_z_patterns_with_mass(monkeypatch):
+    # X = Y one bit and |Z| = 2^20 with all mass on z = 0: the kernel's
+    # (a', z, g, k) table spans the one z pattern in the support, not
+    # all 2^20, and the distance is the full-pattern kernel's 0.375
+    from corrkem.harness import exact
+
+    src = make_table_source((2, 2, 1 << 20), {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
+    params = _micro_params(nu=0.0, t=1, ell=1)
+    kernel, peaks = exact.compose_sd, []
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = kernel(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(exact, "compose_sd", traced)
+    tracemalloc.start()
+    try:
+        sd, _ = composability_sd(src, params)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 8 * _kernels.BLOCK_CELLS
+    assert sd == pytest.approx(0.375, abs=1e-12)
+    assert sd == pytest.approx(naive_composability_sd(src, params), abs=1e-12)
+
+
 def test_composability_check_deterministic_and_forced(rng):
     src, params = honest_ot_instance(rng, max_bits=4)
     report = composability_check(src, params)

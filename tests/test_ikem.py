@@ -25,12 +25,12 @@ from corrkem import (
     satellite_source,
     surprisal,
 )
+from corrkem import gf2
 from corrkem.errors import DimensionMismatch, InfeasibleKeyLength, LengthMismatch, RegimeTooLarge
 from corrkem.ikem import (
     MAX_CANDIDATES,
     IkemKey,
     IkemParams,
-    _tag_table,
     encode_sample,
     key_spec,
     source_digest,
@@ -232,7 +232,7 @@ def test_hostile_nu_hits_candidate_budget(monkeypatch):
 
 
 def _tag_by_table(tspec, seed, x, nx):
-    table = _tag_table(tspec, seed.a, len(x), nx)
+    table = gf2.linear_table(seed.a, tspec.input_bits, tspec.output_bits, len(x), nx)
     limbs = np.bitwise_xor.reduce(table[np.arange(len(x)), x], axis=0)
     value = sum(int(v) << (64 * k) for k, v in enumerate(limbs))
     return value ^ (seed.b >> (tspec.input_bits - tspec.output_bits))

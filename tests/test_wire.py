@@ -9,6 +9,7 @@ from corrkem import (
     derive_params,
     encap,
     he_encrypt,
+    make_table_source,
     sample_n,
     satellite_source,
 )
@@ -163,12 +164,12 @@ def test_sample_doc_roundtrip(tmp_path):
     docs = wire.triple_to_sample_docs(params, triple)
     path = tmp_path / "alice.json"
     wire.save_json(path, docs["alice"])
-    got = wire.load_sample(path, params)
+    got = wire.load_sample(path, params, src, "alice")
     np.testing.assert_array_equal(got, triple.x)
 
     other = dishonest(params, t=params.t + 1)
     with pytest.raises(FormatError):
-        wire.load_sample(path, other)
+        wire.load_sample(path, other, src, "alice")
 
 
 def test_sample_symbols_are_n_json_integers(tmp_path):
@@ -177,22 +178,33 @@ def test_sample_symbols_are_n_json_integers(tmp_path):
     doc = wire.triple_to_sample_docs(params, sample_n(src, 4, seed=6))["bob"]
     path = tmp_path / "bob.json"
     for bad in ([0.7, 0, 0, 0], ["0", 0, 0, 0], [True, 0, 0, 0], [0, 0, 0], [0] * 5,
-                "0000", None, {"0": 0}, [2**70, 0, 0, 0]):
+                "0000", None, {"0": 0}, [2**70, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, -1]):
         wire.save_json(path, dict(doc, symbols=bad))
         with pytest.raises(FormatError):
-            wire.load_sample(path, params)
+            wire.load_sample(path, params, src, "bob")
     wire.save_json(path, [doc])
     with pytest.raises(FormatError):
-        wire.load_sample(path, params)
+        wire.load_sample(path, params, src, "bob")
+    # the role the caller needs, and that role's alphabet
+    wire.save_json(path, doc)
+    with pytest.raises(FormatError, match="'bob'"):
+        wire.load_sample(path, params, src, "alice")
+    wide = make_table_source((2, 3, 1), {(0, 0, 0): 0.5, (1, 2, 0): 0.5})
+    for role, size in (("alice", 2), ("bob", 3), ("eve", 1)):
+        wire.save_json(path, dict(doc, role=role, symbols=[0, 0, 0, size]))
+        with pytest.raises(FormatError, match=f"outside {role}'s alphabet of {size}"):
+            wire.load_sample(path, params, wide, role)
 
 
 def test_unreadable_json_files_are_format_errors(tmp_path):
-    params = derive_params(deterministic_pair_source(), 4, 0.5, 0.25, 0)
+    src = deterministic_pair_source()
+    params = derive_params(src, 4, 0.5, 0.25, 0)
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes(b"\xff\xfe{\x00}\x00")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000)
     for path in (tmp_path, utf16, deep, tmp_path / "missing.json"):
-        for load in (wire.load_source, wire.load_params, lambda p: wire.load_sample(p, params)):
+        for load in (wire.load_source, wire.load_params,
+                     lambda p: wire.load_sample(p, params, src, "bob")):
             with pytest.raises(FormatError):
                 load(path)

@@ -7,17 +7,20 @@ bottom), 4 enumeration regime too large.
 
 Every subcommand is deterministic for a given ``--seed`` (default is
 the documented constant ``DEFAULT_SEED``); pass ``--random-seed`` to
-draw one from the OS instead.  Sender sample files carry a use
-counter so the tool can warn when a triple exceeds its q_e budget.
+draw one from the OS instead.  Every session is checked as a whole:
+the params file must equal the operating point its source gives at
+the file's n, eps, ell, sigma and q_e.  ``encap`` and ``encrypt`` share
+one sender path, ``decap`` and ``decrypt`` one receiver path; ``wire``
+owns every file format, the sender sample's use counter included.  The
+sender path warns on stderr when a sample is used past its q_e budget
+or when ell is past the secrecy bound (a reliability-only session).
 """
 
 import argparse
 import functools
 import json
-import os
 import secrets
 import sys
-import tempfile
 
 import numpy as np
 
@@ -30,15 +33,7 @@ from .errors import (
     RegimeTooLarge,
 )
 from .hybrid import he_decrypt, he_encrypt
-from .ikem import (
-    BOTTOM,
-    decap,
-    derive_lengths,
-    derive_params,
-    encap,
-    hash_width,
-    source_digest,
-)
+from .ikem import BOTTOM, decap, derive_params, encap, hash_width, reliability_params
 from .source import avg_cond_min_entropy, sample_n
 from . import wire
 
@@ -49,8 +44,6 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BOTTOM = 3
 EXIT_REGIME = 4
-
-VERIFY_MODES = ("correctness", "ot-bound", "cea-bound", "he-game", "composability")
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification mode")
     common(ver)
-    ver.add_argument("--mode", choices=VERIFY_MODES, required=True)
+    ver.add_argument("--mode", choices=tuple(_CHECKS), required=True)
     ver.add_argument("--trials", type=int, default=10000)
     ver.add_argument("--out", default=None, help="report JSON path (default stdout)")
     return top
@@ -116,51 +109,58 @@ def _seed_of(args) -> int:
 
 
 def _load_session(args):
-    """Source and params, checked against each other: the params must
-    carry the source's digest and the (nu, t) that the source, n, eps,
-    sigma and q_e give, so a file cannot widen the decap list."""
+    """Source and params, checked against each other: the params must be
+    the operating point that the source gives at their own n, eps, ell,
+    sigma and q_e (digest, nu and t included), so a file cannot widen
+    the decap list."""
     source = wire.load_source(args.source)
     params = wire.load_params(args.params)
-    if params.source_digest != source_digest(source):
-        raise FormatError("params were derived for a different source")
-    h_xy = params.n * avg_cond_min_entropy(source, 0, (1,))
-    nu, t, _ = derive_lengths(h_xy, 0.0, params.eps, params.sigma, params.q_e)
-    if (params.nu, params.t) != (nu, t):
-        raise FormatError(
-            f"params give nu={params.nu}, t={params.t}; the source gives nu={nu}, t={t}"
-        )
+    derived = reliability_params(source, params.n, params.eps, params.ell, params.sigma, params.q_e)
+    if params != derived:
+        raise FormatError(f"params do not match their source: the file gives {params}, "
+                          f"the source gives {derived}")
     return source, params
 
 
-def _bump_uses(args, params) -> None:
-    """Count one more encapsulation of the sender sample; warn past the
-    budget.
+def _write(outputs: dict) -> int:
+    for path, blob in outputs.items():
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    print("wrote " + " and ".join(outputs))
+    return EXIT_OK
 
-    Runs before the ciphertext is written, so a failed write still
-    counts as a use.  The new document goes to a temp file in the
-    sample's directory and replaces the sample atomically.
-    """
-    doc = wire._read_json(args.sample, "sample")
-    uses = wire._json_number(doc.get("uses", 0), int, "uses")
-    if uses < 0:
-        raise FormatError(f"uses must be >= 0, got {uses}")
-    doc["uses"] = uses + 1
-    mode = os.stat(args.sample).st_mode & 0o7777
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.sample)), suffix=".tmp")
+
+def _send(args, seal) -> int:
+    """The sender side of encap and encrypt.  `seal(params, source,
+    x_vec, rng)` returns the {path: bytes} outputs; the use is counted
+    (warning past the q_e budget or the secrecy bound) before any is
+    written, so a failed write still counts."""
+    source, params = _load_session(args)
+    x_vec = wire.load_sample(args.sample, params, source, "alice")
+    outputs = seal(params, source, x_vec, np.random.default_rng(_seed_of(args)))
+    uses = wire.count_use(args.sample)
+    if uses > params.q_e + 1:
+        print(f"warning: sample used {uses} times, beyond the q_e={params.q_e} budget",
+              file=sys.stderr)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.chmod(tmp, mode)
-        os.replace(tmp, args.sample)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    if doc["uses"] > params.q_e + 1:
-        print(
-            f"warning: sample used {doc['uses']} times, beyond the q_e={params.q_e} budget",
-            file=sys.stderr,
-        )
+        derive_params(source, params.n, params.eps, params.sigma, params.q_e, ell_target=params.ell)
+    except InfeasibleKeyLength as exc:
+        print(f"warning: ell={params.ell} is past the secrecy bound: {exc}", file=sys.stderr)
+    return _write(outputs)
+
+
+def _receive(args, path, decode, unseal, encode) -> int:
+    """The receiver side of decap and decrypt: the block at `path`
+    through `decode`, `unseal` and `encode` to args.out, or BOTTOM."""
+    source, params = _load_session(args)
+    y_vec = wire.load_sample(args.sample, params, source, "bob")
+    with open(path, "rb") as fh:
+        ctxt = decode(params, source, fh.read())
+    opened = unseal(params, source, y_vec, ctxt)
+    if opened is BOTTOM:
+        print("BOTTOM")
+        return EXIT_BOTTOM
+    return _write({args.out: encode(opened)})
 
 
 def cmd_plan(args) -> int:
@@ -198,81 +198,48 @@ def cmd_gen(args) -> int:
 
 
 def cmd_encap(args) -> int:
-    source, params = _load_session(args)
-    x_vec = wire.load_sample(args.sample, params, source, "alice")
-    rng = np.random.default_rng(_seed_of(args))
-    ctxt, key = encap(params, source, x_vec, rng)
-    _bump_uses(args, params)
-    with open(f"{args.out}.ctxt", "wb") as fh:
-        fh.write(wire.kem_ciphertext_to_bytes(params, source, ctxt))
-    with open(f"{args.out}.key", "wb") as fh:
-        fh.write(wire.key_to_bytes(key))
-    print(f"wrote {args.out}.ctxt and {args.out}.key")
-    return EXIT_OK
+    def seal(params, source, x_vec, rng):
+        ctxt, key = encap(params, source, x_vec, rng)
+        return {f"{args.out}.ctxt": wire.kem_ciphertext_to_bytes(params, source, ctxt),
+                f"{args.out}.key": wire.key_to_bytes(key)}
 
-
-def cmd_decap(args) -> int:
-    source, params = _load_session(args)
-    y_vec = wire.load_sample(args.sample, params, source, "bob")
-    with open(args.ctxt, "rb") as fh:
-        ctxt = wire.kem_ciphertext_from_bytes(params, source, fh.read())
-    key = decap(params, source, y_vec, ctxt)
-    if key is BOTTOM:
-        print("BOTTOM")
-        return EXIT_BOTTOM
-    with open(args.out, "wb") as fh:
-        fh.write(wire.key_to_bytes(key))
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return _send(args, seal)
 
 
 def cmd_encrypt(args) -> int:
-    source, params = _load_session(args)
-    x_vec = wire.load_sample(args.sample, params, source, "alice")
-    with open(args.infile, "rb") as fh:
-        message = fh.read()
-    scheme = SCHEME_OTP if args.scheme == "otp" else SCHEME_STREAM
-    rng = np.random.default_rng(_seed_of(args))
-    ctxt = he_encrypt(params, source, x_vec, message, rng, scheme)
-    _bump_uses(args, params)
-    with open(args.out, "wb") as fh:
-        fh.write(wire.hybrid_to_bytes(params, source, ctxt))
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    def seal(params, source, x_vec, rng):
+        with open(args.infile, "rb") as fh:
+            message = fh.read()
+        scheme = SCHEME_OTP if args.scheme == "otp" else SCHEME_STREAM
+        ctxt = he_encrypt(params, source, x_vec, message, rng, scheme)
+        return {args.out: wire.hybrid_to_bytes(params, source, ctxt)}
+
+    return _send(args, seal)
+
+
+def cmd_decap(args) -> int:
+    return _receive(args, args.ctxt, wire.kem_ciphertext_from_bytes, decap, wire.key_to_bytes)
 
 
 def cmd_decrypt(args) -> int:
-    source, params = _load_session(args)
-    y_vec = wire.load_sample(args.sample, params, source, "bob")
-    with open(args.infile, "rb") as fh:
-        ctxt = wire.hybrid_from_bytes(params, source, fh.read())
-    message = he_decrypt(params, source, y_vec, ctxt)
-    if message is BOTTOM:
-        print("BOTTOM")
-        return EXIT_BOTTOM
-    with open(args.out, "wb") as fh:
-        fh.write(message)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return _receive(args, args.infile, wire.hybrid_from_bytes, he_decrypt, bytes)
+
+
+_CHECKS = {
+    "correctness": lambda source, params, args: harness.correctness_mc(
+        source, params, args.trials, _seed_of(args)),
+    "ot-bound": lambda source, params, args: harness.ot_bound_check(source, params),
+    "cea-bound": lambda source, params, args: harness.cea_bound_check(source, params),
+    "he-game": lambda source, params, args: harness.run_he_game(
+        source, params, harness.BestGuessOtpHeAdversary(source, params), params.q_e,
+        args.trials, _seed_of(args), SCHEME_OTP),
+    "composability": lambda source, params, args: harness.composability_check(source, params),
+}
 
 
 def cmd_verify(args) -> int:
     source, params = _load_session(args)
-    seed = _seed_of(args)
-    if args.mode == "correctness":
-        report = harness.correctness_mc(source, params, args.trials, seed)
-    elif args.mode == "ot-bound":
-        report = harness.ot_bound_check(source, params)
-    elif args.mode == "cea-bound":
-        report = harness.cea_bound_check(source, params)
-    elif args.mode == "composability":
-        report = harness.composability_check(source, params)
-    else:  # he-game: refuse before building the |X|^n posterior
-        harness.check_he_work(source, params, args.trials)
-        adversary = harness.BestGuessOtpHeAdversary(source, params)
-        report = harness.run_he_game(
-            source, params, adversary, params.q_e, args.trials, seed, SCHEME_OTP
-        )
+    report = _CHECKS[args.mode](source, params, args)
     doc = harness.report_json(report)
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:

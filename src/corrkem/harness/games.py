@@ -144,16 +144,19 @@ class _PosteriorMixin:
     def __init__(self, source: JointSource, params: IkemParams):
         self.source = source
         self.params = params
-        if source.alphabet_sizes[0] ** params.n > _POSTERIOR_LIMIT:
-            raise RegimeTooLarge("posterior enumeration needs |X|^n <= 2^20")
         self.w = hash_width(source, params)
-        if self.w > 62:
-            raise RegimeTooLarge(f"posterior hashing needs a hash width <= 62, got {self.w}")
         self.pxz1 = source.pmf.sum(axis=1)
 
     def prior_given_z(self, z_vec) -> np.ndarray:
         """P(x, z_vec) for every flat sample x, multiplied first symbol
-        first: ((p0 * p1) * p2) ..."""
+        first: ((p0 * p1) * p2) ...
+
+        Each trial's first posterior step, so it refuses the regime, after
+        the games' own work check and before any |X|^n array exists."""
+        if self.source.alphabet_sizes[0] ** self.params.n > _POSTERIOR_LIMIT:
+            raise RegimeTooLarge("posterior enumeration needs |X|^n <= 2^20")
+        if self.w > 62:
+            raise RegimeTooLarge(f"posterior hashing needs a hash width <= 62, got {self.w}")
         return reduce(np.multiply.outer, self.pxz1[:, np.asarray(z_vec)].T).ravel()
 
     def hash_all(self, seed, out_bits: int) -> np.ndarray:

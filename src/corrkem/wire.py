@@ -17,25 +17,28 @@ whole number of bytes with zero-padded high bits.
   length | body.
 * hybrid ciphertext: magic ``IHE1`` | kem block | dem block.
 * sample file (JSON): one party's private vector bound to the session
-  digest.
+  digest; a sender sample also carries its ``uses`` counter.
 """
 
 import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 
 from .dem import SCHEME_OTP, SCHEME_STREAM, DemCiphertext
 from .errors import FormatError
 from .hybrid import HybridCiphertext
-from .ikem import IkemCiphertext, IkemKey, IkemParams, hash_width, params_digest
+from .ikem import IkemCiphertext, IkemKey, IkemParams, key_spec, params_digest, tag_spec
 from .source import JointSource, SampleTriple, make_table_source, satellite_source
-from .uhf import UhfSpec, seed_from_bytes, seed_to_bytes
+from .uhf import seed_from_bytes, seed_to_bytes
 
 KEM_MAGIC = b"IKM1"
 HYBRID_MAGIC = b"IHE1"
 _SCHEME_BYTE = {SCHEME_OTP: 0x01, SCHEME_STREAM: 0x02}
 _SCHEME_NAME = {v: k for k, v in _SCHEME_BYTE.items()}
+_ROLES = ("alice", "bob", "eve")
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +121,14 @@ def load_params(path) -> IkemParams:
     return params_from_json(_read_json(path, "params"))
 
 
+def _dump_json(doc, fh) -> None:
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def save_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def sample_to_json(role: str, params: IkemParams, symbols) -> dict:
-    return {
-        "role": role,
-        "digest": params_digest(params).hex(),
-        "n": int(len(symbols)),
-        "symbols": [int(s) for s in symbols],
-    }
+        _dump_json(doc, fh)
 
 
 def load_sample(path, params: IkemParams, source: JointSource, role: str) -> np.ndarray:
@@ -138,7 +136,7 @@ def load_sample(path, params: IkemParams, source: JointSource, role: str) -> np.
     of that role listing exactly n JSON integers, each in the role's
     alphabet of `source`."""
     doc = _read_json(path, "sample")
-    size = source.alphabet_sizes[("alice", "bob", "eve").index(role)]
+    size = source.alphabet_sizes[_ROLES.index(role)]
     try:
         digest, symbols = doc["digest"], doc["symbols"]
         if doc["role"] != role:
@@ -158,11 +156,39 @@ def load_sample(path, params: IkemParams, source: JointSource, role: str) -> np.
 
 
 def triple_to_sample_docs(params: IkemParams, triple: SampleTriple) -> dict:
+    digest = params_digest(params).hex()
     return {
-        "alice": sample_to_json("alice", params, triple.x),
-        "bob": sample_to_json("bob", params, triple.y),
-        "eve": sample_to_json("eve", params, triple.z),
+        role: {"role": role, "digest": digest, "n": int(len(v)), "symbols": [int(s) for s in v]}
+        for role, v in zip(_ROLES, (triple.x, triple.y, triple.z))
     }
+
+
+def count_use(path) -> int:
+    """Count one more use of the sample file at `path`; the new count.
+
+    The counter must be a non-negative JSON integer (absent reads 0);
+    otherwise FormatError leaves the file untouched.  The updated
+    document goes to a temp file in the sample's directory that keeps
+    the sample's mode bits and atomically replaces it.
+    """
+    doc = _read_json(path, "sample")
+    if not isinstance(doc, dict):
+        raise FormatError("sample document must be a JSON object")
+    uses = _json_number(doc.get("uses", 0), int, "uses")
+    if uses < 0:
+        raise FormatError(f"uses must be >= 0, got {uses}")
+    doc["uses"] = uses + 1
+    mode = os.stat(path).st_mode & 0o7777
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            _dump_json(doc, fh)
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return doc["uses"]
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +198,19 @@ def triple_to_sample_docs(params: IkemParams, triple: SampleTriple) -> dict:
 def kem_ciphertext_to_bytes(params: IkemParams, source: JointSource, ctxt: IkemCiphertext) -> bytes:
     if params.t >= 1 << 16:
         raise FormatError("wire format carries t as u16; tag too wide")
-    w = hash_width(source, params)
-    tag_bytes = (params.t + 7) // 8
     out = bytearray()
     out += KEM_MAGIC
     out += params_digest(params)
     out += params.t.to_bytes(2, "big")
-    out += ctxt.g.to_bytes(tag_bytes, "big")
-    out += seed_to_bytes(UhfSpec(w, params.ell), ctxt.s_prime)
-    out += seed_to_bytes(UhfSpec(w, params.t), ctxt.s)
+    out += ctxt.g.to_bytes((params.t + 7) // 8, "big")
+    out += seed_to_bytes(key_spec(source, params), ctxt.s_prime)
+    out += seed_to_bytes(tag_spec(source, params), ctxt.s)
     return bytes(out)
 
 
 def kem_block_size(params: IkemParams, source: JointSource) -> int:
-    w = hash_width(source, params)
-    return 4 + 8 + 2 + (params.t + 7) // 8 + 4 * ((w + 7) // 8)
+    seeds = key_spec(source, params).seed_bytes + tag_spec(source, params).seed_bytes
+    return 4 + 8 + 2 + (params.t + 7) // 8 + 2 * seeds
 
 
 def kem_ciphertext_from_bytes(params: IkemParams, source: JointSource, raw: bytes) -> IkemCiphertext:
@@ -200,17 +224,14 @@ def kem_ciphertext_from_bytes(params: IkemParams, source: JointSource, raw: byte
     t = int.from_bytes(raw[12:14], "big")
     if t != params.t:
         raise FormatError(f"ciphertext t={t} != params t={params.t}")
-    w = hash_width(source, params)
-    tag_bytes = (t + 7) // 8
-    seed_len = 2 * ((w + 7) // 8)
-    pos = 14
-    g = int.from_bytes(raw[pos : pos + tag_bytes], "big")
+    seeds = 14 + (t + 7) // 8
+    g = int.from_bytes(raw[14:seeds], "big")
     if g >= 1 << t:
         raise FormatError("tag wider than t bits")
-    pos += tag_bytes
-    s_prime = seed_from_bytes(UhfSpec(w, params.ell), raw[pos : pos + seed_len])
-    pos += seed_len
-    s = seed_from_bytes(UhfSpec(w, params.t), raw[pos : pos + seed_len])
+    kspec = key_spec(source, params)
+    split = seeds + 2 * kspec.seed_bytes
+    s_prime = seed_from_bytes(kspec, raw[seeds:split])
+    s = seed_from_bytes(tag_spec(source, params), raw[split:])
     return IkemCiphertext(g, s_prime, s)
 
 

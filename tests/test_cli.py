@@ -492,12 +492,76 @@ def test_use_counter_must_be_a_non_negative_integer(tmp_path, det_source_file):
     assert main(["gen", *session, "--out", prefix, "--seed", "1"]) == 0
     sample = tmp_path / "run.alice.json"
     honest = json.loads(sample.read_text())
-    for uses in ("abc", None, -1, 1.5, True, [1]):
-        wire.save_json(sample, dict(honest, uses=uses))
-        assert main(["encap", *session, "--sample", str(sample), "--out", prefix,
-                     "--seed", "2"]) == 1, uses
-        assert json.loads(sample.read_text())["uses"] == uses
-        assert not (tmp_path / "run.ctxt").exists()
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"")
+    # both sender commands, each with the outputs it would write
+    for command, rest, outputs in (
+        ("encap", ["--out", prefix], ("run.ctxt", "run.key")),
+        ("encrypt", ["--in", str(msg), "--out", str(tmp_path / "ct.bin")], ("ct.bin",)),
+    ):
+        for uses in ("abc", None, -1, 1.5, True, [1]):
+            wire.save_json(sample, dict(honest, uses=uses))
+            assert main([command, *session, "--sample", str(sample), *rest,
+                         "--seed", "2"]) == 1, (command, uses)
+            assert json.loads(sample.read_text())["uses"] == uses
+            assert not any((tmp_path / name).exists() for name in outputs)
+
+
+def test_params_planned_for_another_source_exit_1(tmp_path, det_source_file, sat_source_file,
+                                                  capsys):
+    # a sender sample and a params file from different sources: every
+    # command refuses the pair before it counts a use or writes an output
+    _, params_path = _plan(tmp_path, det_source_file, 8, 0.5, 0.25)
+    prefix = str(tmp_path / "run")
+    assert main(["gen", "--source", det_source_file, "--params", params_path,
+                 "--out", prefix, "--seed", "1"]) == 0
+    sample = tmp_path / "run.alice.json"
+    before = sample.read_text()
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"")
+    session = ["--source", sat_source_file, "--params", params_path]
+    out = str(tmp_path / "out")
+    for argv in (
+        ["gen", *session, "--out", out],
+        ["encap", *session, "--sample", str(sample), "--out", out],
+        ["encrypt", *session, "--sample", str(sample), "--in", str(msg), "--out", out],
+        ["verify", *session, "--mode", "correctness", "--trials", "10", "--out", out],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        # the message shows both operating points, each with its digest
+        assert err.count("source_digest=") == 2, err
+        assert sample.read_text() == before
+        assert not list(tmp_path.glob("out*"))
+
+
+def test_encap_warns_when_ell_is_past_the_secrecy_bound(tmp_path, det_source_file, capsys):
+    # the README demo source at n = 4 plans t = ell = 1; a params file
+    # edited to ell = 100 is a legitimate reliability-only session, so
+    # encap and encrypt exit 0, but they say that the key is not secret
+    _, params_path = _plan(tmp_path, det_source_file, 4, 0.5, 0.25)
+    prefix = str(tmp_path / "run")
+    session = ["--source", det_source_file, "--params", params_path]
+    gen = ["gen", *session, "--out", prefix, "--seed", "1"]
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"x")
+    encap = ["encap", *session, "--sample", f"{prefix}.alice.json", "--out", prefix]
+    encrypt = ["encrypt", *session, "--sample", f"{prefix}.alice.json", "--in", str(msg),
+               "--out", str(tmp_path / "ct.bin")]
+    assert main(gen) == 0
+    capsys.readouterr()
+    assert main(encap) == 0
+    assert "secrecy bound" not in capsys.readouterr().err  # the planned session
+    doc = json.loads(Path(params_path).read_text())
+    wire.save_json(params_path, dict(doc, ell=100))
+    assert main(gen) == 0  # the sample binds the session digest, ell included
+    for argv in (encap, encrypt):
+        capsys.readouterr()
+        assert main(argv) == 0, argv[0]
+        err = capsys.readouterr().err
+        assert "warning: ell=100 is past the secrecy bound: requested 100 bits" in err, err
+    assert wire.key_from_bytes((tmp_path / "run.key").read_bytes()).length == 100
 
 
 def test_sample_role_and_symbols_checked_before_any_effect(tmp_path, capsys):

@@ -3,8 +3,9 @@
 Run:  python3 benchmarks/bench_kernels.py
 Times are the best of three calls after one warm-up.  The mul_vector
 row is the posterior games' bulk product a * code over all |X|^n codes
-at the he-micro shape (w = 12, n = 3, |X| = 16).  The decap rows
-decapsulate one encapsulation on satellite_source(0.05, 0.05, 0.3)
+at the he-micro shape (w = 12, n = 3, |X| = 16).  The reduction_low
+row is the uncached field search at the README demo width.  The decap
+rows decapsulate one encapsulation on satellite_source(0.05, 0.05, 0.3)
 with reliability_params(eps=0.25).
 """
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from corrkem import decap, encap, reliability_params, sample_n, satellite_source
 from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table
-from corrkem.gf2 import mul_vector
+from corrkem.gf2 import mul_vector, reduction_low
 
 
 def _bench(fn, *args, repeat=3):
@@ -62,6 +63,7 @@ def main():
     cases["compose_sd w=4"] = (compose_sd, (prod4 >> 3, prod4 >> 3, xcol, ycol, zcol, ptr, cand, 1, 1, 2))
 
     cases["mul_vector w=12 n=3"] = (mul_vector, (int(rng.integers(1, 1 << 12)), 3, 16, 12))
+    cases["reduction_low w=280"] = (reduction_low.__wrapped__, (280,))
 
     src = satellite_source(0.05, 0.05, 0.3)
     for n in (16, 24, 32):

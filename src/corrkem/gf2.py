@@ -19,25 +19,15 @@ The rule yields the conventional minimal-weight polynomials, e.g.
     w = 8   x^8 + x^4 + x^3 + x + 1     (low = 0b11011)
     w = 64  x^64 + x^4 + x^3 + x + 1    (low = 0b11011)
 
-Widths 1..64 are frozen in ``_LOW_TABLE``; larger widths are searched on
-demand (and cached), so arbitrarily long inputs can be hashed.
+Every width w >= 2 is searched by this rule on first use, each candidate
+decided by Ben-Or's irreducibility test, and cached; sessions bound the
+width at ``corrkem.ikem.MAX_HASH_WIDTH`` = 512 bits, where the search
+stays under a second.
 """
 
 from functools import lru_cache, reduce
 
 import numpy as np
-
-# low(w) for w = 1..64, precomputed with the rule above.
-_LOW_TABLE = {
-    1: 1, 2: 3, 3: 3, 4: 3, 5: 5, 6: 3, 7: 3, 8: 27,
-    9: 3, 10: 9, 11: 5, 12: 9, 13: 27, 14: 33, 15: 3, 16: 43,
-    17: 9, 18: 9, 19: 39, 20: 9, 21: 5, 22: 3, 23: 33, 24: 27,
-    25: 9, 26: 27, 27: 39, 28: 3, 29: 5, 30: 3, 31: 9, 32: 141,
-    33: 75, 34: 27, 35: 5, 36: 53, 37: 63, 38: 99, 39: 17, 40: 57,
-    41: 9, 42: 39, 43: 89, 44: 33, 45: 27, 46: 3, 47: 33, 48: 45,
-    49: 113, 50: 29, 51: 75, 52: 9, 53: 71, 54: 125, 55: 71, 56: 149,
-    57: 17, 58: 99, 59: 123, 60: 3, 61: 39, 62: 105, 63: 3, 64: 27,
-}
 
 
 def mul(a: int, b: int, w: int) -> int:
@@ -107,9 +97,8 @@ def reduction_low(w: int) -> int:
     """Low terms of the degree-w reduction polynomial (x^w excluded)."""
     if w < 1:
         raise ValueError("field width must be >= 1")
-    got = _LOW_TABLE.get(w)
-    if got is not None:
-        return got
+    if w == 1:
+        return 1
     mask = 3
     while True:
         # odd mask: x does not divide f; even popcount: (x+1) does not.
@@ -118,34 +107,13 @@ def reduction_low(w: int) -> int:
         mask += 2
 
 
-@lru_cache(maxsize=16)
-def _spread_masks(w: int):
-    """Mask cascade spreading a w-bit value to alternating positions."""
-    w2 = 1
-    while w2 < w:
-        w2 *= 2
-    out = []
-    shift = w2 // 2
-    while shift >= 1:
-        block = (1 << shift) - 1
-        mask = 0
-        pos = 0
-        while pos < 2 * w2:
-            mask |= block << pos
-            pos += 2 * shift
-        out.append((shift, mask))
-        shift //= 2
-    return tuple(out)
-
-
 def _sqr_mod(r: int, w: int, low: int) -> int:
     """Square a polynomial mod x^w + low.
 
-    Squaring over GF(2) just interleaves zero bits; reduction exploits
-    that low has very few terms.
+    Squaring over GF(2) interleaves zero bits: the binary digits of r
+    read in base 4.  Reduction exploits that low has very few terms.
     """
-    for shift, mask in _spread_masks(w):
-        r = (r | (r << shift)) & mask
+    r = int(format(r, "b"), 4)
     wmask = (1 << w) - 1
     while r >> w:
         hi = r >> w
@@ -166,35 +134,17 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible(w: int, low: int) -> bool:
-    """Rabin irreducibility test for f = x^w + low over GF(2).
+    """Ben-Or's irreducibility test for f = x^w + low over GF(2).
 
-    f is irreducible iff x^(2^w) = x (mod f) and, for every prime p
-    dividing w, gcd(x^(2^(w/p)) - x, f) = 1.  Early gcd checks at
-    i <= 4 cheaply reject candidates with small factors (an irreducible
-    f of degree w > 4 always passes them).
+    f is irreducible iff gcd(x^(2^i) - x, f) = 1 for every i <= w/2:
+    otherwise f has a factor of degree dividing some such i.  Small
+    factors, the common case, are found at small i.
     """
-    if w == 1:
-        return low == 1
     f_full = (1 << w) | low
-    checkpoints = {w // p for p in _prime_divisors(w)}
-    checkpoints |= {i for i in (1, 2, 3, 4) if i < w}
     r = 2  # the polynomial x
-    for i in range(1, w + 1):
+    for _ in range(w // 2):
         r = _sqr_mod(r, w, low)
-        if i in checkpoints and _poly_gcd(f_full, r ^ 2) != 1:
+        if _poly_gcd(f_full, r ^ 2) != 1:
             return False
-    return r == 2
+    return True

@@ -287,13 +287,6 @@ def run_ikem_game(
     return _mc_report(f"ikem(q_e={q_e})", trials, seed, bound, trial)
 
 
-def check_he_work(source: JointSource, params: IkemParams, trials: int) -> None:
-    """RegimeTooLarge when trials * |X|^n exceeds HE_WORK_LIMIT."""
-    nx = source.alphabet_sizes[0]
-    if trials * nx**params.n > HE_WORK_LIMIT:
-        raise RegimeTooLarge(f"{trials} trials over {nx}^{params.n} samples exceed {HE_WORK_LIMIT}")
-
-
 def run_he_game(
     source: JointSource,
     params: IkemParams,
@@ -308,7 +301,9 @@ def run_he_game(
 
     Refuses more than HE_WORK_LIMIT trials * |X|^n before the first trial.
     """
-    check_he_work(source, params, trials)
+    nx = source.alphabet_sizes[0]
+    if trials * nx**params.n > HE_WORK_LIMIT:
+        raise RegimeTooLarge(f"{trials} trials over {nx}^{params.n} samples exceed {HE_WORK_LIMIT}")
 
     def trial(rng) -> bool:
         triple = sample_with_rng(source, params.n, rng)

@@ -62,6 +62,11 @@ _PRUNE_SLACK = 1e-9
 # stops here instead of materialising up to |X|^n rows.
 MAX_CANDIDATES = 1 << 18
 
+# Widest hash input a session may have: GF(2^w) fields are searched on
+# first use, and the search grows without bound in w; up to 512 bits
+# the slowest width takes under a second.
+MAX_HASH_WIDTH = 512
+
 
 class _BottomType:
     """Protocol-level decapsulation failure (unique sentinel)."""
@@ -188,7 +193,8 @@ def derive_params(
     ell is the largest length the applicable bound allows, or
     ell_target if that is smaller (a shorter key only improves the
     distance to uniform).  Raises InfeasibleKeyLength when the bound
-    falls below 1 bit, or below ell_target.
+    falls below 1 bit, or below ell_target, and RegimeTooLarge when the
+    hash width passes MAX_HASH_WIDTH.
     """
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
@@ -204,7 +210,9 @@ def derive_params(
         if ell_target > ell:
             raise InfeasibleKeyLength(f"requested {ell_target} bits, bound allows {ell}")
         ell = ell_target
-    return IkemParams(n, t, ell, nu, eps, sigma, q_e, source_digest(source))
+    params = IkemParams(n, t, ell, nu, eps, sigma, q_e, source_digest(source))
+    hash_width(source, params)
+    return params
 
 
 def reliability_params(
@@ -220,23 +228,30 @@ def reliability_params(
 
     The failure probability of decapsulation does not depend on ell,
     so this is the honest way to exercise reliability on sources whose
-    secrecy bound is infeasible.  The secrecy bound is NOT asserted.
+    secrecy bound is infeasible.  The secrecy bound is NOT asserted;
+    the hash width bound is (RegimeTooLarge past MAX_HASH_WIDTH).
     """
     if n < 1 or ell < 1:
         raise DimensionMismatch("n and ell must be >= 1")
     h_xy = n * avg_cond_min_entropy(source, 0, (1,))
     nu, t, _ = derive_lengths(h_xy, 0.0, eps, sigma, q_e)
-    return IkemParams(n, t, ell, nu, eps, sigma, q_e, source_digest(source))
+    params = IkemParams(n, t, ell, nu, eps, sigma, q_e, source_digest(source))
+    hash_width(source, params)
+    return params
 
 
 def hash_width(source: JointSource, params: IkemParams) -> int:
     """Input width of both hash families for this session.
 
     The encoded sample occupies n*ceil(log2(|X|)) bits; the width is
-    padded up to max(t, ell) so truncation stays well-defined.
+    padded up to max(t, ell) so truncation stays well-defined.  A width
+    past MAX_HASH_WIDTH raises RegimeTooLarge.
     """
     enc = params.n * symbol_bits(source.alphabet_sizes[0])
-    return max(1, enc, params.t, params.ell)
+    w = max(1, enc, params.t, params.ell)
+    if w > MAX_HASH_WIDTH:
+        raise RegimeTooLarge(f"hash width {w} exceeds {MAX_HASH_WIDTH} bits")
+    return w
 
 
 def tag_spec(source: JointSource, params: IkemParams) -> UhfSpec:

@@ -16,6 +16,7 @@ from corrkem.cli import main
 
 from conftest import deterministic_pair_source
 from corrkem import make_table_source, reliability_params, wire
+from corrkem.ikem import params_digest
 
 
 @pytest.fixture
@@ -86,6 +87,20 @@ def test_plan_oversized_source_exit_4(tmp_path):
     wire.save_json(path, {"type": "table", "alphabets": [100000, 100000, 100000], "pmf": []})
     code, _ = _plan(tmp_path, str(path), 8, 0.5, 0.25)
     assert code == 4
+
+
+def test_plan_past_the_hash_width_bound_exits_4(tmp_path, det_source_file, capsys):
+    # the README demo source gives a hash width of n bits: 512 plans, and
+    # n = 513 or 2000 is refused at once, before params.json is written
+    # (the field search alone would take seconds at 2000 bits)
+    assert _plan(tmp_path, det_source_file, 512, 0.5, 2.0**-8, ell=256)[0] == 0
+    for n in (513, 2000):
+        start = time.perf_counter()
+        code, out = _plan(tmp_path, det_source_file, n, 0.5, 2.0**-8, ell=256)
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert f"hash width {n} exceeds 512 bits" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_plan_overflow_exit_1(tmp_path, sat_source_file, capsys):
@@ -562,6 +577,34 @@ def test_encap_warns_when_ell_is_past_the_secrecy_bound(tmp_path, det_source_fil
         err = capsys.readouterr().err
         assert "warning: ell=100 is past the secrecy bound: requested 100 bits" in err, err
     assert wire.key_from_bytes((tmp_path / "run.key").read_bytes()).length == 100
+
+
+def test_session_past_the_hash_width_bound_exits_4(tmp_path, det_source_file, capsys):
+    # a params file whose ell was edited past the width bound, with a
+    # sample bound to it: encap and encrypt refuse the session before a
+    # use is counted or an output written
+    _, params_path = _plan(tmp_path, det_source_file, 4, 0.5, 0.25)
+    prefix = str(tmp_path / "run")
+    session = ["--source", det_source_file, "--params", params_path]
+    assert main(["gen", *session, "--out", prefix, "--seed", "1"]) == 0
+    doc = json.loads(Path(params_path).read_text())
+    wire.save_json(params_path, dict(doc, ell=600))
+    sample = tmp_path / "run.alice.json"
+    digest = params_digest(wire.load_params(params_path)).hex()
+    wire.save_json(sample, dict(json.loads(sample.read_text()), digest=digest))
+    before = sample.read_text()
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"x")
+    for argv in (
+        ["encap", *session, "--sample", str(sample), "--out", str(tmp_path / "out")],
+        ["encrypt", *session, "--sample", str(sample), "--in", str(msg),
+         "--out", str(tmp_path / "out.ihe")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 4, argv[0]
+        assert "hash width 600 exceeds 512 bits" in capsys.readouterr().err
+        assert sample.read_text() == before
+        assert not list(tmp_path.glob("out*"))
 
 
 def test_sample_role_and_symbols_checked_before_any_effect(tmp_path, capsys):

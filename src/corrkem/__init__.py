@@ -27,16 +27,13 @@ from .ikem import (
     source_digest,
 )
 from .source import (
-    Distribution,
     JointSource,
     SampleTriple,
     avg_cond_min_entropy,
     make_table_source,
-    min_entropy,
     product_source,
     sample_n,
     satellite_source,
-    statistical_distance,
     surprisal,
 )
 from .uhf import UhfSeed, UhfSpec, hash_value, pairwise_independence_census, sample_seed
@@ -47,7 +44,6 @@ __all__ = [
     "BACKEND",
     "BOTTOM",
     "DemCiphertext",
-    "Distribution",
     "HybridCiphertext",
     "IkemCiphertext",
     "IkemKey",
@@ -69,7 +65,6 @@ __all__ = [
     "he_decrypt",
     "he_encrypt",
     "make_table_source",
-    "min_entropy",
     "pairwise_independence_census",
     "product_source",
     "reliability_params",
@@ -77,6 +72,5 @@ __all__ = [
     "sample_seed",
     "satellite_source",
     "source_digest",
-    "statistical_distance",
     "surprisal",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success or passing report, 1 usage/format problems
-(numbers that overflow a float included), 2 infeasible operating
-point, 3 protocol failure (decapsulation or decryption returned
-bottom), 4 enumeration regime too large.
+(argument errors, a negative seed, floats that overflow), 2 infeasible
+operating point, 3 protocol failure (decapsulation or decryption
+returned bottom), 4 enumeration regime too large.
 
 Every subcommand is deterministic for a given ``--seed`` (default is
 the documented constant ``DEFAULT_SEED``); pass ``--random-seed`` to
@@ -46,6 +46,13 @@ EXIT_BOTTOM = 3
 EXIT_REGIME = 4
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, not {seed}")
+    return seed
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="corrkem", description=__doc__)
@@ -58,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         if sample:
             p.add_argument("--sample", required=True, help=f"{sample} sample JSON")
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
             p.add_argument("--random-seed", action="store_true", help="use OS entropy")
 
     plan = sub.add_parser("plan", help="derive an operating point")
@@ -261,7 +268,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on an argument error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
     except InfeasibleKeyLength as exc:

@@ -27,20 +27,12 @@ class ProbabilityOutOfRange(CorrkemError):
     """A channel flip probability lies outside its allowed range."""
 
 
-class EmptySupport(CorrkemError):
-    """A distribution has no support."""
-
-
 class InvalidCoordinate(CorrkemError):
     """A coordinate index is out of range or coordinates overlap."""
 
 
 class UndefinedConditional(CorrkemError):
     """Conditioning on a zero-probability symbol."""
-
-
-class SupportMismatch(CorrkemError):
-    """Two distributions do not share a support size."""
 
 
 class LengthMismatch(CorrkemError):

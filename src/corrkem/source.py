@@ -2,8 +2,9 @@
 
 A :class:`JointSource` is the public distribution P(x, y, z) from which
 a trusted sampler draws the correlated private inputs of the sender,
-the receiver, and the eavesdropper.  Everything downstream consumes
-either IID samples of it or the min-entropy quantities computed here.
+the receiver, and the eavesdropper: the library's only distribution
+type.  Everything downstream consumes IID samples of it or the
+min-entropy quantities computed here.
 
 All probabilities are 64-bit floats, all entropies are in bits (log
 base 2).  Tables that do not sum to 1 within 1e-12 are rejected, never
@@ -17,14 +18,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptySupport,
     InvalidCoordinate,
     LengthMismatch,
     NegativeProbability,
     NotNormalized,
     ProbabilityOutOfRange,
     RegimeTooLarge,
-    SupportMismatch,
     UndefinedConditional,
 )
 
@@ -32,31 +31,6 @@ NORM_TOL = 1e-12
 # Largest dense (x, y, z) table make_table_source or product_source
 # allocates: 32 MiB of float64.
 MAX_TABLE_CELLS = 1 << 22
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A probability vector over an abstract finite support."""
-
-    support_size: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.shape[0] != self.support_size:
-            raise DimensionMismatch("probs length does not match support_size")
-        if self.support_size < 1:
-            raise EmptySupport("distribution needs at least one outcome")
-        if np.any(probs < 0.0):
-            raise NegativeProbability("negative probability entry")
-        if not abs(probs.sum() - 1.0) <= NORM_TOL:  # also rejects NaN
-            raise NotNormalized(f"probabilities sum to {probs.sum()!r}")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-    @staticmethod
-    def uniform(size: int) -> "Distribution":
-        return Distribution(size, np.full(size, 1.0 / size))
 
 
 @dataclass(frozen=True)
@@ -83,10 +57,6 @@ class JointSource:
         pmf.setflags(write=False)
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "pmf", pmf)
-
-    def marginal(self, coord: int) -> Distribution:
-        axes = tuple(i for i in range(3) if i != _check_coord(coord))
-        return Distribution(self.alphabet_sizes[coord], self.pmf.sum(axis=axes))
 
     def conditional_xy(self) -> np.ndarray:
         """Matrix P(x | y); columns with P(y) = 0 hold NaN."""
@@ -178,17 +148,9 @@ def sample_with_rng(source: JointSource, n: int, rng: np.random.Generator) -> Sa
     return SampleTriple(n, x, y, z)
 
 
-def min_entropy(dist: Distribution) -> float:
-    """-log2 of the largest probability; never negative."""
-    top = float(dist.probs.max())
-    if top <= 0.0:
-        raise EmptySupport("distribution has no support")
-    return max(0.0, -float(np.log2(top)))
-
-
 def avg_cond_min_entropy(source: JointSource, target_coord: int, given_coords) -> float:
     """-log2 E_given max_target P(target | given), unlisted coordinates
-    marginalized out."""
+    marginalized out; ``given_coords=()`` is the target's own min-entropy."""
     target = _check_coord(target_coord)
     given = tuple(_check_coord(c) for c in given_coords)
     if target in given or len(set(given)) != len(given):
@@ -200,10 +162,8 @@ def avg_cond_min_entropy(source: JointSource, target_coord: int, given_coords) -
     kept = sorted(order)
     joint = np.moveaxis(joint, [kept.index(c) for c in order], range(len(order)))
     # E_given max_target P(target, given) = sum over given of columnwise max;
-    # mathematically <= 1, clamp the log against float overshoot
+    # in (0, 1] for a normalized pmf, clamp the log against float overshoot
     guess = joint.max(axis=0).sum()
-    if guess <= 0.0:
-        raise EmptySupport("source has no mass")
     return max(0.0, -float(np.log2(guess)))
 
 
@@ -236,13 +196,6 @@ def surprisal(source: JointSource, x_vec, y_vec) -> float:
             return float("inf")
         total += -np.log2(p)
     return float(total)
-
-
-def statistical_distance(p: Distribution, q: Distribution) -> float:
-    """Half the L1 distance; equals the best distinguisher's advantage."""
-    if p.support_size != q.support_size:
-        raise SupportMismatch(f"{p.support_size} != {q.support_size}")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
 def product_source(source: JointSource, n: int) -> JointSource:

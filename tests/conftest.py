@@ -10,7 +10,7 @@ published bounds.
 import numpy as np
 import pytest
 
-from corrkem import Distribution, JointSource, derive_params, make_table_source
+from corrkem import JointSource, derive_params, make_table_source
 from corrkem.harness.exact import _challenge_tables
 from corrkem.ikem import IkemParams
 
@@ -105,11 +105,11 @@ def dishonest(params: IkemParams, **overrides) -> IkemParams:
 
 def cea_transcript_distribution(source: JointSource, params: IkemParams, q_e: int):
     """Oracle for the transcript distance: the joint of (Z, C*, K*, V^(q_e))
-    built cell by cell, and its uniform-challenge-key reference, as a
-    pair of Distributions; q_e = 0 is the one-time challenge tuple.
+    built cell by cell, and its half-L1 distance from the reference with
+    a uniform challenge key; q_e = 0 is the one-time challenge tuple.
 
     Seeds appear through their multiplier only (the additive component
-    is exactly marginal).  Flattened index order: (z, a_tag*, g*,
+    is exactly marginal).  Axis order of the joint: (z, a_tag*, g*,
     a_key*, k*, then per query a_tag_j, g_j, a_key_j, k_j).
     """
     tag, key, pxz = _challenge_tables(source, params, q_e)
@@ -125,8 +125,9 @@ def cea_transcript_distribution(source: JointSource, params: IkemParams, q_e: in
         for z in np.flatnonzero(pxz[i] > 0.0):
             joint[tuple([z] + index)] += pxz[i, z]
     joint /= na ** (2 + 2 * q_e)
+    assert abs(joint.sum() - 1.0) <= 1e-12
     ref = np.broadcast_to(joint.sum(axis=4, keepdims=True) / (1 << params.ell), shape)
-    return Distribution(joint.size, joint.ravel()), Distribution(joint.size, ref.ravel())
+    return 0.5 * float(np.abs(joint - ref).sum())
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from corrkem import (
     pairwise_independence_census,
     reliability_params,
     satellite_source,
-    statistical_distance,
     surprisal,
 )
 from corrkem import wire
@@ -165,7 +164,7 @@ def test_criterion_06_cea_bound():
 
         params = IkemParams(n=n, t=1, ell=1, nu=1.0, eps=0.5, sigma=0.5,
                             q_e=0, source_digest="acc")
-        sd_joint = statistical_distance(*cea_transcript_distribution(src, params, 0))
+        sd_joint = cea_transcript_distribution(src, params, 0)
         sd_ot, _ = exact_challenge_sd(src, params)
         sd_cea, _ = cea_transcript_sd(src, params, 0)
         identical &= abs(sd_joint - sd_ot) <= 1e-12

@@ -380,6 +380,45 @@ def test_random_seed_opt_out(tmp_path, det_source_file):
     assert len(blobs) == 2  # OS entropy, distinct seeds
 
 
+def test_argument_errors_exit_1_and_help_exits_0(tmp_path, det_source_file, capsys):
+    # argparse alone exits 2, which is the code of an infeasible operating point
+    out = tmp_path / "params.json"
+    rest = ["--eps", "0.5", "--sigma", "0.25", "--out", str(out)]
+    for argv in (
+        ["plan", "--source", det_source_file, "--n", "abc", *rest],  # not an int
+        ["verify", "--source", det_source_file, "--params", str(out), "--mode", "nope"],
+        ["plan", "--n", "8", *rest],  # no --source
+        [],  # no command
+    ):
+        assert main(argv) == 1, argv
+        assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["plan", "--help"]) == 0
+    assert "--sigma" in capsys.readouterr().out
+
+
+def test_negative_seed_is_refused_before_any_effect(tmp_path, det_source_file, capsys):
+    _, params_path = _plan(tmp_path, det_source_file, 8, 0.5, 0.25)
+    session = ["--source", det_source_file, "--params", params_path]
+    assert main(["gen", *session, "--out", str(tmp_path / "run"), "--seed", "1"]) == 0
+    sample = tmp_path / "run.alice.json"
+    fresh = sample.read_bytes()
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"message")
+    neg, report = str(tmp_path / "neg"), str(tmp_path / "report.json")
+    for argv in (
+        ["gen", *session, "--out", neg],
+        ["encap", *session, "--sample", str(sample), "--out", neg],
+        ["encrypt", *session, "--sample", str(sample), "--in", str(msg), "--out", neg],
+        ["verify", *session, "--mode", "correctness", "--trials", "10", "--out", report],
+        ["verify", *session, "--mode", "he-game", "--trials", "10", "--out", report],
+    ):
+        assert main([*argv, "--seed", "-1"]) == 1, argv
+        assert "seed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("neg*")) and not list(tmp_path.glob("report*"))
+        assert sample.read_bytes() == fresh  # no use counted
+
+
 def test_encap_warns_past_budget(tmp_path, det_source_file, capsys):
     _, params_path = _plan(tmp_path, det_source_file, 32, 0.5, 0.25)
     prefix = str(tmp_path / "run")

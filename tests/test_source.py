@@ -1,27 +1,22 @@
-"""Sources, entropies, sampling, statistical distance."""
+"""Sources, entropies, sampling."""
 
 import numpy as np
 import pytest
 
 from corrkem import (
-    Distribution,
     avg_cond_min_entropy,
     make_table_source,
-    min_entropy,
     product_source,
     sample_n,
     satellite_source,
-    statistical_distance,
     surprisal,
 )
 from corrkem.errors import (
     CorrkemError,
-    EmptySupport,
     InvalidCoordinate,
     NotNormalized,
     ProbabilityOutOfRange,
     RegimeTooLarge,
-    SupportMismatch,
     UndefinedConditional,
 )
 from corrkem.source import JointSource
@@ -39,8 +34,6 @@ def test_make_table_source_rejects_bad_sum():
     # a NaN cell makes the sum NaN, which no tolerance comparison admits
     with pytest.raises(NotNormalized):
         make_table_source((2, 2, 1), {(0, 0, 0): 1.0, (1, 1, 0): float("nan")})
-    with pytest.raises(NotNormalized):
-        Distribution(2, np.array([1.0, np.nan]))
 
 
 def test_table_matches_satellite_construction():
@@ -107,20 +100,21 @@ def test_sample_n_marginals_within_5_sigma():
 
 
 def test_min_entropy_examples():
-    assert min_entropy(Distribution.uniform(4)) == pytest.approx(2.0)
-    assert min_entropy(Distribution(3, np.array([0.0, 1.0, 0.0]))) == pytest.approx(0.0)
-    assert min_entropy(Distribution(2, np.array([0.82, 0.18]))) == pytest.approx(
-        0.28630418515, abs=1e-9
-    )
-    with pytest.raises(EmptySupport):
-        Distribution(0, np.array([]))
+    # given = () is the min-entropy of the target coordinate alone
+    uniform = JointSource((4, 1, 1), np.full((4, 1, 1), 0.25))
+    assert avg_cond_min_entropy(uniform, 0, ()) == pytest.approx(2.0)
+    point = make_table_source((3, 2, 1), {(1, 0, 0): 0.5, (1, 1, 0): 0.5})
+    assert avg_cond_min_entropy(point, 0, ()) == pytest.approx(0.0)
+    assert avg_cond_min_entropy(point, 1, ()) == pytest.approx(1.0)
+    skewed = make_table_source((1, 1, 2), {(0, 0, 0): 0.82, (0, 0, 1): 0.18})
+    assert avg_cond_min_entropy(skewed, 2, ()) == pytest.approx(0.28630418515, abs=1e-9)
 
 
 def test_avg_cond_min_entropy_examples():
     # independent X, Y: conditioning changes nothing
     pmf = np.einsum("x,y->xy", [0.7, 0.3], [0.5, 0.5]).reshape(2, 2, 1)
     src = JointSource((2, 2, 1), pmf)
-    assert avg_cond_min_entropy(src, 0, (1,)) == pytest.approx(min_entropy(src.marginal(0)))
+    assert avg_cond_min_entropy(src, 0, (1,)) == pytest.approx(avg_cond_min_entropy(src, 0, ()))
 
     det = make_table_source((2, 2, 1), {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
     assert avg_cond_min_entropy(det, 0, (1,)) == pytest.approx(0.0)
@@ -143,7 +137,7 @@ def test_conditioning_never_increases_max(rng):
         for target in range(3):
             given = tuple(c for c in range(3) if c != target)
             h_cond = avg_cond_min_entropy(src, target, given)
-            h_marg = min_entropy(src.marginal(target))
+            h_marg = avg_cond_min_entropy(src, target, ())
             assert h_cond <= h_marg + 1e-12
 
 
@@ -201,30 +195,6 @@ def test_surprisal_undefined_conditional():
     src = make_table_source((2, 2, 1), {(0, 0, 0): 1.0})
     with pytest.raises(UndefinedConditional):
         surprisal(src, [0], [1])
-
-
-def test_statistical_distance_examples():
-    p = Distribution(2, np.array([0.5, 0.5]))
-    assert statistical_distance(p, p) == 0.0
-    a = Distribution(2, np.array([1.0, 0.0]))
-    b = Distribution(2, np.array([0.0, 1.0]))
-    assert statistical_distance(a, b) == 1.0
-    q = Distribution(2, np.array([0.75, 0.25]))
-    assert statistical_distance(p, q) == pytest.approx(0.25)
-    with pytest.raises(SupportMismatch):
-        statistical_distance(p, Distribution(3, np.array([1.0, 0.0, 0.0])))
-
-
-def test_statistical_distance_is_a_metric(rng):
-    for _ in range(50):
-        size = int(rng.integers(2, 7))
-        tri = [rng.random(size) for _ in range(3)]
-        p, q, r = (Distribution(size, v / v.sum()) for v in tri)
-        assert statistical_distance(p, q) == statistical_distance(q, p)
-        assert statistical_distance(p, r) <= (
-            statistical_distance(p, q) + statistical_distance(q, r) + 1e-12
-        )
-        assert 0.0 <= statistical_distance(p, q) <= 1.0
 
 
 def test_entropy_chain_rule_bound(rng):

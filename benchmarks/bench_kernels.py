@@ -66,7 +66,7 @@ def main():
     cases["reduction_low w=280"] = (reduction_low.__wrapped__, (280,))
 
     src = satellite_source(0.05, 0.05, 0.3)
-    for n in (16, 24, 32):
+    for n in (8, 12, 16, 24, 32):
         params = reliability_params(src, n=n, eps=0.25, ell=8)
         triple = sample_n(src, n, seed=n)
         ctxt, _ = encap(params, src, triple.x, np.random.default_rng(n))

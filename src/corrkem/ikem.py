@@ -62,6 +62,11 @@ _PRUNE_SLACK = 1e-9
 # stops here instead of materialising up to |X|^n rows.
 MAX_CANDIDATES = 1 << 18
 
+# Most cells one block of enumeration positions may expand before its
+# cut: enough to take a short half-list in a few numpy calls, small
+# enough that children a per-position cut would drop cost little.
+CHUNK_CELLS = 1 << 12
+
 # Widest hash input a session may have: GF(2^w) fields are searched on
 # first use, and the search grows without bound in w; up to 512 bits
 # the slowest width takes under a second.
@@ -287,36 +292,42 @@ def encap(
 
 
 def _cost_matrix(source: JointSource, y_vec) -> np.ndarray:
-    """cost[i, s] = -log2 P(x = s | y_i), +inf where P = 0; raises for a
-    receiver symbol outside the alphabet or of probability 0."""
+    """cost[i, s] = -log2 P(x = s | y_i), +inf where P = 0, gathered from
+    the source's cached table; raises for a receiver symbol outside the
+    alphabet or of probability 0."""
     y_vec = np.asarray(y_vec, dtype=np.int64)
     check_symbols(y_vec, source.alphabet_sizes[1])
-    undefined = source.pmf.sum(axis=(0, 2))[y_vec] <= 0.0
+    cost = source.surprisal_table[:, y_vec].T
+    undefined = np.isnan(cost[:, 0])
     if undefined.any():
         raise UndefinedConditional(f"P(y={y_vec[undefined.argmax()]}) = 0")
-    with np.errstate(divide="ignore"):
-        return -np.log2(source.conditional_xy()[:, y_vec].T)
+    return cost
 
 
 def enumerate_typical(source: JointSource, y_vec, nu: float):
     """Yield the candidate x-vectors with surprisal <= nu, each once,
     in lexicographic order.
 
-    Level-synchronous over symbol positions: the frontier holds every
-    surviving prefix (in lexicographic order) with its partial
-    surprisal.  A symbol that exceeds nu even after the cheapest
-    prefix and the cheapest suffix is dropped from its whole level; a
-    position left with one symbol extends every prefix without
-    branching; otherwise each prefix branches on the level's symbols
-    and a child is cut when its partial surprisal plus the cheapest
-    suffix exceeds nu.  Leaves check the full sum with the exact order
-    of additions used by :func:`corrkem.source.surprisal`, so the
-    output equals the brute-force filter exactly.
+    The frontier holds every surviving prefix (in lexicographic order)
+    with its partial surprisal.  A symbol that exceeds nu even after
+    the cheapest prefix and the cheapest suffix is dropped from its
+    whole position; a position left with one symbol adds its cost to
+    every prefix without branching.  The other positions are taken in
+    blocks: each prefix is extended by every combination of the
+    block's symbols at once (one chained outer sum, still added left
+    to right), and a child is cut at the block's end when its partial
+    surprisal plus the cheapest suffix exceeds nu.  A block grows while
+    its outer sum holds at most CHUNK_CELLS cells (never more than
+    MAX_CANDIDATES); a cut inside it would only have dropped children
+    earlier.  Leaves check the full sum with the exact order of
+    additions used by :func:`corrkem.source.surprisal`, so the output
+    equals the brute-force filter exactly, whatever the blocks.
 
-    The whole list is built before the first row is yielded.  A level
-    that would hold more than MAX_CANDIDATES prefixes raises
-    RegimeTooLarge; a receiver symbol outside the alphabet raises
-    LengthMismatch.
+    The whole list is built before the first row is yielded.  A block
+    whose first position extends the prefixes to more than
+    MAX_CANDIDATES children raises RegimeTooLarge (the same position at
+    which a block of one position would); a receiver symbol outside the
+    alphabet raises LengthMismatch.
     """
     if nu < 0:
         raise DimensionMismatch("nu must be >= 0")
@@ -336,36 +347,58 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
         return
     forced = feasible.argmax(axis=1)  # the only symbol where width == 1
     forced_cost = cost[np.arange(n), forced].tolist()
-    single = (width == 1).tolist()
+    width = width.tolist()
+    single = [w == 1 for w in width]
+    if single:
+        single[-1] = False  # the last position takes an axis: the final sums form an array
+    suffix = min_suffix.tolist()
+    cap = min(CHUNK_CELLS, MAX_CANDIDATES)
 
     part = 0.0  # a float until the first branch: same sums, no array op per forced position
-    branches = []  # (position, symbols, kept flat child indices)
-    for i in range(n):
-        last = i == n - 1
-        if single[i] and not last:
+    blocks = []  # (branching positions, shape of the block's outer sum, kept flat indices)
+    i = 0
+    while i < n:
+        if single[i]:
             part = part + forced_cost[i]
+            i += 1
             continue
         part = np.atleast_1d(part)
-        syms = np.flatnonzero(feasible[i])
-        if part.size * syms.size > MAX_CANDIDATES:
+        if part.size * width[i] > MAX_CANDIDATES:
             raise RegimeTooLarge(
                 f"candidate list exceeds {MAX_CANDIDATES} prefixes at position {i};"
                 " nu is too large for this source"
             )
-        child = (part[:, None] + cost[i, syms][None, :]).ravel()
-        bound = child if last else child + min_suffix[i + 1]
-        kept = np.flatnonzero(bound <= (nu if last else limit))
+        axes, shape, child = [], [part.size], part
+        while i < n and (not axes or single[i] or child.size * width[i] <= cap):
+            if single[i]:  # a Python float onto every child: no axis
+                child = child + forced_cost[i]
+            else:  # a new axis; where every symbol is feasible, its rank is the symbol
+                syms = None if width[i] == nx else feasible[i].nonzero()[0]
+                child = np.add.outer(child, cost[i] if syms is None else cost[i, syms])
+                axes.append((i, syms))
+                shape.append(width[i])
+            i += 1
+        child = child.ravel()
+        last = i == n
+        bound = child if last else child + suffix[i]
+        kept = (bound <= (nu if last else limit)).nonzero()[0]
         part = child[kept]
-        branches.append((i, syms, kept))
+        blocks.append((axes, shape, kept))
 
     rows = np.empty((np.size(part), n), dtype=np.int64)  # n = 0: one empty row
     rows[:] = forced  # right at the unbranched positions; the rest are overwritten
-    node = np.arange(len(rows))  # each leaf's prefix index at the current level
-    for i, syms, kept in reversed(branches):
-        flat = kept[node]
-        node = flat // syms.size
-        rank = flat - node * syms.size
-        rows[:, i] = rank if syms.size == nx else syms[rank]
+    node = np.arange(len(rows))  # each leaf's ancestor among the block's kept children
+    for axes, shape, kept in reversed(blocks):
+        # split the kept children (<= CHUNK_CELLS of them in a block of several
+        # axes) into prefix and symbols, then gather those for the leaves
+        if len(axes) == 1:  # np.unravel_index divides per element: slow on long levels
+            prefix = kept // shape[1]
+            ranks = [kept - prefix * shape[1]]
+        else:
+            prefix, *ranks = np.unravel_index(kept, shape)
+        for (i, syms), rank in zip(axes, ranks):
+            rows[:, i] = (rank if syms is None else syms[rank])[node]
+        node = prefix[node]
     yield from rows
 
 
@@ -383,7 +416,9 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     The positions split at h = n // 2.  Any x in T(y) has a left half
     within nu - min_R and a right half within nu - min_L, where min_L
     and min_R are each side's cheapest surprisal, so the two
-    half-lists cover T(y).  Pairs whose tags XOR to the ciphertext's
+    half-lists cover T(y).  Each is enumerated in blocks of positions,
+    a few numpy calls per block, with costs gathered from the source's
+    cached surprisal table.  Pairs whose tags XOR to the ciphertext's
     are joined on the first tag limb, and a pair is kept iff its
     surprisal, summed left to right as the list sums it, is <= nu: the
     matches are exactly the tag-consistent candidates of T(y).

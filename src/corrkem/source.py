@@ -13,6 +13,7 @@ renormalized.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,16 @@ class JointSource:
         py = pxy.sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             return pxy / py[None, :]
+
+    @cached_property
+    def surprisal_table(self) -> np.ndarray:
+        """Read-only table -log2 P(x | y) of shape (|X|, |Y|): +inf
+        where P(x | y) = 0, NaN columns where P(y) = 0.  Computed once
+        per source; decap and :func:`surprisal` read the same bits."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            table = -np.log2(self.conditional_xy())
+        table.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)
@@ -185,16 +196,15 @@ def surprisal(source: JointSource, x_vec, y_vec) -> float:
         raise DimensionMismatch("x_vec and y_vec must be equal-length vectors")
     check_symbols(x_vec, source.alphabet_sizes[0])
     check_symbols(y_vec, source.alphabet_sizes[1])
-    cond = source.conditional_xy()
-    py = source.pmf.sum(axis=(0, 2))
+    table = source.surprisal_table
     total = 0.0
-    for xi, yi in zip(x_vec, y_vec):
-        if py[yi] <= 0.0:
+    for xi, yi in zip(x_vec.tolist(), y_vec.tolist()):
+        cost = table[xi, yi]
+        if np.isnan(cost):
             raise UndefinedConditional(f"P(y={yi}) = 0")
-        p = cond[xi, yi]
-        if p <= 0.0:
+        if cost == np.inf:
             return float("inf")
-        total += -np.log2(p)
+        total += cost
     return float(total)
 
 

@@ -26,9 +26,17 @@ from corrkem import (
     surprisal,
 )
 from corrkem import gf2
-from corrkem.errors import DimensionMismatch, InfeasibleKeyLength, LengthMismatch, RegimeTooLarge
+from corrkem.errors import (
+    DimensionMismatch,
+    InfeasibleKeyLength,
+    LengthMismatch,
+    RegimeTooLarge,
+    UndefinedConditional,
+)
 from corrkem.ikem import (
+    CHUNK_CELLS,
     MAX_CANDIDATES,
+    _cost_matrix,
     IkemKey,
     IkemParams,
     encode_sample,
@@ -184,8 +192,10 @@ def _brute_list(src, y_vec, nu):
     ]
 
 
-def test_enumerate_typical_matches_brute_force(rng):
-    forced_seen = 0
+def _micro_cases(rng):
+    """Random micro sources (forced positions on odd trials), a receiver
+    vector of defined symbols, and nu at zero, random and past
+    saturation (every positive-probability vector)."""
     for trial in range(60):
         nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         n = int(rng.integers(1, 6))
@@ -194,14 +204,112 @@ def test_enumerate_typical_matches_brute_force(rng):
         y_vec = np.array([int(v) for v in rng.integers(0, ny, size=n)])
         if any(py[v] <= 0 for v in y_vec):
             continue
+        yield src, y_vec, (0.0, float(rng.random() * 3 * n), 1e6)
+
+
+def _listed(src, y_vec, nu):
+    return [tuple(v) for v in enumerate_typical(src, y_vec, nu)]
+
+
+def test_enumerate_typical_matches_brute_force(rng):
+    forced_seen = 0
+    for src, y_vec, nus in _micro_cases(rng):
         cond = src.conditional_xy()
         forced_seen += int(((cond[:, y_vec] > 0).sum(axis=0) == 1).sum())
-        # zero, random, and past saturation (every positive-probability vector)
-        for nu in (0.0, float(rng.random() * 3 * n), 1e6):
-            fast = [tuple(v) for v in enumerate_typical(src, y_vec, nu)]
+        for nu in nus:
+            fast = _listed(src, y_vec, nu)
             assert fast == _brute_list(src, y_vec, nu)  # same set, same order
             assert len(fast) <= 2.0 ** min(nu, 64) + 1e-9  # mass bound on the list size
     assert forced_seen > 20
+
+
+def test_blocks_change_no_list(rng, monkeypatch):
+    # one position per block (CHUNK_CELLS = 1) is the position-by-position
+    # walk; the default blocks must give the same list, in the same order
+    for src, y_vec, nus in _micro_cases(rng):
+        for nu in nus:
+            blocks = _listed(src, y_vec, nu)
+            with monkeypatch.context() as m:
+                m.setattr("corrkem.ikem.CHUNK_CELLS", 1)
+                assert _listed(src, y_vec, nu) == blocks
+
+
+def test_long_vector_with_forced_positions_matches_product_oracle(monkeypatch):
+    # y = 0 forces x = 0, y = 1 forces x = 2, y = 2 is noisy over {0, 1}:
+    # at n = 80 the 12 noisy positions sit among 68 forced ones, and a
+    # block spans forced positions without giving them an array axis
+    # (numpy arrays have at most 64)
+    src = make_table_source(
+        (3, 3, 1), {(0, 0, 0): 0.3, (2, 1, 0): 0.3, (0, 2, 0): 0.25, (1, 2, 0): 0.15}
+    )
+    rng = np.random.default_rng(80)
+    y_vec = rng.integers(0, 2, size=80)
+    y_vec[rng.choice(80, size=12, replace=False)] = 2
+    support = [np.flatnonzero(src.conditional_xy()[:, v] > 0) for v in y_vec]
+    every = {x: surprisal(src, np.array(x), y_vec) for x in product(*support)}
+    assert len(every) == 1 << 12
+    for nu in (0.0, 8.5, 10.0, 12.0, 1e6):
+        oracle = [x for x, cost in every.items() if cost <= nu]  # lexicographic
+        assert _listed(src, y_vec, nu) == oracle
+        with monkeypatch.context() as m:
+            m.setattr("corrkem.ikem.CHUNK_CELLS", 1)
+            assert _listed(src, y_vec, nu) == oracle
+    assert 0 < len([x for x, cost in every.items() if cost <= 10.0]) < 1 << 12
+
+
+class _OuterSpy:
+    """Stands in for numpy inside corrkem.ikem and records the shape of
+    every outer sum the enumeration builds."""
+
+    def __init__(self):
+        self.shapes = []
+        self.add = self
+
+    def outer(self, a, b):
+        out = np.add.outer(a, b)
+        self.shapes.append(out.shape)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_blocks_keep_the_candidate_budget(monkeypatch):
+    # with MAX_CANDIDATES below CHUNK_CELLS, no block's outer sum spans
+    # more cells than MAX_CANDIDATES, and the budget fires at the same
+    # position as with one position per block
+    budget = 1 << 6
+    assert budget < CHUNK_CELLS
+    monkeypatch.setattr("corrkem.ikem.MAX_CANDIDATES", budget)
+    src = satellite_source(0.05, 0.05, 0.3)
+    y = sample_n(src, 12, seed=1).y
+    outcomes, deepest = set(), 0
+    for n in range(1, 13):
+        for nu in (2.0, 5.0, 1e6):
+            results = []
+            for chunk in (CHUNK_CELLS, 1):
+                spy = _OuterSpy()
+                with monkeypatch.context() as m:
+                    m.setattr("corrkem.ikem.np", spy)
+                    m.setattr("corrkem.ikem.CHUNK_CELLS", chunk)
+                    try:
+                        results.append(_listed(src, y[:n], nu))
+                    except RegimeTooLarge as err:
+                        results.append(str(err))  # names the position
+                assert all(np.prod(shape) <= budget for shape in spy.shapes)
+                deepest = max([deepest] + [len(shape) - 1 for shape in spy.shapes])
+            assert results[0] == results[1]
+            outcomes.add(type(results[0]))
+    assert outcomes == {list, str}  # both lists and refusals were seen
+    assert deepest >= 3  # and blocks of several positions
+
+
+def test_cost_matrix_refuses_undefined_receiver_symbol():
+    src = make_table_source((2, 3, 1), {(0, 0, 0): 0.5, (1, 0, 0): 0.25, (1, 1, 0): 0.25})
+    cost = _cost_matrix(src, [1, 0])
+    assert cost.tolist() == [[np.inf, 0.0], [-np.log2(2 / 3), -np.log2(1 / 3)]]
+    with pytest.raises(UndefinedConditional, match="P\\(y=2\\) = 0"):
+        _cost_matrix(src, [0, 2])
 
 
 def test_hostile_nu_hits_candidate_budget(monkeypatch):

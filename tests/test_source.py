@@ -197,6 +197,24 @@ def test_surprisal_undefined_conditional():
         surprisal(src, [0], [1])
 
 
+def test_surprisal_table_is_cached_and_read_only():
+    src = make_table_source((3, 3, 1), {(0, 0, 0): 0.3, (1, 0, 0): 0.2, (2, 1, 0): 0.5})
+    table = src.surprisal_table
+    assert table is src.surprisal_table  # built once per source
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    with np.errstate(divide="ignore"):
+        assert table[:, :2].tolist() == (-np.log2(src.conditional_xy()[:, :2])).tolist()
+    assert table[2, 0] == np.inf and table[0, 1] == np.inf  # P(x | y) = 0
+    assert np.isnan(table[:, 2]).all()  # P(y = 2) = 0
+    # surprisal sums the table left to right; an impossible symbol
+    # before an undefined receiver symbol is +inf, after it raises
+    assert surprisal(src, [0, 1, 2], [0, 0, 1]) == (table[0, 0] + table[1, 0]) + table[2, 1]
+    assert surprisal(src, [2, 0], [0, 2]) == np.inf
+    with pytest.raises(UndefinedConditional):
+        surprisal(src, [0, 2], [2, 0])
+
+
 def test_entropy_chain_rule_bound(rng):
     # conditioning on a variable with |B| values costs at most log2 |B|
     for _ in range(120):

@@ -42,13 +42,15 @@ Gram matrix O^T O of the one-hot matrix O[(a, b), (x, output)],
 accumulated over seed blocks, counts every output pair of every input
 pair, and x1 = x2 is left out.
 
-``cea_sd`` works in blocks of rows and the census in blocks of seeds,
-so no temporary exceeds BLOCK_CELLS / 8 cells at any width the regime
-guards admit.
+``cea_sd`` works in blocks of rows, the census in blocks of seeds and
+``compose_sd`` in blocks of z patterns (each block's support rows taken
+in steps), so no temporary exceeds BLOCK_CELLS / 8 cells at any width
+the regime guards admit; a table that fits is one block.
 """
 
 import numpy as np
 
+from .errors import RegimeTooLarge
 from .gf2 import reduction_low
 
 BACKEND = "numpy"
@@ -71,9 +73,9 @@ def mul_table(w: int) -> np.ndarray:
     Limited to w <= MAX_WIDTH; the exhaustive-enumeration regime never
     needs more.
     """
-    if not 1 <= w <= MAX_WIDTH:
-        raise ValueError(f"product table limited to 1 <= w <= {MAX_WIDTH}")
-    low = reduction_low(w)
+    if w > MAX_WIDTH:
+        raise RegimeTooLarge(f"product table limited to 1 <= w <= {MAX_WIDTH}")
+    low = reduction_low(w)  # FormatError for w < 1
     n = 1 << w
     top = 1 << (w - 1)
     mask = n - 1
@@ -166,20 +168,44 @@ def cea_sd(tag, key, pxz, t_bits, ell_bits, q_e):
 
 def compose_sd(tag, key, xcol, ycol, zcol, ptr, cand, t_bits, ell_bits, nz):
     na = tag.shape[0]
-    nview = nz << t_bits
-    ka = key[:, xcol]
-    # (a', k) part of each (a', z, g, k) cell
-    cell = (np.arange(na, dtype=np.int64)[:, None] * nview << ell_bits) + ka
+    # z patterns per block, so its (a', z, g, k) table fits one block, and
+    # support rows per step, so its (a', row) arrays do
+    zb = _block(nz, na << (t_bits + ell_bits))
+    rb = _block(zcol.shape[0], na)
     overlap = 0.0
-    for a in range(na):
-        g = tag[a, xcol]
-        m = cand[ycol, a, g]
-        view = (zcol << t_bits) + g
-        mass = np.bincount(view, weights=ptr, minlength=nview) / (1 << ell_bits)
-        agree = (m >= 0) & (key[:, m] == ka)
-        own = np.bincount((cell + (view << ell_bits)).ravel(), weights=(agree * ptr).ravel(),
-                          minlength=(na * nview) << ell_bits).reshape(na, nview, -1)
-        overlap += np.minimum(own, mass[:, None], out=own).sum()
+    for z0 in range(0, nz, zb):
+        nview = min(zb, nz - z0) << t_bits
+        # the block's rows, kept in support order so each cell sums them in that
+        # order; the caller interns z patterns, so no block is empty
+        block = np.flatnonzero((zcol >= z0) & (zcol < z0 + zb))
+        # (a', k) part of each (a', z, g, k) cell
+        base = np.arange(na, dtype=np.int64)[:, None] * nview << ell_bits
+
+        def step(r):
+            """The multiplier-free arrays of the block's rows r to r + rb."""
+            rows = block[r:r + rb]
+            ka = key[:, xcol[rows]]
+            return xcol[rows], ycol[rows], zcol[rows] - z0 << t_bits, ptr[rows], ka, base + ka
+
+        steps = range(0, block.shape[0], rb)
+        held = [step(r) for r in steps] if len(steps) == 1 else None  # else rebuilt per a
+        for a in range(na):
+            own = mass = None
+            for x, y, zv, p, ka, cell in held or map(step, steps):
+                g = tag[a, x]
+                m = cand[y, a, g]
+                view = zv + g
+                part = np.bincount(view, weights=p, minlength=nview)
+                agree = (m >= 0) & (key[:, m] == ka)
+                table = np.bincount((cell + (view << ell_bits)).ravel(), weights=(agree * p).ravel(),
+                                    minlength=(na * nview) << ell_bits)
+                if own is None:
+                    own, mass = table, part
+                else:
+                    own += table
+                    mass += part
+            own = own.reshape(na, nview, -1)
+            overlap += np.minimum(own, mass[:, None] / (1 << ell_bits), out=own).sum()
     return ptr.sum() - overlap / (na * na)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
-from .errors import BadKeyLength, DimensionMismatch, KeyTooShort
+from .errors import FormatError
 from .ikem import IkemKey
 
 SCHEME_OTP = "OTP"
@@ -34,14 +34,14 @@ class DemCiphertext:
 
     def __post_init__(self):
         if self.scheme_tag not in (SCHEME_OTP, SCHEME_STREAM):
-            raise DimensionMismatch(f"unknown scheme {self.scheme_tag!r}")
+            raise FormatError(f"unknown scheme {self.scheme_tag!r}")
 
 
 def _xor_otp(key: IkemKey, data: bytes) -> bytes:
     """XOR with the top bits of the key; needs |data| <= |key| bits."""
     nbits = 8 * len(data)
     if nbits > key.length:
-        raise KeyTooShort(f"{nbits} bits of data exceed the {key.length}-bit key")
+        raise FormatError(f"{nbits} bits of data exceed the {key.length}-bit key")
     pad = key.bits >> (key.length - nbits)
     return (int.from_bytes(data, "big") ^ pad).to_bytes(len(data), "big")
 
@@ -49,7 +49,7 @@ def _xor_otp(key: IkemKey, data: bytes) -> bytes:
 def _xor_stream(key: IkemKey, data: bytes) -> bytes:
     """XOR with a ChaCha20 keystream; any data length."""
     if key.length != STREAM_KEY_BITS:
-        raise BadKeyLength(f"stream scheme needs {STREAM_KEY_BITS}-bit keys, got {key.length}")
+        raise FormatError(f"stream scheme needs {STREAM_KEY_BITS}-bit keys, got {key.length}")
     raw = key.bits.to_bytes(STREAM_KEY_BITS // 8, "big")
     algo = algorithms.ChaCha20(raw, b"\x00" * 16)  # zero counter, zero nonce
     return Cipher(algo, mode=None).encryptor().update(data)
@@ -62,7 +62,7 @@ _XOR = {SCHEME_OTP: _xor_otp, SCHEME_STREAM: _xor_stream}
 def encrypt(key: IkemKey, message: bytes, scheme_tag: str) -> DemCiphertext:
     xor = _XOR.get(scheme_tag)
     if xor is None:
-        raise DimensionMismatch(f"unknown scheme {scheme_tag!r}")
+        raise FormatError(f"unknown scheme {scheme_tag!r}")
     return DemCiphertext(xor(key, message), scheme_tag)
 
 

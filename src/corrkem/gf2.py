@@ -29,6 +29,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .errors import FormatError, RegimeTooLarge
+
 
 def mul(a: int, b: int, w: int) -> int:
     """Multiply two w-bit field elements modulo x^w + low(w)."""
@@ -54,8 +56,8 @@ def mul_vector(a: int, n: int, alphabet_size: int, w: int) -> np.ndarray:
     The XOR outer chain over the rows of :func:`linear_table` at full
     output width; w is capped at 62 so every product fits int64.
     """
-    if not 1 <= w <= 62:
-        raise ValueError("mul_vector supports 1 <= w <= 62")
+    if w > 62:
+        raise RegimeTooLarge("mul_vector supports 1 <= w <= 62")
     table = linear_table(a, w, w, n, alphabet_size)[..., 0].view(np.int64)
     return reduce(lambda c, d: np.bitwise_xor.outer(c, d).ravel(), table)
 
@@ -70,7 +72,7 @@ def linear_table(a: int, w: int, out_bits: int, n: int, alphabet_size: int) -> n
     the last.
     """
     bits = (alphabet_size - 1).bit_length()
-    poly, shift = (1 << w) | reduction_low(w), w - out_bits
+    poly, shift = reduction_low(w) | 1 << w, w - out_bits
     powers = []
     for _ in range(n * bits):
         powers.append(a >> shift)
@@ -96,7 +98,7 @@ def limbs(values, bits: int) -> np.ndarray:
 def reduction_low(w: int) -> int:
     """Low terms of the degree-w reduction polynomial (x^w excluded)."""
     if w < 1:
-        raise ValueError("field width must be >= 1")
+        raise FormatError("field width must be >= 1")
     if w == 1:
         return 1
     mask = 3

@@ -22,12 +22,13 @@ from functools import reduce
 
 import numpy as np
 
-from ..errors import DimensionMismatch, QueryBudgetExceeded, RegimeTooLarge
+from ..errors import FormatError, RegimeTooLarge
 from ..gf2 import mul_vector
 from ..hybrid import he_encrypt
-from ..ikem import IkemParams, encap, decap, hash_width, key_spec
+from ..ikem import IkemParams, encap, decap, hash_width
 from ..source import JointSource, sample_with_rng
-from ..uhf import hash_value, rand_bits
+# perfbench/tracing.py patches games.hash_value, so the name stays bound here
+from ..uhf import hash_value, rand_bits  # noqa: F401
 from .exact import cea_transcript_sd, composability_sd, exact_challenge_sd
 
 _TIE_SLACK = 1e-12
@@ -106,7 +107,7 @@ class IkemAdversary:
     """Two-phase adversary: pre_challenge may call the encapsulation
     oracle; guess sees the challenge ciphertext and candidate key."""
 
-    def pre_challenge(self, rng, z_vec, oracle, debug):
+    def pre_challenge(self, rng, z_vec, oracle):
         return None
 
     def guess(self, rng, state, ctxt, key_bits) -> int:
@@ -116,25 +117,6 @@ class IkemAdversary:
 class RandomGuessAdversary(IkemAdversary):
     def guess(self, rng, state, ctxt, key_bits) -> int:
         return int(rng.integers(0, 2))
-
-
-class OmniscientAdversary(IkemAdversary):
-    """Debug-mode adversary handed the sender sample directly; it
-    recomputes the key and wins except on uniform-key collisions."""
-
-    def __init__(self, source: JointSource, params: IkemParams):
-        self.source = source
-        self.params = params
-
-    def pre_challenge(self, rng, z_vec, oracle, debug):
-        return debug["x"]
-
-    def guess(self, rng, state, ctxt, key_bits) -> int:
-        from ..ikem import encode_sample
-
-        code = encode_sample(self.source, self.params, state)
-        real = hash_value(key_spec(self.source, self.params), ctxt.s_prime, code)
-        return 0 if real == key_bits else 1
 
 
 class _PosteriorMixin:
@@ -168,7 +150,7 @@ class BestGuessAdversary(_PosteriorMixin, IkemAdversary):
     """Bayes-optimal distinguisher: the challenge key is called real
     iff its posterior mass is at least the uniform 2^-ell."""
 
-    def pre_challenge(self, rng, z_vec, oracle, debug):
+    def pre_challenge(self, rng, z_vec, oracle):
         return self.prior_given_z(z_vec)
 
     def guess(self, rng, state, ctxt, key_bits) -> int:
@@ -182,7 +164,7 @@ class HeAdversary:
     """Two-phase adversary for the hybrid game; phase one also picks
     the challenge message pair."""
 
-    def choose(self, rng, z_vec, oracle, debug):
+    def choose(self, rng, z_vec, oracle):
         raise NotImplementedError
 
     def guess(self, rng, state, ctxt) -> int:
@@ -193,7 +175,7 @@ class RandomGuessHeAdversary(HeAdversary):
     def __init__(self, message_bytes: int = 2):
         self.message_bytes = message_bytes
 
-    def choose(self, rng, z_vec, oracle, debug):
+    def choose(self, rng, z_vec, oracle):
         return None, b"\x00" * self.message_bytes, b"\xff" * self.message_bytes
 
     def guess(self, rng, state, ctxt) -> int:
@@ -204,7 +186,7 @@ class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
     """Posterior-ratio distinguisher for the one-time-pad hybrid: each
     hypothesis pins down the key prefix, so compare their masses."""
 
-    def choose(self, rng, z_vec, oracle, debug):
+    def choose(self, rng, z_vec, oracle):
         nbytes = max(1, self.params.ell // 8)
         m0 = b"\x00" * nbytes
         m1 = b"\xff" * nbytes
@@ -232,20 +214,20 @@ def _count_trials(trials: int, seed: int, trial) -> int:
     """How many of `trials` calls of trial(rng) return true, all on one
     generator seeded by `seed`."""
     if trials < 1:
-        raise DimensionMismatch("trials must be >= 1")
+        raise FormatError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     return sum(trial(rng) for _ in range(trials))
 
 
 def _budgeted(fn, q_e: int, what: str):
-    """`fn`, refusing calls past the q_e-th with QueryBudgetExceeded."""
+    """`fn`, refusing calls past the q_e-th with FormatError."""
     calls = 0
 
     def oracle(*args):
         nonlocal calls
         calls += 1
         if calls > q_e:
-            raise QueryBudgetExceeded(f"more than q_e={q_e} {what} queries")
+            raise FormatError(f"more than q_e={q_e} {what} queries")
         return fn(*args)
 
     return oracle
@@ -265,7 +247,6 @@ def run_ikem_game(
     q_e: int,
     trials: int,
     seed: int,
-    debug: bool = False,
 ) -> GameReport:
     """Key-indistinguishability game against sigma (2*sigma when q_e > 0);
     advantage = |wins/trials - 1/2|.
@@ -277,7 +258,7 @@ def run_ikem_game(
     def trial(rng) -> bool:
         triple = sample_with_rng(source, params.n, rng)
         oracle = _budgeted(lambda: encap(params, source, triple.x, rng), q_e, "encapsulation")
-        state = adversary.pre_challenge(rng, triple.z, oracle, {"x": triple.x} if debug else {})
+        state = adversary.pre_challenge(rng, triple.z, oracle)
         ctxt, real_key = encap(params, source, triple.x, rng)
         b = int(rng.integers(0, 2))
         shown = real_key.bits if b == 0 else rand_bits(rng, params.ell)
@@ -311,9 +292,9 @@ def run_he_game(
         def encrypt(message: bytes):
             return he_encrypt(params, source, triple.x, message, rng, scheme_tag)
 
-        state, m0, m1 = adversary.choose(rng, triple.z, _budgeted(encrypt, q_e, "encryption"), {})
+        state, m0, m1 = adversary.choose(rng, triple.z, _budgeted(encrypt, q_e, "encryption"))
         if len(m0) != len(m1):
-            raise DimensionMismatch("challenge messages must have equal length")
+            raise FormatError("challenge messages must have equal length")
         b = int(rng.integers(0, 2))
         return adversary.guess(rng, state, encrypt(m1 if b else m0)) == b
 
@@ -324,7 +305,7 @@ def correctness_mc(source: JointSource, params: IkemParams, trials: int, seed: i
     """Monte Carlo decapsulation failure rate against eps plus three
     Wilson half-widths."""
     if trials < 1000:
-        raise DimensionMismatch("correctness estimation needs >= 1000 trials")
+        raise FormatError("correctness estimation needs >= 1000 trials")
 
     def trial(rng) -> bool:
         triple = sample_with_rng(source, params.n, rng)

@@ -31,7 +31,7 @@ def he_encrypt(
     scheme_tag: str = SCHEME_OTP,
 ) -> HybridCiphertext:
     """Encapsulate a key and encrypt under it; the DEM raises
-    KeyTooShort or BadKeyLength when ell does not fit the scheme."""
+    FormatError when ell does not fit the scheme."""
     c1, key = encap(params, source, x_vec, rng)
     c2 = encrypt(key, message, scheme_tag)
     return HybridCiphertext(c1, c2)

@@ -41,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .errors import (
-    DimensionMismatch,
-    InfeasibleKeyLength,
-    LengthMismatch,
-    RegimeTooLarge,
-    UndefinedConditional,
-)
+from .errors import FormatError, InfeasibleKeyLength, RegimeTooLarge
 from .source import JointSource, avg_cond_min_entropy, check_symbols
 from .uhf import UhfSeed, UhfSpec, encode_symbols, hash_value, sample_seed, symbol_bits
 
@@ -110,11 +104,11 @@ class IkemParams:
 
     def __post_init__(self):
         if self.n < 1 or self.t < 1 or self.ell < 1 or self.q_e < 0:
-            raise DimensionMismatch("n, t, ell must be positive; q_e >= 0")
+            raise FormatError("n, t, ell must be positive; q_e >= 0")
         if not all(math.isfinite(v) for v in (self.nu, self.eps, self.sigma)):
-            raise DimensionMismatch("nu, eps and sigma must be finite")
+            raise FormatError("nu, eps and sigma must be finite")
         if self.nu < 0 or not 0 < self.eps < 1 or not 0 < self.sigma < 1:
-            raise DimensionMismatch("need nu >= 0 and eps, sigma in (0, 1)")
+            raise FormatError("need nu >= 0 and eps, sigma in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ class IkemKey:
 
     def __post_init__(self):
         if self.length < 1 or not 0 <= self.bits < (1 << self.length):
-            raise LengthMismatch("key bits wider than declared length")
+            raise FormatError("key bits wider than declared length")
 
 
 def source_digest(source: JointSource) -> str:
@@ -173,9 +167,9 @@ def derive_lengths(h_xy: float, h_xz: float, eps: float, sigma: float, q_e: int)
     ell may come out below 1; callers decide whether that is an error.
     """
     if not 0 < eps < 1 or not 0 < sigma < 1:
-        raise DimensionMismatch("eps and sigma must lie in (0, 1)")
+        raise FormatError("eps and sigma must lie in (0, 1)")
     if q_e < 0:
-        raise DimensionMismatch("q_e must be >= 0")
+        raise FormatError("q_e must be >= 0")
     nu = 2.0 * h_xy / eps
     t = max(1, _ceil(nu - math.log2(eps) - 1.0))
     if q_e == 0:
@@ -202,7 +196,7 @@ def derive_params(
     hash width passes MAX_HASH_WIDTH.
     """
     if n < 1:
-        raise DimensionMismatch("n must be >= 1")
+        raise FormatError("n must be >= 1")
     h_xy = n * avg_cond_min_entropy(source, 0, (1,))
     h_xz = n * avg_cond_min_entropy(source, 0, (2,))
     nu, t, ell = derive_lengths(h_xy, h_xz, eps, sigma, q_e)
@@ -237,7 +231,7 @@ def reliability_params(
     the hash width bound is (RegimeTooLarge past MAX_HASH_WIDTH).
     """
     if n < 1 or ell < 1:
-        raise DimensionMismatch("n and ell must be >= 1")
+        raise FormatError("n and ell must be >= 1")
     h_xy = n * avg_cond_min_entropy(source, 0, (1,))
     nu, t, _ = derive_lengths(h_xy, 0.0, eps, sigma, q_e)
     params = IkemParams(n, t, ell, nu, eps, sigma, q_e, source_digest(source))
@@ -268,10 +262,7 @@ def key_spec(source: JointSource, params: IkemParams) -> UhfSpec:
 
 
 def encode_sample(source: JointSource, params: IkemParams, vec) -> int:
-    vec = np.asarray(vec, dtype=np.int64)
-    if vec.shape != (params.n,):
-        raise LengthMismatch(f"sample must have n={params.n} symbols")
-    return encode_symbols(vec, source.alphabet_sizes[0])
+    return encode_symbols(vec, source.alphabet_sizes[0], params.n)
 
 
 def encap(
@@ -291,16 +282,15 @@ def encap(
     return IkemCiphertext(g, s_prime, s), IkemKey(key, params.ell)
 
 
-def _cost_matrix(source: JointSource, y_vec) -> np.ndarray:
+def _cost_matrix(source: JointSource, y_vec, n: int | None = None) -> np.ndarray:
     """cost[i, s] = -log2 P(x = s | y_i), +inf where P = 0, gathered from
-    the source's cached table; raises for a receiver symbol outside the
-    alphabet or of probability 0."""
-    y_vec = np.asarray(y_vec, dtype=np.int64)
-    check_symbols(y_vec, source.alphabet_sizes[1])
+    the source's cached table; raises FormatError for a receiver vector
+    that fails :func:`check_symbols` or a symbol of probability 0."""
+    y_vec = check_symbols(y_vec, source.alphabet_sizes[1], n)
     cost = source.surprisal_table[:, y_vec].T
     undefined = np.isnan(cost[:, 0])
     if undefined.any():
-        raise UndefinedConditional(f"P(y={y_vec[undefined.argmax()]}) = 0")
+        raise FormatError(f"P(y={y_vec[undefined.argmax()]}) = 0")
     return cost
 
 
@@ -327,10 +317,10 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     whose first position extends the prefixes to more than
     MAX_CANDIDATES children raises RegimeTooLarge (the same position at
     which a block of one position would); a receiver symbol outside the
-    alphabet raises LengthMismatch.
+    alphabet raises FormatError.
     """
     if nu < 0:
-        raise DimensionMismatch("nu must be >= 0")
+        raise FormatError("nu must be >= 0")
     cost = _cost_matrix(source, y_vec)
     n, nx = cost.shape
     mins = cost.min(axis=1)
@@ -402,12 +392,12 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     yield from rows
 
 
-def _half_list(source: JointSource, y_half: np.ndarray, budget: float) -> np.ndarray:
+def _half_list(source: JointSource, y_half, budget: float) -> np.ndarray:
     """enumerate_typical's rows as one array; none for a negative budget."""
     if budget < 0:
-        return np.empty((0, y_half.size), dtype=np.int64)
+        return np.empty((0, len(y_half)), dtype=np.int64)
     rows = list(enumerate_typical(source, y_half, budget))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), y_half.size)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(y_half))
 
 
 def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
@@ -429,17 +419,14 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     MAX_CANDIDATES prefixes, or a join of more pairs (only a t far
     below the derived one gets there), raises RegimeTooLarge.
     """
-    y_vec = np.asarray(y_vec, dtype=np.int64)
-    if y_vec.shape != (params.n,):
-        raise LengthMismatch(f"receiver sample must have n={params.n} symbols")
+    cost = _cost_matrix(source, y_vec, params.n)
     tspec = tag_spec(source, params)
     kspec = key_spec(source, params)
     if not 0 <= ctxt.g < (1 << params.t):
-        raise LengthMismatch("tag wider than t bits")
+        raise FormatError("tag wider than t bits")
     ctxt.s.validate(tspec)
     ctxt.s_prime.validate(kspec)
     n, nx, h = params.n, source.alphabet_sizes[0], params.n // 2
-    cost = _cost_matrix(source, y_vec)
     mins = cost.min(axis=1)
     left = _half_list(source, y_vec[:h], params.nu - mins[h:].sum() + _PRUNE_SLACK)
     right = _half_list(source, y_vec[h:], params.nu - mins[:h].sum() + _PRUNE_SLACK)

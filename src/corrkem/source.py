@@ -17,16 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidCoordinate,
-    LengthMismatch,
-    NegativeProbability,
-    NotNormalized,
-    ProbabilityOutOfRange,
-    RegimeTooLarge,
-    UndefinedConditional,
-)
+from .errors import FormatError, RegimeTooLarge
 
 NORM_TOL = 1e-12
 # Largest dense (x, y, z) table make_table_source or product_source
@@ -45,15 +36,15 @@ class JointSource:
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.alphabet_sizes)
         if len(sizes) != 3 or any(s < 1 for s in sizes):
-            raise DimensionMismatch("need three alphabet sizes >= 1")
+            raise FormatError("need three alphabet sizes >= 1")
         pmf = np.asarray(self.pmf, dtype=np.float64)
         if pmf.shape != sizes:
-            raise DimensionMismatch(f"pmf shape {pmf.shape} != alphabets {sizes}")
+            raise FormatError(f"pmf shape {pmf.shape} != alphabets {sizes}")
         if np.any(pmf < 0.0):
-            raise NegativeProbability("negative pmf entry")
+            raise FormatError("negative pmf entry")
         total = pmf.sum()
         if not abs(total - 1.0) <= NORM_TOL:  # also rejects NaN
-            raise NotNormalized(f"pmf sums to {total!r}")
+            raise FormatError(f"pmf sums to {total!r}")
         pmf = pmf.copy()
         pmf.setflags(write=False)
         object.__setattr__(self, "alphabet_sizes", sizes)
@@ -90,14 +81,14 @@ class SampleTriple:
         for name in ("x", "y", "z"):
             vec = np.asarray(getattr(self, name), dtype=np.int64)
             if vec.shape != (self.n,):
-                raise DimensionMismatch(f"{name} must have length n={self.n}")
+                raise FormatError(f"{name} must have length n={self.n}")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
 
 
 def _check_coord(coord: int) -> int:
     if coord not in (0, 1, 2):
-        raise InvalidCoordinate(f"coordinate {coord} not in (0, 1, 2)")
+        raise FormatError(f"coordinate {coord} not in (0, 1, 2)")
     return coord
 
 
@@ -105,18 +96,18 @@ def make_table_source(sizes, pmf_entries, label: str = "table") -> JointSource:
     """Build a source from explicit table entries {(x, y, z): p}.
 
     Unlisted cells are zero.  The entries must already be normalized;
-    a sum off by more than 1e-12 raises NotNormalized.  Tables with more
+    a sum off by more than 1e-12 raises FormatError.  Tables with more
     than MAX_TABLE_CELLS cells raise RegimeTooLarge.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != 3 or any(s < 1 for s in sizes):
-        raise DimensionMismatch("need three alphabet sizes >= 1")
+        raise FormatError("need three alphabet sizes >= 1")
     if sizes[0] * sizes[1] * sizes[2] > MAX_TABLE_CELLS:
         raise RegimeTooLarge(f"{sizes} table has more than {MAX_TABLE_CELLS} cells")
     pmf = np.zeros(sizes)
     for (x, y, z), p in dict(pmf_entries).items():
         if not (0 <= x < sizes[0] and 0 <= y < sizes[1] and 0 <= z < sizes[2]):
-            raise DimensionMismatch(f"cell ({x},{y},{z}) outside {sizes}")
+            raise FormatError(f"cell ({x},{y},{z}) outside {sizes}")
         pmf[x, y, z] = p
     return JointSource(sizes, pmf, label)
 
@@ -126,7 +117,7 @@ def satellite_source(p_a: float, p_b: float, p_e: float) -> JointSource:
     independent binary symmetric channels with the given flip rates."""
     for p in (p_a, p_b, p_e):
         if not 0.0 <= p <= 0.5:
-            raise ProbabilityOutOfRange(f"flip probability {p} outside [0, 0.5]")
+            raise FormatError(f"flip probability {p} outside [0, 0.5]")
     pmf = np.zeros((2, 2, 2))
     for beacon in (0, 1):
         for x in (0, 1):
@@ -148,7 +139,7 @@ def sample_n(source: JointSource, n: int, seed: int) -> SampleTriple:
 def sample_with_rng(source: JointSource, n: int, rng: np.random.Generator) -> SampleTriple:
     """Like :func:`sample_n` but advancing a caller-owned generator."""
     if n < 1:
-        raise DimensionMismatch("n must be >= 1")
+        raise FormatError("n must be >= 1")
     flat = source.pmf.ravel()
     cdf = np.cumsum(flat)
     cdf[-1] = 1.0
@@ -165,7 +156,7 @@ def avg_cond_min_entropy(source: JointSource, target_coord: int, given_coords) -
     target = _check_coord(target_coord)
     given = tuple(_check_coord(c) for c in given_coords)
     if target in given or len(set(given)) != len(given):
-        raise InvalidCoordinate("target and given coordinates must be disjoint")
+        raise FormatError("target and given coordinates must be disjoint")
     drop = tuple(i for i in range(3) if i != target and i not in given)
     joint = source.pmf.sum(axis=drop) if drop else source.pmf
     # move target first; remaining axes follow the order of `given`
@@ -178,30 +169,40 @@ def avg_cond_min_entropy(source: JointSource, target_coord: int, given_coords) -
     return max(0.0, -float(np.log2(guess)))
 
 
-def check_symbols(vec: np.ndarray, alphabet_size: int) -> None:
-    """Raise LengthMismatch unless every symbol lies in [0, alphabet_size)."""
-    if np.any((vec < 0) | (vec >= alphabet_size)):
-        raise LengthMismatch(f"symbol outside alphabet of {alphabet_size}")
+def check_symbols(vec, alphabet_size: int, n: int | None = None) -> np.ndarray:
+    """The one definition of a symbol vector: one-dimensional integers (n
+    of them, if given) in [0, alphabet_size), returned as int64.  Anything
+    else raises FormatError (bools and floats too; the first symbol outside
+    the alphabet is named).  An empty vector may have any dtype."""
+    try:
+        arr = np.asarray(vec)
+    except ValueError as exc:  # a ragged nested list
+        raise FormatError(f"not a symbol vector: {exc}") from exc
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise FormatError(f"symbols must be a 1-D integer vector, not {arr.dtype} of shape {arr.shape}")
+    if n is not None and arr.size != n:
+        raise FormatError(f"sample must have n={n} symbols, got {arr.size}")
+    outside = (arr < 0) | (arr >= alphabet_size)
+    if outside.any():
+        raise FormatError(f"symbol {arr[outside.argmax()]} outside alphabet of {alphabet_size}")
+    return arr.astype(np.int64, copy=False)
 
 
 def surprisal(source: JointSource, x_vec, y_vec) -> float:
     """Total conditional surprisal sum_i -log2 P(x_i | y_i) in bits.
 
-    Returns +inf when some P(x_i | y_i) = 0; raises UndefinedConditional
-    when some P(y_i) = 0, LengthMismatch for an out-of-alphabet symbol.
+    Returns +inf when some P(x_i | y_i) = 0; raises FormatError when
+    some P(y_i) = 0 or either vector fails :func:`check_symbols` (y's
+    length is x's).
     """
-    x_vec = np.asarray(x_vec, dtype=np.int64)
-    y_vec = np.asarray(y_vec, dtype=np.int64)
-    if x_vec.shape != y_vec.shape or x_vec.ndim != 1:
-        raise DimensionMismatch("x_vec and y_vec must be equal-length vectors")
-    check_symbols(x_vec, source.alphabet_sizes[0])
-    check_symbols(y_vec, source.alphabet_sizes[1])
+    x_vec = check_symbols(x_vec, source.alphabet_sizes[0])
+    y_vec = check_symbols(y_vec, source.alphabet_sizes[1], x_vec.size)
     table = source.surprisal_table
     total = 0.0
     for xi, yi in zip(x_vec.tolist(), y_vec.tolist()):
         cost = table[xi, yi]
         if np.isnan(cost):
-            raise UndefinedConditional(f"P(y={yi}) = 0")
+            raise FormatError(f"P(y={yi}) = 0")
         if cost == np.inf:
             return float("inf")
         total += cost
@@ -217,7 +218,7 @@ def product_source(source: JointSource, n: int) -> JointSource:
     before anything is allocated.
     """
     if n < 1:
-        raise DimensionMismatch("n must be >= 1")
+        raise FormatError("n must be >= 1")
     pmf = source.pmf
     if pmf.size > 1 and n * math.log2(pmf.size) > math.log2(MAX_TABLE_CELLS):
         raise RegimeTooLarge(

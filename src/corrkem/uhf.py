@@ -23,7 +23,8 @@ import numpy as np
 
 from . import gf2
 from ._kernels import BLOCK_CELLS, census_max_dev, mul_table
-from .errors import DimensionMismatch, LengthMismatch, RegimeTooLarge
+from .errors import FormatError, RegimeTooLarge
+from .source import check_symbols
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,9 @@ class UhfSpec:
 
     def __post_init__(self):
         if self.input_bits < 1:
-            raise DimensionMismatch("input_bits must be >= 1")
+            raise FormatError("input_bits must be >= 1")
         if not 1 <= self.output_bits <= self.input_bits:
-            raise DimensionMismatch("need 1 <= output_bits <= input_bits")
+            raise FormatError("need 1 <= output_bits <= input_bits")
 
     @property
     def seed_bytes(self) -> int:
@@ -54,7 +55,7 @@ class UhfSeed:
     def validate(self, spec: UhfSpec) -> None:
         limit = 1 << spec.input_bits
         if not (0 <= self.a < limit and 0 <= self.b < limit):
-            raise LengthMismatch("seed parts must be input_bits wide")
+            raise FormatError("seed parts must be input_bits wide")
 
 
 def sample_seed(spec: UhfSpec, rng: np.random.Generator) -> UhfSeed:
@@ -73,7 +74,7 @@ def rand_bits(rng: np.random.Generator, w: int) -> int:
 def hash_value(spec: UhfSpec, seed: UhfSeed, x: int) -> int:
     """Top output_bits of (a*x) XOR b."""
     if not 0 <= x < (1 << spec.input_bits):
-        raise LengthMismatch(f"input must be {spec.input_bits} bits")
+        raise FormatError(f"input must be {spec.input_bits} bits")
     seed.validate(spec)
     return (gf2.mul(seed.a, x, spec.input_bits) ^ seed.b) >> (spec.input_bits - spec.output_bits)
 
@@ -87,23 +88,22 @@ def seed_to_bytes(spec: UhfSpec, seed: UhfSeed) -> bytes:
 def seed_from_bytes(spec: UhfSpec, raw: bytes) -> UhfSeed:
     nb = spec.seed_bytes
     if len(raw) != 2 * nb:
-        raise LengthMismatch(f"seed serialization must be {2 * nb} bytes")
+        raise FormatError(f"seed serialization must be {2 * nb} bytes")
     seed = UhfSeed(int.from_bytes(raw[:nb], "big"), int.from_bytes(raw[nb:], "big"))
     seed.validate(spec)
     return seed
 
 
-def encode_symbols(symbols, alphabet_size: int) -> int:
+def encode_symbols(symbols, alphabet_size: int, n: int | None = None) -> int:
     """Pack a symbol vector into one integer.
 
     Each symbol takes ceil(log2(alphabet_size)) bits, first symbol most
-    significant; injective for fixed length and alphabet.
+    significant; injective for fixed length and alphabet.  The vector
+    must pass :func:`corrkem.source.check_symbols` (of length n, if given).
     """
     bits = symbol_bits(alphabet_size)
     code = 0
-    for s in np.asarray(symbols, dtype=np.int64).tolist():  # Python ints: no numpy scalars
-        if not 0 <= s < alphabet_size:
-            raise LengthMismatch(f"symbol {s} outside alphabet of {alphabet_size}")
+    for s in check_symbols(symbols, alphabet_size, n).tolist():  # Python ints: no numpy scalars
         code = (code << bits) | s
     return code
 
@@ -118,7 +118,7 @@ def encode_flat(flat, n: int, alphabet_size: int) -> np.ndarray:
 
 def symbol_bits(alphabet_size: int) -> int:
     if alphabet_size < 1:
-        raise DimensionMismatch("alphabet_size must be >= 1")
+        raise FormatError("alphabet_size must be >= 1")
     return (alphabet_size - 1).bit_length()
 
 

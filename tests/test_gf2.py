@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corrkem import gf2
 from corrkem._kernels import mul_table
+from corrkem.errors import RegimeTooLarge
 from corrkem.uhf import encode_symbols
 
 PUBLISHED = {3: 0b0011, 4: 0b0011, 8: 0b11011, 64: 0b11011}
@@ -110,10 +111,10 @@ def test_mul_vector_matches_scalar():
             for flat, value in enumerate(got.tolist()):
                 code = encode_symbols(np.unravel_index(flat, (nx,) * n), nx)
                 assert value == gf2.mul(a, code, w)
-    with pytest.raises(ValueError):
+    with pytest.raises(RegimeTooLarge, match="mul_vector supports 1 <= w <= 62"):
         gf2.mul_vector(1, 1, 2, 63)
 
 
 def test_mul_table_width_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(RegimeTooLarge, match="product table limited to 1 <= w <= 12"):
         mul_table(13)

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from corrkem import _kernels
-from corrkem import IkemParams, derive_params, make_table_source
-from corrkem.errors import QueryBudgetExceeded, RegimeTooLarge
+from corrkem import IkemParams, JointSource, derive_params, make_table_source, reliability_params
+from corrkem.errors import FormatError, RegimeTooLarge
 from corrkem.harness import (
     BestGuessAdversary,
     BestGuessOtpHeAdversary,
-    OmniscientAdversary,
     RandomGuessAdversary,
     RandomGuessHeAdversary,
     cea_bound_check,
@@ -241,7 +240,7 @@ def test_cea_bound_check_honest_and_detector(rng):
     assert not report.passed
 
 
-def test_composability_matches_naive_oracle(rng):
+def test_composability_matches_naive_oracle(rng, monkeypatch):
     for trial in range(3):
         pmf = rng.random((2, 2, 2))
         pmf /= pmf.sum()
@@ -253,15 +252,22 @@ def test_composability_matches_naive_oracle(rng):
         fast, _ = composability_sd(src, params)
         slow = naive_composability_sd(src, params)
         assert fast == pytest.approx(slow, abs=1e-12)
+        with monkeypatch.context() as m:  # blocks of one z pattern, steps of two rows
+            m.setattr(_kernels, "BLOCK_CELLS", 8 * 4)
+            assert composability_sd(src, params)[0] == pytest.approx(fast, abs=1e-12)
 
 
 def test_composability_memory_counts_only_z_patterns_with_mass(monkeypatch):
-    # X = Y one bit and |Z| = 2^20 with all mass on z = 0: the kernel's
-    # (a', z, g, k) table spans the one z pattern in the support, not
-    # all 2^20, and the distance is the full-pattern kernel's 0.375
+    # X = Y one bit and |Z| = 2^20.  With all mass on z = 0 the kernel's
+    # (a', z, g, k) table spans the one z pattern in the support, not all
+    # 2^20; with mass on every pattern it is filled in blocks of z
+    # patterns.  Z says nothing about X, so both distances are 0.375
     from corrkem.harness import exact
 
-    src = make_table_source((2, 2, 1 << 20), {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
+    one_z = make_table_source((2, 2, 1 << 20), {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
+    pmf = np.zeros((2, 2, 1 << 20))
+    pmf[0, 0] = pmf[1, 1] = 2.0**-21
+    every_z = JointSource((2, 2, 1 << 20), pmf)
     params = _micro_params(nu=0.0, t=1, ell=1)
     kernel, peaks = exact.compose_sd, []
 
@@ -273,14 +279,16 @@ def test_composability_memory_counts_only_z_patterns_with_mass(monkeypatch):
         return result
 
     monkeypatch.setattr(exact, "compose_sd", traced)
-    tracemalloc.start()
-    try:
-        sd, _ = composability_sd(src, params)
-    finally:
-        tracemalloc.stop()
-    assert peaks[0] <= 8 * _kernels.BLOCK_CELLS
-    assert sd == pytest.approx(0.375, abs=1e-12)
-    assert sd == pytest.approx(naive_composability_sd(src, params), abs=1e-12)
+    sds = []
+    for src in (one_z, every_z):
+        tracemalloc.start()
+        try:
+            sds.append(composability_sd(src, params)[0])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] <= 8 * _kernels.BLOCK_CELLS
+        assert sds[-1] == pytest.approx(0.375, abs=1e-12)
+    assert sds[0] == pytest.approx(naive_composability_sd(one_z, params), abs=1e-12)
 
 
 def test_composability_check_deterministic_and_forced(rng):
@@ -311,12 +319,11 @@ def test_random_guess_adversary_near_zero(rng):
 
 
 def test_omniscient_adversary_wins(rng):
-    src = leaky_uniform_source(rng, 6, 0)
-    params = derive_params(src, 1, 0.5, 0.45, 0)
-    assert params.ell >= 3
-    report = run_ikem_game(
-        src, params, OmniscientAdversary(src, params), 0, 2000, seed=6, debug=True
-    )
+    # Z = X: the Bayes-optimal adversary knows the sender sample, so it
+    # wins except when the uniform key collides with the real one
+    src = leaky_uniform_source(rng, 6, 6)
+    params = reliability_params(src, 1, 0.5, ell=4)
+    report = run_ikem_game(src, params, BestGuessAdversary(src, params), 0, 2000, seed=6)
     assert report.advantage_estimate >= 0.4
     expected = 0.5 - 2.0 ** (-params.ell - 1)
     assert report.advantage_estimate == pytest.approx(expected, abs=3 * np.sqrt(0.25 / 2000))
@@ -333,12 +340,12 @@ def test_ikem_game_budget_enforced(rng):
     src, params = honest_cea_instance(rng)
 
     class Greedy(RandomGuessAdversary):
-        def pre_challenge(self, rng_, z_vec, oracle, debug):
+        def pre_challenge(self, rng_, z_vec, oracle):
             oracle()
             oracle()  # second query exceeds q_e = 1
             return None
 
-    with pytest.raises(QueryBudgetExceeded):
+    with pytest.raises(FormatError, match="more than q_e=1 encapsulation queries"):
         run_ikem_game(src, params, Greedy(), 1, 5, seed=8)
 
 
@@ -346,7 +353,7 @@ def test_ikem_game_with_legal_oracle_use(rng):
     src, params = honest_cea_instance(rng)
 
     class OneQuery(RandomGuessAdversary):
-        def pre_challenge(self, rng_, z_vec, oracle, debug):
+        def pre_challenge(self, rng_, z_vec, oracle):
             ctxt, key = oracle()  # exactly the allowed single query
             assert key.length == params.ell
             return None
@@ -391,11 +398,11 @@ def test_he_game_budget():
     src, params = he_micro_instance()
 
     class Greedy(RandomGuessHeAdversary):
-        def choose(self, rng_, z_vec, oracle, debug):
+        def choose(self, rng_, z_vec, oracle):
             oracle(b"\x00")
-            return super().choose(rng_, z_vec, oracle, debug)
+            return super().choose(rng_, z_vec, oracle)
 
-    with pytest.raises(QueryBudgetExceeded):
+    with pytest.raises(FormatError, match="more than q_e=0 encryption queries"):
         run_he_game(src, params, Greedy(1), 0, 5, seed=10)
 
 

@@ -18,7 +18,7 @@ from corrkem import (
     sample_n,
     satellite_source,
 )
-from corrkem.errors import BadKeyLength, KeyTooShort
+from corrkem.errors import FormatError
 from corrkem.source import sample_with_rng
 
 from conftest import deterministic_pair_source
@@ -53,7 +53,7 @@ def test_stream_roundtrip_requires_ell_256():
     assert he_decrypt(params, src, triple.y, ctxt) == msg
 
     short = derive_params(src, 64, 0.5, 0.25, 0)
-    with pytest.raises(BadKeyLength):
+    with pytest.raises(FormatError, match="stream scheme needs 256-bit keys"):
         he_encrypt(params=short, source=src, x_vec=triple.x[:64], message=msg,
                    rng=rng, scheme_tag=SCHEME_STREAM)
 
@@ -62,7 +62,7 @@ def test_otp_message_longer_than_key_rejected():
     src = deterministic_pair_source()
     params = derive_params(src, 32, 0.5, 0.25, 0)
     triple = sample_n(src, 32, seed=9)
-    with pytest.raises(KeyTooShort):
+    with pytest.raises(FormatError, match="320 bits of data exceed the"):
         he_encrypt(params, src, triple.x, b"x" * 40, np.random.default_rng(1), SCHEME_OTP)
 
 

@@ -26,13 +26,7 @@ from corrkem import (
     surprisal,
 )
 from corrkem import gf2
-from corrkem.errors import (
-    DimensionMismatch,
-    InfeasibleKeyLength,
-    LengthMismatch,
-    RegimeTooLarge,
-    UndefinedConditional,
-)
+from corrkem.errors import FormatError, InfeasibleKeyLength, RegimeTooLarge
 from corrkem.ikem import (
     CHUNK_CELLS,
     MAX_CANDIDATES,
@@ -308,7 +302,7 @@ def test_cost_matrix_refuses_undefined_receiver_symbol():
     src = make_table_source((2, 3, 1), {(0, 0, 0): 0.5, (1, 0, 0): 0.25, (1, 1, 0): 0.25})
     cost = _cost_matrix(src, [1, 0])
     assert cost.tolist() == [[np.inf, 0.0], [-np.log2(2 / 3), -np.log2(1 / 3)]]
-    with pytest.raises(UndefinedConditional, match="P\\(y=2\\) = 0"):
+    with pytest.raises(FormatError, match="P\\(y=2\\) = 0"):
         _cost_matrix(src, [0, 2])
 
 
@@ -536,17 +530,64 @@ def test_decap_validates_lengths():
     params = derive_params(src, 8, 0.5, 0.25, 0)
     triple = sample_n(src, 8, seed=3)
     ctxt, _ = encap(params, src, triple.x, np.random.default_rng(1))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(FormatError, match="sample must have n=8 symbols"):
         decap(params, src, triple.y[:4], ctxt)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(FormatError, match="tag wider than t bits"):
         decap(params, src, triple.y, IkemCiphertext(1 << params.t, ctxt.s_prime, ctxt.s))
     # out-of-alphabet receiver symbols: -1 must not wrap to the last
     # symbol through numpy indexing, |Y| must not raise a bare IndexError
     for bad in (-1, 2):
         y_vec = triple.y.copy()
         y_vec[0] = bad
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(FormatError, match="outside alphabet of 2"):
             decap(params, src, y_vec, ctxt)
+
+
+_MALFORMED_SYMBOLS = {
+    "float": [0.7, 1.2, 0, 1],
+    "bool": [True, False, True, True],
+    "str": ["0", "1", "0", "1"],
+    "none": None,
+    "2-D": [[0, 1], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("bad", _MALFORMED_SYMBOLS.values(), ids=_MALFORMED_SYMBOLS.keys())
+def test_malformed_symbol_vectors_are_format_errors(bad):
+    # no silent int64 truncation of floats or bools, no bare TypeError
+    # or ValueError: every entry point checks its vectors one way
+    src = satellite_source(0.05, 0.05, 0.3)
+    params = reliability_params(src, 4, 0.25, ell=8)
+    good = [0, 1, 0, 1]
+    ctxt, _ = encap(params, src, good, np.random.default_rng(1))
+    calls = {
+        "encap": lambda: encap(params, src, bad, np.random.default_rng(1)),
+        "decap": lambda: decap(params, src, bad, ctxt),
+        "enumerate_typical": lambda: list(enumerate_typical(src, bad, params.nu)),
+        "surprisal x": lambda: surprisal(src, bad, good),
+        "surprisal y": lambda: surprisal(src, good, bad),
+        "encode_symbols": lambda: encode_symbols(bad, 2),
+    }
+    for name, call in calls.items():
+        with pytest.raises(FormatError):
+            call()
+            pytest.fail(f"{name} accepted {bad!r}")
+
+
+def test_integer_symbol_vectors_of_any_width_are_accepted():
+    src = satellite_source(0.05, 0.05, 0.3)
+    params = reliability_params(src, 4, 0.25, ell=8)
+    want_x, want_y = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 1])
+    ctxt, key = encap(params, src, want_x, np.random.default_rng(1))
+    listed = [row.tolist() for row in enumerate_typical(src, want_y, params.nu)]
+    for make in (list, lambda v: v.astype(np.uint8), lambda v: v.astype(np.int32)):
+        x, y = make(want_x), make(want_y)
+        assert encap(params, src, x, np.random.default_rng(1)) == (ctxt, key)
+        assert decap(params, src, y, ctxt) == decap(params, src, want_y, ctxt)
+        assert [row.tolist() for row in enumerate_typical(src, y, params.nu)] == listed
+        assert surprisal(src, x, y) == surprisal(src, want_x, want_y)
+        assert encode_symbols(x, 2) == encode_symbols(want_x, 2)
+    assert [row.tolist() for row in enumerate_typical(src, [], 0.0)] == [[]]  # n = 0
 
 
 @pytest.mark.parametrize("field", ["nu", "eps", "sigma"])
@@ -555,7 +596,7 @@ def test_params_reject_non_finite(field, value):
     # a NaN nu never prunes: decap would walk all |X|^n candidates
     fields = dict(n=8, t=4, ell=2, nu=3.0, eps=0.5, sigma=0.25, q_e=0, source_digest="d")
     fields[field] = value
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(FormatError, match="nu, eps and sigma must be finite"):
         IkemParams(**fields)
 
 

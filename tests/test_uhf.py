@@ -9,7 +9,7 @@ import pytest
 from corrkem import _kernels
 from corrkem import UhfSeed, UhfSpec, hash_value, pairwise_independence_census, sample_seed
 from corrkem._kernels import cea_sd, census_max_dev, mul_table
-from corrkem.errors import LengthMismatch, RegimeTooLarge
+from corrkem.errors import FormatError, RegimeTooLarge
 from corrkem.uhf import (
     encode_flat,
     encode_symbols,
@@ -37,9 +37,9 @@ def test_hash_deterministic_and_validates():
     spec = UhfSpec(8, 3)
     seed = UhfSeed(0x5A, 0xC3)
     assert hash_value(spec, seed, 0x7E) == hash_value(spec, seed, 0x7E)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(FormatError, match="input must be 8 bits"):
         hash_value(spec, seed, 0x100)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(FormatError, match="seed parts must be input_bits wide"):
         hash_value(spec, UhfSeed(0x100, 0), 1)
 
 
@@ -208,7 +208,7 @@ def test_seed_serialization_roundtrip():
     raw = seed_to_bytes(spec, seed)
     assert len(raw) == 4  # two 2-byte halves
     assert seed_from_bytes(spec, raw) == seed
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(FormatError, match="seed serialization must be 4 bytes"):
         seed_from_bytes(spec, raw + b"\x00")
 
 
@@ -220,7 +220,7 @@ def test_encode_symbols_big_endian():
     assert symbol_bits(2) == 1
     assert symbol_bits(5) == 3
     for bad in (-1, 5):  # the first symbol outside the alphabet is named
-        with pytest.raises(LengthMismatch, match=f"symbol {bad} "):
+        with pytest.raises(FormatError, match=f"symbol {bad} "):
             encode_symbols([0, 4, bad, 7], 5)
 
 

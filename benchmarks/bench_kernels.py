@@ -6,14 +6,15 @@ row is the posterior games' bulk product a * code over all |X|^n codes
 at the he-micro shape (w = 12, n = 3, |X| = 16).  The reduction_low
 row is the uncached field search at the README demo width.  The decap
 rows decapsulate one encapsulation on satellite_source(0.05, 0.05, 0.3)
-with reliability_params(eps=0.25).
+with reliability_params(eps=0.25); each result is checked before it is
+timed, so a wrong decap fails the script instead of being timed.
 """
 
 import time
 
 import numpy as np
 
-from corrkem import decap, encap, reliability_params, sample_n, satellite_source
+from corrkem import BOTTOM, decap, encap, reliability_params, sample_n, satellite_source, surprisal
 from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table
 from corrkem.gf2 import mul_vector, reduction_low
 
@@ -28,6 +29,13 @@ def _timed(fn, *args):
     start = time.perf_counter()
     fn(*args)
     return time.perf_counter() - start
+
+
+def _check_decap(label, src, params, triple, key, got):
+    """encap's key, or BOTTOM for a sender sample outside the list."""
+    outside = surprisal(src, triple.x, triple.y) > params.nu
+    if got != key and not (got is BOTTOM and outside):
+        raise SystemExit(f"{label}: decap returned {got!r}, encap's key was {key!r}")
 
 
 def main():
@@ -69,8 +77,10 @@ def main():
     for n in (8, 12, 16, 24, 32):
         params = reliability_params(src, n=n, eps=0.25, ell=8)
         triple = sample_n(src, n, seed=n)
-        ctxt, _ = encap(params, src, triple.x, np.random.default_rng(n))
-        cases[f"decap n={n}"] = (decap, (params, src, triple.y, ctxt))
+        ctxt, key = encap(params, src, triple.x, np.random.default_rng(n))
+        args = (params, src, triple.y, ctxt)
+        _check_decap(f"decap n={n}", src, params, triple, key, decap(*args))
+        cases[f"decap n={n}"] = (decap, args)
 
     header = f"{'kernel':<20} {'time':>10}"
     print(header)

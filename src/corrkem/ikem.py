@@ -13,12 +13,13 @@ else is the protocol failure ``BOTTOM`` (never an exception).
 The tag msb_t(a*x) XOR msb_t(b) is affine over GF(2) in the packed
 code x: one (position, symbol) table per ciphertext gives any
 candidate's tag by XOR, split over any cut of the positions as
-tag(x) = T_L(x_L) XOR T_R(x_R) XOR msb_t(b).  Decap enumerates the
-half-lists of the two halves and joins them on the tag by sort and
-binary search (Schroeppel-Shamir list merging), never walking T(y)
-itself; only the match's key is hashed.  A half-list past
-MAX_CANDIDATES prefixes at some position, or a join of more pairs,
-raises RegimeTooLarge.
+tag(x) = T_L(x_L) XOR T_R(x_R) XOR msb_t(b).  Decap walks the
+half-lists of the two halves, carrying each prefix's partial tag beside
+its partial surprisal, joins them on the tag by sort and binary search
+(Schroeppel-Shamir list merging) and rebuilds rows only for the joined
+pairs, never walking T(y) itself; only the match's key is hashed.  A
+half-list past MAX_CANDIDATES prefixes at some position, or a join of
+more pairs, raises RegimeTooLarge.
 
 Operating points come from two one-sided bounds evaluated against the
 source's vector conditional min-entropies H(X|Y) = n*h(X|Y) and
@@ -294,6 +295,106 @@ def _cost_matrix(source: JointSource, y_vec, n: int | None = None) -> np.ndarray
     return cost
 
 
+@dataclass(frozen=True)
+class _Walk:
+    """One block walk's leaves: how many, each one's tag limbs (None when
+    the walk had no table), and the back-pointers that rebuild rows."""
+
+    forced: np.ndarray  # each position's only feasible symbol, where it has one
+    blocks: list  # (branching positions, shape of the block's outer sum, kept flat indices)
+    count: int
+    tags: np.ndarray | None
+
+    def rows(self, leaves) -> np.ndarray:
+        """The rows of the given leaves, as a (len(leaves), n) array."""
+        node = np.asarray(leaves, dtype=np.int64)  # each leaf's ancestor among a block's kept children
+        rows = np.empty((node.size, self.forced.size), dtype=np.int64)
+        rows[:] = self.forced  # right at the unbranched positions; the rest are overwritten
+        for axes, shape, kept in reversed(self.blocks):
+            # split the ancestors' flat indices into prefix and symbols
+            child = kept[node]
+            if len(axes) == 1:  # np.unravel_index divides per element: slow on long arrays
+                node = child // shape[1]
+                ranks = [child - node * shape[1]]
+            else:
+                node, *ranks = np.unravel_index(child, shape)
+            for (i, syms), rank in zip(axes, ranks):
+                rows[:, i] = rank if syms is None else syms[rank]
+        return rows
+
+
+def _walk(cost: np.ndarray, nu: float, table: np.ndarray | None = None) -> _Walk:
+    """The block walk behind :func:`enumerate_typical` over an (n, |X|)
+    cost matrix: every x with sum_i cost[i, x_i] <= nu, as leaves in
+    lexicographic order.  Given a linear tag table T (n, |X|, limbs),
+    each leaf carries XOR_i T[i, x_i]: the tag is affine, so a forced
+    position's entry joins one constant and a branching one is XORed
+    in beside its cost.  A negative nu lists nothing.
+    """
+    n, nx = cost.shape
+    mins = cost.min(axis=1)
+    min_suffix = np.zeros(n + 1)
+    min_suffix[:n] = np.cumsum(mins[::-1])[::-1]
+    min_prefix = np.zeros(n + 1)
+    min_prefix[1:] = np.cumsum(mins)
+    limit = nu + _PRUNE_SLACK
+    # every partial[i] >= min_prefix[i] (rounding is monotone), so these
+    # symbols fail the per-child cut below at every node of their level
+    feasible = (min_prefix[:n, None] + cost) + min_suffix[1:, None] <= limit
+    width = feasible.sum(axis=1)
+    forced = feasible.argmax(axis=1)  # the only symbol where width == 1
+    if nu < 0 or not width.all():  # some position has no feasible symbol: empty list
+        return _Walk(forced, [], 0, None if table is None else np.zeros((0, table.shape[2]), np.uint64))
+    forced_cost = cost[np.arange(n), forced].tolist()
+    width = width.tolist()
+    single = [w == 1 for w in width]
+    if single:
+        single[-1] = False  # the last position takes an axis: the final sums form an array
+    tags = None
+    if table is not None:  # the forced positions' entries, XORed into every tag at once
+        at = np.flatnonzero(single)
+        tags = np.bitwise_xor.reduce(table[at, forced[at]], axis=0, keepdims=True)
+    suffix = min_suffix.tolist()
+    cap = min(CHUNK_CELLS, MAX_CANDIDATES)
+
+    part = 0.0  # a float until the first branch: same sums, no array op per forced position
+    blocks = []
+    i = 0
+    while i < n:
+        if single[i]:
+            part = part + forced_cost[i]
+            i += 1
+            continue
+        part = np.atleast_1d(part)
+        if part.size * width[i] > MAX_CANDIDATES:
+            raise RegimeTooLarge(
+                f"candidate list exceeds {MAX_CANDIDATES} prefixes at position {i};"
+                " nu is too large for this source"
+            )
+        axes, shape, child, child_tags = [], [part.size], part, tags
+        while i < n and (not axes or single[i] or child.size * width[i] <= cap):
+            if single[i]:  # a Python float onto every child: no axis
+                child = child + forced_cost[i]
+            else:  # a new axis; where every symbol is feasible, its rank is the symbol
+                syms = None if width[i] == nx else feasible[i].nonzero()[0]
+                child = np.add.outer(child, cost[i] if syms is None else cost[i, syms])
+                if tags is not None:
+                    entries = table[i] if syms is None else table[i, syms]
+                    child_tags = (child_tags[:, None] ^ entries).reshape(-1, entries.shape[1])
+                axes.append((i, syms))
+                shape.append(width[i])
+            i += 1
+        child = child.ravel()
+        last = i == n
+        # the bound stays unnamed: one level-sized array less at the memory peak
+        kept = ((child if last else child + suffix[i]) <= (nu if last else limit)).nonzero()[0]
+        part = child[kept]
+        if tags is not None:
+            tags = child_tags[kept]
+        blocks.append((axes, shape, kept))
+    return _Walk(forced, blocks, np.size(part), tags)  # n = 0: one empty leaf
+
+
 def enumerate_typical(source: JointSource, y_vec, nu: float):
     """Yield the candidate x-vectors with surprisal <= nu, each once,
     in lexicographic order.
@@ -313,7 +414,9 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     additions used by :func:`corrkem.source.surprisal`, so the output
     equals the brute-force filter exactly, whatever the blocks.
 
-    The whole list is built before the first row is yielded.  A block
+    The whole list is walked, and every row rebuilt, before the first
+    row is yielded; :func:`decap` runs the same walk on each half of y
+    and rebuilds only the rows it joins.  A block
     whose first position extends the prefixes to more than
     MAX_CANDIDATES children raises RegimeTooLarge (the same position at
     which a block of one position would); a receiver symbol outside the
@@ -321,83 +424,8 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     """
     if nu < 0:
         raise FormatError("nu must be >= 0")
-    cost = _cost_matrix(source, y_vec)
-    n, nx = cost.shape
-    mins = cost.min(axis=1)
-    min_suffix = np.zeros(n + 1)
-    min_suffix[:n] = np.cumsum(mins[::-1])[::-1]
-    min_prefix = np.zeros(n + 1)
-    min_prefix[1:] = np.cumsum(mins)
-    limit = nu + _PRUNE_SLACK
-    # every partial[i] >= min_prefix[i] (rounding is monotone), so these
-    # symbols fail the per-child cut below at every node of their level
-    feasible = (min_prefix[:n, None] + cost) + min_suffix[1:, None] <= limit
-    width = feasible.sum(axis=1)
-    if not width.all():  # some position has no feasible symbol: empty list
-        return
-    forced = feasible.argmax(axis=1)  # the only symbol where width == 1
-    forced_cost = cost[np.arange(n), forced].tolist()
-    width = width.tolist()
-    single = [w == 1 for w in width]
-    if single:
-        single[-1] = False  # the last position takes an axis: the final sums form an array
-    suffix = min_suffix.tolist()
-    cap = min(CHUNK_CELLS, MAX_CANDIDATES)
-
-    part = 0.0  # a float until the first branch: same sums, no array op per forced position
-    blocks = []  # (branching positions, shape of the block's outer sum, kept flat indices)
-    i = 0
-    while i < n:
-        if single[i]:
-            part = part + forced_cost[i]
-            i += 1
-            continue
-        part = np.atleast_1d(part)
-        if part.size * width[i] > MAX_CANDIDATES:
-            raise RegimeTooLarge(
-                f"candidate list exceeds {MAX_CANDIDATES} prefixes at position {i};"
-                " nu is too large for this source"
-            )
-        axes, shape, child = [], [part.size], part
-        while i < n and (not axes or single[i] or child.size * width[i] <= cap):
-            if single[i]:  # a Python float onto every child: no axis
-                child = child + forced_cost[i]
-            else:  # a new axis; where every symbol is feasible, its rank is the symbol
-                syms = None if width[i] == nx else feasible[i].nonzero()[0]
-                child = np.add.outer(child, cost[i] if syms is None else cost[i, syms])
-                axes.append((i, syms))
-                shape.append(width[i])
-            i += 1
-        child = child.ravel()
-        last = i == n
-        bound = child if last else child + suffix[i]
-        kept = (bound <= (nu if last else limit)).nonzero()[0]
-        part = child[kept]
-        blocks.append((axes, shape, kept))
-
-    rows = np.empty((np.size(part), n), dtype=np.int64)  # n = 0: one empty row
-    rows[:] = forced  # right at the unbranched positions; the rest are overwritten
-    node = np.arange(len(rows))  # each leaf's ancestor among the block's kept children
-    for axes, shape, kept in reversed(blocks):
-        # split the kept children (<= CHUNK_CELLS of them in a block of several
-        # axes) into prefix and symbols, then gather those for the leaves
-        if len(axes) == 1:  # np.unravel_index divides per element: slow on long levels
-            prefix = kept // shape[1]
-            ranks = [kept - prefix * shape[1]]
-        else:
-            prefix, *ranks = np.unravel_index(kept, shape)
-        for (i, syms), rank in zip(axes, ranks):
-            rows[:, i] = (rank if syms is None else syms[rank])[node]
-        node = prefix[node]
-    yield from rows
-
-
-def _half_list(source: JointSource, y_half, budget: float) -> np.ndarray:
-    """enumerate_typical's rows as one array; none for a negative budget."""
-    if budget < 0:
-        return np.empty((0, len(y_half)), dtype=np.int64)
-    rows = list(enumerate_typical(source, y_half, budget))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(y_half))
+    walk = _walk(_cost_matrix(source, y_vec), nu)
+    yield from walk.rows(np.arange(walk.count))
 
 
 def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
@@ -406,12 +434,14 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     The positions split at h = n // 2.  Any x in T(y) has a left half
     within nu - min_R and a right half within nu - min_L, where min_L
     and min_R are each side's cheapest surprisal, so the two
-    half-lists cover T(y).  Each is enumerated in blocks of positions,
-    a few numpy calls per block, with costs gathered from the source's
-    cached surprisal table.  Pairs whose tags XOR to the ciphertext's
-    are joined on the first tag limb, and a pair is kept iff its
-    surprisal, summed left to right as the list sums it, is <= nu: the
-    matches are exactly the tag-consistent candidates of T(y).
+    half-lists cover T(y).  Each is one walk of :func:`enumerate_typical`'s
+    blocks over its half of the one cost matrix, and each leaf carries
+    its half's tag, XORed from the ciphertext's linear table beside the
+    partial surprisal.  Pairs whose tags XOR to the ciphertext's are
+    joined on the first tag limb and compared on every limb; only their
+    rows are rebuilt, from the walks' back-pointers, and a pair is kept
+    iff its surprisal, summed left to right as the list sums it, is <=
+    nu: the matches are exactly the tag-consistent candidates of T(y).
 
     BOTTOM covers both zero and multiple matches; it means the
     ciphertext could not be decapsulated, not that the input was
@@ -427,15 +457,14 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     ctxt.s.validate(tspec)
     ctxt.s_prime.validate(kspec)
     n, nx, h = params.n, source.alphabet_sizes[0], params.n // 2
-    mins = cost.min(axis=1)
-    left = _half_list(source, y_vec[:h], params.nu - mins[h:].sum() + _PRUNE_SLACK)
-    right = _half_list(source, y_vec[h:], params.nu - mins[:h].sum() + _PRUNE_SLACK)
-
     table = gf2.linear_table(ctxt.s.a, tspec.input_bits, params.t, n, nx)
+    mins = cost.min(axis=1)
+    left = _walk(cost[:h], params.nu - mins[h:].sum() + _PRUNE_SLACK, table[:h])
+    right = _walk(cost[h:], params.nu - mins[:h].sum() + _PRUNE_SLACK, table[h:])
+
     want = gf2.limbs([ctxt.g ^ (ctxt.s.b >> (tspec.input_bits - params.t))], params.t)
-    pos_l, pos_r = np.arange(h), np.arange(h, n)
-    need = np.bitwise_xor.reduce(table[pos_l, left], axis=1) ^ want  # right tag to pair with
-    tag_r = np.bitwise_xor.reduce(table[pos_r, right], axis=1)
+    need = left.tags ^ want  # right tag to pair with
+    tag_r = right.tags
     order = np.argsort(tag_r[:, 0])
     first = tag_r[order, 0]
     lo = np.searchsorted(first, need[:, 0], "left")
@@ -446,14 +475,14 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
             f"{pairs} half-list pairs share the first tag limb, over {MAX_CANDIDATES};"
             " t is too small for this list"
         )
-    # pair k, the (k - start)-th of left row i, takes sorted right row lo[i] + k - start[i]
+    # pair k, the (k - start)-th of left leaf i, takes sorted right leaf lo[i] + k - start[i]
     start = np.cumsum(count) - count
-    li = np.repeat(np.arange(left.shape[0]), count)
+    li = np.repeat(np.arange(left.count), count)
     ri = order[np.arange(pairs) + np.repeat(lo - start, count)]
     same = (need[li] == tag_r[ri]).all(axis=1)
     li, ri = li[same], ri[same]
 
-    cands = np.concatenate([left[li], right[ri]], axis=1)
+    cands = np.concatenate([left.rows(li), right.rows(ri)], axis=1)
     # the list's own order of additions: left to right from position 0
     total = np.cumsum(cost[np.arange(n), cands], axis=1)[:, -1]
     matches = cands[total <= params.nu]

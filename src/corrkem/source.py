@@ -78,10 +78,17 @@ class SampleTriple:
     z: np.ndarray
 
     def __post_init__(self):
+        # the vector half of check_symbols (the alphabets are not known here)
         for name in ("x", "y", "z"):
-            vec = np.asarray(getattr(self, name), dtype=np.int64)
-            if vec.shape != (self.n,):
-                raise FormatError(f"{name} must have length n={self.n}")
+            try:
+                vec = np.asarray(getattr(self, name))
+            except ValueError as exc:  # a ragged nested list
+                raise FormatError(f"{name} is not a symbol vector: {exc}") from exc
+            if vec.shape != (self.n,) or (vec.size and vec.dtype.kind not in "iu"):
+                raise FormatError(
+                    f"{name} must be n={self.n} integer symbols, not {vec.dtype} of shape {vec.shape}"
+                )
+            vec = vec.astype(np.int64, copy=False)
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
 

@@ -30,7 +30,9 @@ from corrkem.errors import FormatError, InfeasibleKeyLength, RegimeTooLarge
 from corrkem.ikem import (
     CHUNK_CELLS,
     MAX_CANDIDATES,
+    _PRUNE_SLACK,
     _cost_matrix,
+    _walk,
     IkemKey,
     IkemParams,
     encode_sample,
@@ -226,6 +228,44 @@ def test_blocks_change_no_list(rng, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr("corrkem.ikem.CHUNK_CELLS", 1)
                 assert _listed(src, y_vec, nu) == blocks
+
+
+def test_walk_carries_each_leafs_tag_and_rebuilds_any_rows(rng, monkeypatch):
+    # oracle: the tag of a leaf is XOR_i T[i, x_i] over its rebuilt row
+    # (the _tag_by_table idiom), on whole vectors and on decap's halves
+    # (n = 1 leaves the left half empty), with tags of one to three limbs
+    splits_seen = set()
+    for src, y_vec, nus in _micro_cases(rng):
+        n, nx = len(y_vec), src.alphabet_sizes[0]
+        cost = _cost_matrix(src, y_vec)
+        for t in (1, 20, 64, 65, 130):
+            w = max(t, n * symbol_bits(nx))
+            a = int.from_bytes(rng.bytes(17), "big") % (1 << w)
+            table = gf2.linear_table(a, w, t, n, nx)
+            for lo, hi in ((0, n), (0, n // 2), (n // 2, n)):
+                splits_seen.add((n % 2, hi - lo))
+                for nu in nus:
+                    listed = _listed(src, y_vec[lo:hi], nu)
+                    listed = np.array(listed, dtype=np.int64).reshape(len(listed), hi - lo)
+                    for chunk in (CHUNK_CELLS, 1):
+                        with monkeypatch.context() as m:
+                            m.setattr("corrkem.ikem.CHUNK_CELLS", chunk)
+                            walk = _walk(cost[lo:hi], nu, table[lo:hi])
+                            plain = _walk(cost[lo:hi], nu)
+                        rows = walk.rows(np.arange(walk.count))
+                        assert np.array_equal(rows, listed)
+                        assert np.array_equal(plain.rows(np.arange(plain.count)), listed)
+                        assert plain.tags is None
+                        tags = np.bitwise_xor.reduce(table[np.arange(lo, hi), rows], axis=1)
+                        assert walk.tags.shape == (walk.count, (t + 63) // 64)
+                        assert np.array_equal(walk.tags, tags)
+                        # any leaves, repeated and out of order, or none
+                        subset = rng.integers(0, walk.count, size=int(rng.integers(0, 6))) if walk.count else []
+                        assert np.array_equal(walk.rows(subset), rows[subset])
+            # a budget below zero lists nothing, not even the empty half's empty row
+            for lo, hi in ((0, n), (0, 0)):
+                assert _walk(cost[lo:hi], -0.5 * _PRUNE_SLACK, table[lo:hi]).count == 0
+    assert {(1, 1), (1, 0), (0, 1)} <= splits_seen
 
 
 def test_long_vector_with_forced_positions_matches_product_oracle(monkeypatch):

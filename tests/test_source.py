@@ -12,7 +12,7 @@ from corrkem import (
     surprisal,
 )
 from corrkem.errors import CorrkemError, FormatError, RegimeTooLarge
-from corrkem.source import JointSource
+from corrkem.source import JointSource, SampleTriple
 
 
 def test_make_table_source_perfect_pair():
@@ -70,6 +70,22 @@ def test_sample_n_deterministic_and_correlated():
     t2 = sample_n(src, 50, seed=7)
     np.testing.assert_array_equal(t1.x, t2.x)
     np.testing.assert_array_equal(t1.x, t1.y)  # perfectly correlated
+
+
+def test_sample_triple_takes_only_integer_vectors():
+    triple = SampleTriple(2, [0, 1], np.array([1, 0], dtype=np.uint8), np.array([0, 1], dtype=np.int32))
+    assert [v.tolist() for v in (triple.x, triple.y, triple.z)] == [[0, 1], [1, 0], [0, 1]]
+    assert all(v.dtype == np.int64 and not v.flags.writeable for v in (triple.x, triple.y, triple.z))
+    assert SampleTriple(0, [], np.array([], dtype=float), []).x.shape == (0,)  # empty: any dtype
+    # floats, bools and strings were truncated or parsed into symbols
+    with pytest.raises(FormatError, match="x must be n=2 integer symbols, not float64"):
+        SampleTriple(2, [0.7, 1.2], [True, False], ["0", "1"])
+    bad = ([True, False], ["0", "1"], np.array([0, 1], dtype=object), None, [[0, 1]], [0, 1, 0])
+    for vec in bad:
+        with pytest.raises(FormatError, match="^z must be n=2 integer symbols"):
+            SampleTriple(2, [0, 1], [0, 1], vec)
+    with pytest.raises(FormatError, match="^y is not a symbol vector"):
+        SampleTriple(2, [0, 1], [[0], [1, 0]], [0, 1])
 
 
 def test_sample_n_law_of_large_numbers():

@@ -13,11 +13,13 @@ else is the protocol failure ``BOTTOM`` (never an exception).
 The tag msb_t(a*x) XOR msb_t(b) is affine over GF(2) in the packed
 code x: one (position, symbol) table per ciphertext gives any
 candidate's tag by XOR, split over any cut of the positions as
-tag(x) = T_L(x_L) XOR T_R(x_R) XOR msb_t(b).  Decap walks the
-half-lists of the two halves, carrying each prefix's partial tag beside
-its partial surprisal, joins them on the tag by sort and binary search
-(Schroeppel-Shamir list merging) and rebuilds rows only for the joined
-pairs, never walking T(y) itself; only the match's key is hashed.  A
+tag(x) = T_L(x_L) XOR T_R(x_R) XOR msb_t(b).  Decap asks
+:func:`enumerate_typical` for the candidates with the ciphertext's tag:
+it walks the half-lists of the two halves, carrying each prefix's
+partial tag beside its partial surprisal, joins them on the tag by sort
+and binary search (Schroeppel-Shamir list merging) and rebuilds rows
+only for the joined pairs, never walking T(y) itself; only the match's
+key is hashed.  A
 half-list past MAX_CANDIDATES prefixes at some position, or a join of
 more pairs, raises RegimeTooLarge.
 
@@ -346,8 +348,8 @@ def _walk(cost: np.ndarray, nu: float, table: np.ndarray | None = None) -> _Walk
     if nu < 0 or not width.all():  # some position has no feasible symbol: empty list
         return _Walk(forced, [], 0, None if table is None else np.zeros((0, table.shape[2]), np.uint64))
     forced_cost = cost[np.arange(n), forced].tolist()
+    single = (width == 1).tolist()
     width = width.tolist()
-    single = [w == 1 for w in width]
     if single:
         single[-1] = False  # the last position takes an axis: the final sums form an array
     tags = None
@@ -395,9 +397,11 @@ def _walk(cost: np.ndarray, nu: float, table: np.ndarray | None = None) -> _Walk
     return _Walk(forced, blocks, np.size(part), tags)  # n = 0: one empty leaf
 
 
-def enumerate_typical(source: JointSource, y_vec, nu: float):
+def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None = None):
     """Yield the candidate x-vectors with surprisal <= nu, each once,
-    in lexicographic order.
+    in lexicographic order; given tag = (table, want), a linear tag
+    table (n, |X|, limbs) and one tag's limbs, only those whose tag
+    XOR_i table[i, x_i] equals want.
 
     The frontier holds every surviving prefix (in lexicographic order)
     with its partial surprisal.  A symbol that exceeds nu even after
@@ -414,55 +418,44 @@ def enumerate_typical(source: JointSource, y_vec, nu: float):
     additions used by :func:`corrkem.source.surprisal`, so the output
     equals the brute-force filter exactly, whatever the blocks.
 
-    The whole list is walked, and every row rebuilt, before the first
-    row is yielded; :func:`decap` runs the same walk on each half of y
-    and rebuilds only the rows it joins.  A block
-    whose first position extends the prefixes to more than
-    MAX_CANDIDATES children raises RegimeTooLarge (the same position at
-    which a block of one position would); a receiver symbol outside the
-    alphabet raises FormatError.
+    Without a tag the whole list is walked, and every row rebuilt,
+    before the first row is yielded.  With one, the list itself is
+    never walked: see :func:`_tag_join`.  A block whose first position
+    extends the prefixes to more than MAX_CANDIDATES children raises
+    RegimeTooLarge (the same position at which a block of one position
+    would); a receiver symbol outside the alphabet raises FormatError,
+    and so does a y of another length than the tag table's.
     """
     if nu < 0:
         raise FormatError("nu must be >= 0")
-    walk = _walk(_cost_matrix(source, y_vec), nu)
-    yield from walk.rows(np.arange(walk.count))
+    if tag is None:
+        walk = _walk(_cost_matrix(source, y_vec), nu)
+        yield from walk.rows(np.arange(walk.count))
+    else:
+        table, want = tag
+        yield from _tag_join(_cost_matrix(source, y_vec, len(table)), nu, table, want)
 
 
-def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
-    """The unique tag-consistent candidate's key, or BOTTOM.
+def _tag_join(cost: np.ndarray, nu: float, table: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The rows of the list whose tag is `want`, in lexicographic order.
 
-    The positions split at h = n // 2.  Any x in T(y) has a left half
-    within nu - min_R and a right half within nu - min_L, where min_L
-    and min_R are each side's cheapest surprisal, so the two
-    half-lists cover T(y).  Each is one walk of :func:`enumerate_typical`'s
-    blocks over its half of the one cost matrix, and each leaf carries
-    its half's tag, XORed from the ciphertext's linear table beside the
-    partial surprisal.  Pairs whose tags XOR to the ciphertext's are
-    joined on the first tag limb and compared on every limb; only their
-    rows are rebuilt, from the walks' back-pointers, and a pair is kept
-    iff its surprisal, summed left to right as the list sums it, is <=
-    nu: the matches are exactly the tag-consistent candidates of T(y).
-
-    BOTTOM covers both zero and multiple matches; it means the
-    ciphertext could not be decapsulated, not that the input was
-    malformed (malformed inputs raise).  A half-list past
-    MAX_CANDIDATES prefixes, or a join of more pairs (only a t far
-    below the derived one gets there), raises RegimeTooLarge.
+    The positions split at h = n // 2.  Any x in the list has a left
+    half within nu - min_R and a right half within nu - min_L, where
+    min_L and min_R are each side's cheapest surprisal, so the two
+    half-lists cover it.  Each is one :func:`_walk` over its half of
+    the cost matrix, and each leaf carries its half's tag, XORed from
+    the table beside the partial surprisal.  Pairs whose tags XOR to
+    `want` are joined on the first tag limb and compared on every limb;
+    only their rows are rebuilt, from the walks' back-pointers, and a
+    pair is kept iff its surprisal, summed left to right as the list
+    sums it, is <= nu.  A join of more than MAX_CANDIDATES pairs (only
+    a t far below the derived one gets there) raises RegimeTooLarge.
     """
-    cost = _cost_matrix(source, y_vec, params.n)
-    tspec = tag_spec(source, params)
-    kspec = key_spec(source, params)
-    if not 0 <= ctxt.g < (1 << params.t):
-        raise FormatError("tag wider than t bits")
-    ctxt.s.validate(tspec)
-    ctxt.s_prime.validate(kspec)
-    n, nx, h = params.n, source.alphabet_sizes[0], params.n // 2
-    table = gf2.linear_table(ctxt.s.a, tspec.input_bits, params.t, n, nx)
+    n, h = len(cost), len(cost) // 2
     mins = cost.min(axis=1)
-    left = _walk(cost[:h], params.nu - mins[h:].sum() + _PRUNE_SLACK, table[:h])
-    right = _walk(cost[h:], params.nu - mins[:h].sum() + _PRUNE_SLACK, table[h:])
+    left = _walk(cost[:h], nu - mins[h:].sum() + _PRUNE_SLACK, table[:h])
+    right = _walk(cost[h:], nu - mins[:h].sum() + _PRUNE_SLACK, table[h:])
 
-    want = gf2.limbs([ctxt.g ^ (ctxt.s.b >> (tspec.input_bits - params.t))], params.t)
     need = left.tags ^ want  # right tag to pair with
     tag_r = right.tags
     order = np.argsort(tag_r[:, 0])
@@ -485,7 +478,38 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     cands = np.concatenate([left.rows(li), right.rows(ri)], axis=1)
     # the list's own order of additions: left to right from position 0
     total = np.cumsum(cost[np.arange(n), cands], axis=1)[:, -1]
-    matches = cands[total <= params.nu]
+    kept = total <= nu
+    rows = cands[kept]
+    if len(rows) > 1:  # li ascends, but ri follows the tag sort: restore the list's order
+        rows = rows[np.lexsort((ri[kept], li[kept]))]
+    return rows
+
+
+def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
+    """The unique tag-consistent candidate's key, or BOTTOM.
+
+    The ciphertext's tag seed gives one linear table, and the tag
+    XOR msb_t(b) is the value its table XOR must take;
+    :func:`enumerate_typical` yields the candidates of T(y) with that
+    tag, joining two tag-carrying half-lists and rebuilding rows only
+    for the joined pairs.  Only the match's key is hashed.
+
+    BOTTOM covers both zero and multiple matches; it means the
+    ciphertext could not be decapsulated, not that the input was
+    malformed (malformed inputs raise).  A half-list past
+    MAX_CANDIDATES prefixes, or a join of more pairs (only a t far
+    below the derived one gets there), raises RegimeTooLarge.
+    """
+    tspec = tag_spec(source, params)
+    kspec = key_spec(source, params)
+    if not 0 <= ctxt.g < (1 << params.t):
+        raise FormatError("tag wider than t bits")
+    ctxt.s.validate(tspec)
+    ctxt.s_prime.validate(kspec)
+    nx = source.alphabet_sizes[0]
+    table = gf2.linear_table(ctxt.s.a, tspec.input_bits, params.t, params.n, nx)
+    want = gf2.limbs([ctxt.g ^ (ctxt.s.b >> (tspec.input_bits - params.t))], params.t)
+    matches = list(enumerate_typical(source, y_vec, params.nu, (table, want)))
     if len(matches) != 1:
         return BOTTOM
     code = encode_symbols(matches[0], nx)

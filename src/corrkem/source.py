@@ -78,16 +78,12 @@ class SampleTriple:
     z: np.ndarray
 
     def __post_init__(self):
-        # the vector half of check_symbols (the alphabets are not known here)
+        # the alphabets are not known here: no range check
         for name in ("x", "y", "z"):
             try:
-                vec = np.asarray(getattr(self, name))
-            except ValueError as exc:  # a ragged nested list
-                raise FormatError(f"{name} is not a symbol vector: {exc}") from exc
-            if vec.shape != (self.n,) or (vec.size and vec.dtype.kind not in "iu"):
-                raise FormatError(
-                    f"{name} must be n={self.n} integer symbols, not {vec.dtype} of shape {vec.shape}"
-                )
+                vec = _symbol_array(getattr(self, name), self.n)
+            except FormatError as exc:
+                raise FormatError(f"{name}: {exc}") from exc
             vec = vec.astype(np.int64, copy=False)
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
@@ -176,11 +172,9 @@ def avg_cond_min_entropy(source: JointSource, target_coord: int, given_coords) -
     return max(0.0, -float(np.log2(guess)))
 
 
-def check_symbols(vec, alphabet_size: int, n: int | None = None) -> np.ndarray:
-    """The one definition of a symbol vector: one-dimensional integers (n
-    of them, if given) in [0, alphabet_size), returned as int64.  Anything
-    else raises FormatError (bools and floats too; the first symbol outside
-    the alphabet is named).  An empty vector may have any dtype."""
+def _symbol_array(vec, n: int | None) -> np.ndarray:
+    """`vec` as an array if it is a 1-D integer vector (of n symbols, if
+    given), else FormatError; the alphabet is not checked."""
     try:
         arr = np.asarray(vec)
     except ValueError as exc:  # a ragged nested list
@@ -189,6 +183,15 @@ def check_symbols(vec, alphabet_size: int, n: int | None = None) -> np.ndarray:
         raise FormatError(f"symbols must be a 1-D integer vector, not {arr.dtype} of shape {arr.shape}")
     if n is not None and arr.size != n:
         raise FormatError(f"sample must have n={n} symbols, got {arr.size}")
+    return arr
+
+
+def check_symbols(vec, alphabet_size: int, n: int | None = None) -> np.ndarray:
+    """The one definition of a symbol vector: one-dimensional integers (n
+    of them, if given) in [0, alphabet_size), returned as int64.  Anything
+    else raises FormatError (bools and floats too; the first symbol outside
+    the alphabet is named).  An empty vector may have any dtype."""
+    arr = _symbol_array(vec, n)
     outside = (arr < 0) | (arr >= alphabet_size)
     if outside.any():
         raise FormatError(f"symbol {arr[outside.argmax()]} outside alphabet of {alphabet_size}")

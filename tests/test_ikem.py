@@ -268,6 +268,34 @@ def test_walk_carries_each_leafs_tag_and_rebuilds_any_rows(rng, monkeypatch):
     assert {(1, 1), (1, 0), (0, 1)} <= splits_seen
 
 
+def test_enumerate_typical_with_a_tag_filters_the_list(rng, monkeypatch):
+    # oracle: the whole list, filtered by each row's table XOR; same order.
+    # t = 1 leaves many rows per tag, t = 65 compares a second limb
+    many = 0
+    for src, y_vec, nus in _micro_cases(rng):
+        n, nx = len(y_vec), src.alphabet_sizes[0]
+        for t in (1, 20, 65):
+            w = max(t, n * symbol_bits(nx))
+            table = gf2.linear_table(int.from_bytes(rng.bytes(17), "big") % (1 << w), w, t, n, nx)
+            for nu in nus:
+                listed = np.array(_listed(src, y_vec, nu), dtype=np.int64).reshape(-1, n)
+                tags = np.bitwise_xor.reduce(table[np.arange(n), listed], axis=1)
+                wants = [gf2.limbs([int(rng.integers(0, 1 << min(t, 62)))], t)]
+                if len(listed):
+                    wants.append(tags[int(rng.integers(0, len(listed)))][None, :])
+                for want in wants:
+                    expect = [tuple(r) for r, g in zip(listed, tags) if (g == want[0]).all()]
+                    many += len(expect) > 1
+                    for chunk in (CHUNK_CELLS, 1):
+                        with monkeypatch.context() as m:
+                            m.setattr("corrkem.ikem.CHUNK_CELLS", chunk)
+                            got = [tuple(v) for v in enumerate_typical(src, y_vec, nu, (table, want))]
+                        assert got == expect
+        with pytest.raises(FormatError, match=f"n={n + 1}"):
+            list(enumerate_typical(src, y_vec, 1e6, (np.concatenate([table, table[:1]]), want)))
+    assert many > 20
+
+
 def test_long_vector_with_forced_positions_matches_product_oracle(monkeypatch):
     # y = 0 forces x = 0, y = 1 forces x = 2, y = 2 is noisy over {0, 1}:
     # at n = 80 the 12 noisy positions sit among 68 forced ones, and a

@@ -78,13 +78,13 @@ def test_sample_triple_takes_only_integer_vectors():
     assert all(v.dtype == np.int64 and not v.flags.writeable for v in (triple.x, triple.y, triple.z))
     assert SampleTriple(0, [], np.array([], dtype=float), []).x.shape == (0,)  # empty: any dtype
     # floats, bools and strings were truncated or parsed into symbols
-    with pytest.raises(FormatError, match="x must be n=2 integer symbols, not float64"):
+    with pytest.raises(FormatError, match="^x: symbols must be a 1-D integer vector, not float64"):
         SampleTriple(2, [0.7, 1.2], [True, False], ["0", "1"])
     bad = ([True, False], ["0", "1"], np.array([0, 1], dtype=object), None, [[0, 1]], [0, 1, 0])
     for vec in bad:
-        with pytest.raises(FormatError, match="^z must be n=2 integer symbols"):
+        with pytest.raises(FormatError, match="^z: (symbols must be a 1-D integer vector|sample must have n=2 symbols)"):
             SampleTriple(2, [0, 1], [0, 1], vec)
-    with pytest.raises(FormatError, match="^y is not a symbol vector"):
+    with pytest.raises(FormatError, match="^y: not a symbol vector"):
         SampleTriple(2, [0, 1], [[0], [1, 0]], [0, 1])
 
 

@@ -1,22 +1,27 @@
 """Benchmark the exact-enumeration kernels and decapsulation.
 
 Run:  python3 benchmarks/bench_kernels.py
-Times are the best of three calls after one warm-up.  The mul_vector
-row is the posterior games' bulk product a * code over all |X|^n codes
-at the he-micro shape (w = 12, n = 3, |X| = 16).  The reduction_low
-row is the uncached field search at the README demo width.  The decap
-rows decapsulate one encapsulation on satellite_source(0.05, 0.05, 0.3)
-with reliability_params(eps=0.25); each result is checked before it is
-timed, so a wrong decap fails the script instead of being timed.
+Times are the best of three calls after one warm-up.  Each cea_sd
+result is checked before it is timed: it must lie in [0, 1] and agree
+within 1e-12 with a run whose key operand is split into two blocks.
+The mul_vector row is the posterior games' bulk product a * code over
+all |X|^n codes at the he-micro shape (w = 12, n = 3, |X| = 16); the
+linear_table rows build the GF(2)-linear table at that shape and the
+README demo's decap tag table (w = n = 280, |X| = 2, t = 1).  The
+reduction_low row is the uncached field search at the README demo
+width.  The decap rows decapsulate one encapsulation on
+satellite_source(0.05, 0.05, 0.3) with reliability_params(eps=0.25);
+each result is checked before it is timed, so a wrong decap or
+distance fails the script instead of being timed.
 """
 
 import time
 
 import numpy as np
 
-from corrkem import BOTTOM, decap, encap, reliability_params, sample_n, satellite_source, surprisal
+from corrkem import BOTTOM, _kernels, decap, encap, reliability_params, sample_n, satellite_source, surprisal
 from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table
-from corrkem.gf2 import mul_vector, reduction_low
+from corrkem.gf2 import linear_table, mul_vector, reduction_low
 
 
 def _bench(fn, *args, repeat=3):
@@ -36,6 +41,21 @@ def _check_decap(label, src, params, triple, key, got):
     outside = surprisal(src, triple.x, triple.y) > params.nu
     if got != key and not (got is BOTTOM and outside):
         raise SystemExit(f"{label}: decap returned {got!r}, encap's key was {key!r}")
+
+
+def _check_cea(label, tag, key, pxz, t_bits, ell_bits, q_e):
+    """The distance lies in [0, 1] and does not depend on the key blocks."""
+    got = cea_sd(tag, key, pxz, t_bits, ell_bits, q_e)
+    two_l = 1 << ell_bits
+    groups = (tag.shape[0] << ell_bits) ** (1 + q_e) // two_l
+    budget = _kernels.BLOCK_CELLS
+    _kernels.BLOCK_CELLS = 8 * tag.shape[1] * -(-groups // 2) * two_l  # two key blocks
+    try:
+        split = cea_sd(tag, key, pxz, t_bits, ell_bits, q_e)
+    finally:
+        _kernels.BLOCK_CELLS = budget
+    if not (0.0 <= got <= 1.0 and abs(got - split) <= 1e-12):
+        raise SystemExit(f"{label}: distance {got!r}, {split!r} with two key blocks")
 
 
 def main():
@@ -60,6 +80,8 @@ def main():
     pxz4 = rng.random((16, 2))
     pxz4 /= pxz4.sum()
     cases["cea_sd w=4 q=1"] = (cea_sd, (prod4 >> 3, prod4 >> 3, pxz4, 1, 1, 1))
+    for label in ("cea_sd w=8 q=0", "cea_sd w=4 q=1"):
+        _check_cea(label, *cases[label][1])
 
     sup = 256
     xcol = rng.integers(0, 16, sup).astype(np.int64)
@@ -71,6 +93,8 @@ def main():
     cases["compose_sd w=4"] = (compose_sd, (prod4 >> 3, prod4 >> 3, xcol, ycol, zcol, ptr, cand, 1, 1, 2))
 
     cases["mul_vector w=12 n=3"] = (mul_vector, (int(rng.integers(1, 1 << 12)), 3, 16, 12))
+    cases["linear_table w=12 n=3"] = (linear_table, (int(rng.integers(1, 1 << 12)), 12, 12, 3, 16))
+    cases["linear_table w=280 t=1"] = (linear_table, (int.from_bytes(rng.bytes(35), "big"), 280, 1, 280, 2))
     cases["reduction_low w=280"] = (reduction_low.__wrapped__, (280,))
 
     src = satellite_source(0.05, 0.05, 0.3)
@@ -82,11 +106,11 @@ def main():
         _check_decap(f"decap n={n}", src, params, triple, key, decap(*args))
         cases[f"decap n={n}"] = (decap, args)
 
-    header = f"{'kernel':<20} {'time':>10}"
+    header = f"{'kernel':<22} {'time':>11}"
     print(header)
     print("-" * len(header))
     for label, (fn, args) in cases.items():
-        print(f"{label:<20} {_bench(fn, *args) * 1e3:>8.2f}ms")
+        print(f"{label:<22} {_bench(fn, *args) * 1e3:>9.3f}ms")
 
 
 if __name__ == "__main__":

@@ -23,12 +23,15 @@ The SD kernels take pre-shifted hash-output tables:
     key[a, i] = msb_ell(a * xcode_i)    (na, nx) int64
 
 ``cea_sd`` reads them as one-hot matrices T[(a, g), i] = [tag[a, i] = g]
-and K[(a, k), i] = [key[a, i] = k] and gets the transcript joint of
-every seed tuple from one dense product per z value,
-J_z = (T^(1+q_e) diag(pxz[:, z])) (K^(1+q_e))^T, with ^ the row-wise
-Khatri-Rao power.  The challenge key is the last right digit, and the
-distance sums |J - its mean over that digit|.  The one-time challenge
-distance is the q_e = 0 transcript distance.
+and K[(a, k), i] = [key[a, i] = k]: the transcript joint of every seed
+tuple is J_z = (T^(1+q_e) diag(pxz[:, z])) (K^(1+q_e))^T, with ^ the
+row-wise Khatri-Rao power.  With k the challenge key, the last right
+digit, the distance sums |J - mean_k J|, which is the same product
+with the key rows centred over k.  One k matches each x, so that mean
+is the rows' query factors times 2^-ell, and each centred entry, 1 -
+2^-ell, -2^-ell or 0, is exact in float64.  Key blocks hold whole
+2^ell-row groups.  The one-time challenge distance is the q_e = 0
+transcript distance.
 
 ``compose_sd`` never fills the (K_A, K_B) plane.  The reference puts
 each view's mass M uniformly on the diagonal K_A = K_B, so with D(k)
@@ -150,12 +153,12 @@ def cea_sd(tag, key, pxz, t_bits, ell_bits, q_e):
     total = 0.0
     for r in range(0, nright, br):
         right = _khatri_rao_rows(key, ell_bits, 1 + q_e, np.arange(r, min(r + br, nright)))
-        right = right.astype(np.float64)
+        right = right.reshape(-1, two_l, nx).astype(np.float64)
+        right -= right.mean(axis=1, keepdims=True)  # centred over the challenge key
         for l in range(0, nleft, bl):
             left = _khatri_rao_rows(tag, t_bits, 1 + q_e, np.arange(l, min(l + bl, nleft)))
             for pz in pxz.T:
-                joint = ((left * pz) @ right.T).reshape(left.shape[0], -1, two_l)
-                joint -= joint.sum(axis=2, keepdims=True) / two_l
+                joint = (left * pz) @ right.reshape(-1, nx).T
                 total += np.abs(joint, out=joint).sum()
     return 0.5 * total / na ** (2 + 2 * q_e)
 

@@ -17,8 +17,6 @@ interface; each scheme is one XOR, its own inverse.
 
 from dataclasses import dataclass
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
-
 from .errors import FormatError
 from .ikem import IkemKey
 
@@ -50,6 +48,7 @@ def _xor_stream(key: IkemKey, data: bytes) -> bytes:
     """XOR with a ChaCha20 keystream; any data length."""
     if key.length != STREAM_KEY_BITS:
         raise FormatError(f"stream scheme needs {STREAM_KEY_BITS}-bit keys, got {key.length}")
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms  # only this scheme needs it
     raw = key.bits.to_bytes(STREAM_KEY_BITS // 8, "big")
     algo = algorithms.ChaCha20(raw, b"\x00" * 16)  # zero counter, zero nonce
     return Cipher(algo, mode=None).encryptor().update(data)

@@ -67,9 +67,9 @@ def linear_table(a: int, w: int, out_bits: int, n: int, alphabet_size: int) -> n
     limbs, shape (n, |X|, ceil(out_bits/64)), with bits = ceil(log2 |X|).
 
     The field product is GF(2)-linear in the packed code, so a * code
-    of any n-symbol vector x is XOR_i T[i, x_i] (then truncated).  Built
-    from the n*bits products a * x^j, each one shift-and-reduce from
-    the last.
+    of any n-symbol vector x is XOR_i T[i, x_i] (then truncated).  The
+    n*bits products a * x^j, each one shift-and-reduce from the last,
+    are XORed per symbol value by one select-and-reduce.
     """
     bits = (alphabet_size - 1).bit_length()
     poly, shift = reduction_low(w) | 1 << w, w - out_bits
@@ -81,17 +81,14 @@ def linear_table(a: int, w: int, out_bits: int, n: int, alphabet_size: int) -> n
             a ^= poly
     nlimbs = (out_bits + 63) // 64
     per_bit = limbs(powers, out_bits).reshape(n, bits, nlimbs)[::-1]  # [i, j]: bit j of symbol i
-    table = np.zeros((n, alphabet_size, nlimbs), dtype=np.uint64)
-    symbols = np.arange(alphabet_size)
-    for j in range(bits):
-        table[:, ((symbols >> j) & 1) == 1] ^= per_bit[:, j, None, :]
-    return table
+    sel = ((np.arange(alphabet_size)[:, None] >> np.arange(bits)) & 1).astype(np.uint64)  # [s, j]
+    return np.bitwise_xor.reduce(per_bit[:, None] * sel[:, :, None], axis=2)
 
 
 def limbs(values, bits: int) -> np.ndarray:
     """bits-wide ints as rows of ceil(bits/64) little-endian uint64 limbs."""
-    words = [[(v >> shift) & 0xFFFF_FFFF_FFFF_FFFF for v in values] for shift in range(0, bits, 64)]
-    return np.array(words, dtype=np.uint64).T
+    nl = (bits + 63) // 64
+    return np.frombuffer(b"".join(v.to_bytes(8 * nl, "little") for v in values), "<u8").reshape(-1, nl)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,16 @@
 """One-time data encapsulation: pads, keystream, perfect secrecy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrkem
 from corrkem import SCHEME_OTP, SCHEME_STREAM, DemCiphertext, IkemKey
 from corrkem.dem import decrypt, encrypt
 from corrkem.errors import FormatError
@@ -117,3 +123,11 @@ def test_ciphertext_length_leaks_only_message_length():
         msg = bytes(range(size))
         assert len(encrypt(otp_key, msg, SCHEME_OTP).body) == size
         assert len(encrypt(stream_key, msg, SCHEME_STREAM).body) == size
+
+
+def test_import_does_not_load_the_stream_cipher():
+    # only the stream scheme needs `cryptography`; it is imported on first use
+    src = str(Path(corrkem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, corrkem; sys.exit('cryptography' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

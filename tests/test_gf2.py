@@ -118,3 +118,37 @@ def test_mul_vector_matches_scalar():
 def test_mul_table_width_guard():
     with pytest.raises(RegimeTooLarge, match="product table limited to 1 <= w <= 12"):
         mul_table(13)
+
+
+def _limb_value(row) -> int:
+    return sum(int(v) << (64 * k) for k, v in enumerate(row))
+
+
+def test_linear_table_matches_scalar_products():
+    # every cell T[i, s] = msb_out(a * (s << bits*(n-1-i))), including |X| = 1
+    # (no symbol bits), |X| not a power of two, and one to five limbs
+    rng = np.random.default_rng(2)
+    for w in (7, 64, 65, 280):
+        for out_bits in sorted({b for b in (1, 63, 64, 65, w) if b <= w}):
+            for nx in (1, 3, 5, 16):
+                bits = (nx - 1).bit_length()
+                n = max(1, min(4, w // max(1, bits)))
+                a = int.from_bytes(rng.bytes(36), "big") % (1 << w)
+                table = gf2.linear_table(a, w, out_bits, n, nx)
+                assert table.dtype == np.uint64 and table.shape == (n, nx, (out_bits + 63) // 64)
+                for i in range(n):
+                    for s in range(nx):
+                        want = gf2.mul(a, s << bits * (n - 1 - i), w) >> (w - out_bits)
+                        assert _limb_value(table[i, s]) == want, (w, out_bits, nx, i, s)
+    assert gf2.linear_table(5, 12, 12, 3, 16).flags.writeable
+
+
+def test_limbs_match_shift_and_mask():
+    rng = np.random.default_rng(3)
+    for bits in (1, 64, 65, 280):
+        values = [0, (1 << bits) - 1, *(int.from_bytes(rng.bytes(35), "big") % (1 << bits) for _ in range(4))]
+        nl = (bits + 63) // 64
+        want = [[(v >> (64 * k)) & ((1 << 64) - 1) for k in range(nl)] for v in values]
+        got = gf2.limbs(values, bits)
+        assert got.dtype == np.uint64 and got.shape == (len(values), nl)
+        assert got.tolist() == want

@@ -186,6 +186,32 @@ def test_cea_sd_matches_dict_definition(monkeypatch, q_e, max_bits):
             assert _kernels.cea_sd(tag, key, pxz, t, ell, q_e) == pytest.approx(fast, abs=1e-12)
 
 
+@pytest.mark.parametrize("t, ell, q_e", [(1, 3, 0), (2, 2, 1)])
+def test_cea_sd_centred_key_blocks_match_dict_definition(monkeypatch, t, ell, q_e):
+    # the key operand is centred per block of whole challenge-key groups:
+    # blocks of exactly 2^ell rows, of 3 * 2^ell rows with a short last
+    # block, and one block; each budget also admits a row count that is
+    # not a multiple of 2^ell, so a block size without the step is caught
+    rng = np.random.default_rng(90 + q_e)
+    na, nx, nz, two_l = 4, 6, 3, 1 << ell
+    nright = (na << ell) ** (1 + q_e)
+    for _ in range(3):
+        tag = rng.integers(0, 1 << t, (na, nx))
+        key = rng.integers(0, 1 << ell, (na, nx))
+        pxz = rng.random((nx, nz)) * (rng.random((nx, nz)) < 0.8)
+        pxz /= pxz.sum()
+        want = _dict_transcript_sd(tag, key, pxz, two_l, q_e)
+        for cells, rows in ((8 * (nx * 2 * two_l - 1), two_l),
+                            (8 * (nx * 4 * two_l - 1), 3 * two_l),
+                            (_kernels.BLOCK_CELLS, nright)):
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "BLOCK_CELLS", cells)
+                assert _kernels._block(nright, nx, two_l) == rows
+                if rows == 3 * two_l:
+                    assert nright % rows != 0
+                assert abs(_kernels.cea_sd(tag, key, pxz, t, ell, q_e) - want) <= 1e-12
+
+
 @pytest.mark.parametrize("xbits, t, q_e", [(8, 4, 0), (4, 2, 1)])
 def test_cea_sd_memory_within_budget_at_the_work_limit(xbits, t, q_e):
     # both cases fill a 2^24-cell transcript table, the most the guard admits

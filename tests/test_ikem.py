@@ -33,6 +33,7 @@ from corrkem.ikem import (
     _PRUNE_SLACK,
     _cost_matrix,
     _walk,
+    _within,
     IkemKey,
     IkemParams,
     encode_sample,
@@ -233,7 +234,9 @@ def test_blocks_change_no_list(rng, monkeypatch):
 def test_walk_carries_each_leafs_tag_and_rebuilds_any_rows(rng, monkeypatch):
     # oracle: the tag of a leaf is XOR_i T[i, x_i] over its rebuilt row
     # (the _tag_by_table idiom), on whole vectors and on decap's halves
-    # (n = 1 leaves the left half empty), with tags of one to three limbs
+    # (n = 1 leaves the left half empty), with tags of one to three limbs;
+    # the walk only prunes: _within keeps exactly the list, and any other
+    # leaf lies within _PRUNE_SLACK of nu
     splits_seen = set()
     for src, y_vec, nus in _micro_cases(rng):
         n, nx = len(y_vec), src.alphabet_sizes[0]
@@ -253,8 +256,11 @@ def test_walk_carries_each_leafs_tag_and_rebuilds_any_rows(rng, monkeypatch):
                             walk = _walk(cost[lo:hi], nu, table[lo:hi])
                             plain = _walk(cost[lo:hi], nu)
                         rows = walk.rows(np.arange(walk.count))
-                        assert np.array_equal(rows, listed)
-                        assert np.array_equal(plain.rows(np.arange(plain.count)), listed)
+                        inside = _within(cost[lo:hi], rows, nu)
+                        assert np.array_equal(rows[inside], listed)
+                        totals = cost[np.arange(lo, hi), rows].sum(axis=1)
+                        assert (totals[~inside] <= nu + _PRUNE_SLACK).all()
+                        assert np.array_equal(plain.rows(np.arange(plain.count)), rows)
                         assert plain.tags is None
                         tags = np.bitwise_xor.reduce(table[np.arange(lo, hi), rows], axis=1)
                         assert walk.tags.shape == (walk.count, (t + 63) // 64)
@@ -266,6 +272,12 @@ def test_walk_carries_each_leafs_tag_and_rebuilds_any_rows(rng, monkeypatch):
             for lo, hi in ((0, n), (0, 0)):
                 assert _walk(cost[lo:hi], -0.5 * _PRUNE_SLACK, table[lo:hi]).count == 0
     assert {(1, 1), (1, 0), (0, 1)} <= splits_seen
+    # the forced last position's cost counts from the start: each 0.25-bit
+    # detour fits alone, and no two fit together
+    walk = _walk(np.array([[1.0, 1.25]] * 3 + [[1.0, 3.0]]), 4.4)
+    assert walk.rows(np.arange(walk.count)).tolist() == [
+        [0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]
+    ]
 
 
 def test_enumerate_typical_with_a_tag_filters_the_list(rng, monkeypatch):
@@ -294,6 +306,36 @@ def test_enumerate_typical_with_a_tag_filters_the_list(rng, monkeypatch):
         with pytest.raises(FormatError, match=f"n={n + 1}"):
             list(enumerate_typical(src, y_vec, 1e6, (np.concatenate([table, table[:1]]), want)))
     assert many > 20
+
+
+def test_list_boundary_is_decided_by_the_surprisal_sum(rng, monkeypatch):
+    # nu = surprisal(x, y) lists x and its nextafter toward -inf does not,
+    # with and without a tag, in blocks and position by position; each
+    # list is the brute-force filter (the tagged one filtered by tag)
+    seen = 0
+    for src, y_vec, _ in _micro_cases(rng):
+        n, nx = len(y_vec), src.alphabet_sizes[0]
+        support = [np.flatnonzero(src.conditional_xy()[:, v] > 0) for v in y_vec]
+        x = np.array([int(rng.choice(s)) for s in support])
+        on = surprisal(src, x, y_vec)
+        w = max(20, n * symbol_bits(nx))
+        table = gf2.linear_table(int.from_bytes(rng.bytes(8), "big") % (1 << w), w, 20, n, nx)
+        tag_of = lambda rows: np.bitwise_xor.reduce(table[np.arange(n), np.asarray(rows)], axis=-2)
+        want = tag_of(x)[None, :]
+        for nu, listed in ((on, True), (float(np.nextafter(on, -np.inf)), False)):
+            if nu < 0:  # x costs nothing: no nu lies below it
+                continue
+            brute = _brute_list(src, y_vec, nu)
+            tagged = [xv for xv in brute if (tag_of(xv) == want[0]).all()]
+            assert (tuple(x) in brute) == listed and (tuple(x) in tagged) == listed
+            for chunk in (CHUNK_CELLS, 1):
+                with monkeypatch.context() as m:
+                    m.setattr("corrkem.ikem.CHUNK_CELLS", chunk)
+                    assert _listed(src, y_vec, nu) == brute
+                    got = [tuple(v) for v in enumerate_typical(src, y_vec, nu, (table, want))]
+                    assert got == tagged
+        seen += on > 0
+    assert seen > 20
 
 
 def test_long_vector_with_forced_positions_matches_product_oracle(monkeypatch):

@@ -9,7 +9,14 @@ all |X|^n codes at the he-micro shape (w = 12, n = 3, |X| = 16); the
 linear_table rows build the GF(2)-linear table at that shape and the
 README demo's decap tag table (w = n = 280, |X| = 2, t = 1).  The
 reduction_low row is the uncached field search at the README demo
-width.  The decap rows decapsulate one encapsulation on
+width.  The composability_sd rows are the whole exact check: one
+verify_micro-sized instance (X near-uniform on 16 symbols, Y = X with
+the low bit flipped at rate 0.03, Z its top bit, t = 1, ell = 2),
+checked against a run in blocks of one z pattern and steps of one
+support row, and 2^16 receiver patterns (Y uniform on 2^16 symbols,
+X = Y mod 16, Z constant, t = ell = 4, nu = 0), where both parties
+always hold the same key, so the distance must equal the challenge
+distance.  The decap rows decapsulate one encapsulation on
 satellite_source(0.05, 0.05, 0.3) with reliability_params(eps=0.25),
 and the n=280 row one on the README demo session (X = Y one uniform
 bit, derive_params(n=280, eps=0.5, sigma=2^-8, ell=256)); each result
@@ -23,10 +30,13 @@ import numpy as np
 
 from corrkem import (
     BOTTOM,
+    IkemParams,
+    JointSource,
     _kernels,
     decap,
     derive_params,
     encap,
+    hash_width,
     make_table_source,
     reliability_params,
     sample_n,
@@ -35,6 +45,7 @@ from corrkem import (
 )
 from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table
 from corrkem.gf2 import linear_table, mul_vector, reduction_low
+from corrkem.harness import composability_sd, exact_challenge_sd
 
 
 def _bench(fn, *args, repeat=3):
@@ -71,6 +82,36 @@ def _check_cea(label, tag, key, pxz, t_bits, ell_bits, q_e):
         raise SystemExit(f"{label}: distance {got!r}, {split!r} with two key blocks")
 
 
+def _check_compose(label, src, params, reference):
+    """The distance lies in [0, 1] and equals the reference's."""
+    got, _ = composability_sd(src, params)
+    want = reference()
+    if not (0.0 <= got <= 1.0 and abs(got - want) <= 1e-12):
+        raise SystemExit(f"{label}: distance {got!r}, reference {want!r}")
+
+
+def _split_compose(src, params):
+    """composability_sd in blocks of one z pattern and steps of one row."""
+    budget = _kernels.BLOCK_CELLS
+    _kernels.BLOCK_CELLS = 8 << hash_width(src, params)
+    try:
+        return composability_sd(src, params)[0]
+    finally:
+        _kernels.BLOCK_CELLS = budget
+
+
+def _leaky_source(rng):
+    """X near-uniform on 16 symbols, Y = X with the low bit flipped at
+    rate 0.03, Z = the top bit of X."""
+    px = rng.random(16) * 0.2 + 0.9
+    px /= px.sum()
+    pmf = np.zeros((16, 16, 2))
+    for x in range(16):
+        pmf[x, x, x >> 3] += px[x] * 0.97
+        pmf[x, x ^ 1, x >> 3] += px[x] * 0.03
+    return JointSource((16, 16, 2), pmf)
+
+
 def main():
     print(f"backend: {BACKEND}")
     rng = np.random.default_rng(0)
@@ -104,6 +145,18 @@ def main():
     ptr /= ptr.sum()
     cand = rng.integers(-1, 16, (16, 16, 2)).astype(np.int64)
     cases["compose_sd w=4"] = (compose_sd, (prod4 >> 3, prod4 >> 3, xcol, ycol, zcol, ptr, cand, 1, 1, 2))
+
+    micro = _leaky_source(rng)
+    micro_params = derive_params(micro, 1, 0.5, 0.6, 0, ell_target=2)
+    _check_compose("composability w=4", micro, micro_params, lambda: _split_compose(micro, micro_params))
+    cases["composability w=4"] = (composability_sd, (micro, micro_params))
+    pmf = np.zeros((16, 1 << 16, 1))
+    pmf[np.arange(1 << 16) % 16, np.arange(1 << 16), 0] = 2.0**-16
+    patterns = JointSource((16, 1 << 16, 1), pmf)
+    pattern_params = IkemParams(1, 4, 4, 0.0, 0.5, 0.25, 0, "patterns")
+    _check_compose("composability 2^16 y", patterns, pattern_params,
+                   lambda: exact_challenge_sd(patterns, pattern_params)[0])
+    cases["composability 2^16 y"] = (composability_sd, (patterns, pattern_params))
 
     cases["mul_vector w=12 n=3"] = (mul_vector, (int(rng.integers(1, 1 << 12)), 3, 16, 12))
     cases["linear_table w=12 n=3"] = (linear_table, (int(rng.integers(1, 1 << 12)), 12, 12, 3, 16))

@@ -15,7 +15,8 @@ terms and the cells of the (z, a, g, a', k) table the kernel fills,
     |support(X^n)| * (2^w)^(2 + 2*q_e)              <= 2^24
     |Z^n| * (2^w * 2^w * 2^(t + ell))^(1 + q_e)     <= 2^24,
 
-with q_e = 0 for composability; RegimeTooLarge is raised beyond them.
+with q_e = 0 for composability, whose lists, all taken in one walk,
+share ikem.MAX_CANDIDATES; RegimeTooLarge is raised beyond them.
 """
 
 from itertools import product as _iterprod
@@ -24,7 +25,8 @@ import numpy as np
 
 from .._kernels import MAX_WIDTH, cea_sd, challenge_sd, compose_sd, mul_table
 from ..errors import RegimeTooLarge
-from ..ikem import IkemParams, enumerate_typical, hash_width
+# enumerate_typical and encode_symbols stay bound here: perfbench's tracer patches both names
+from ..ikem import IkemParams, _listed, enumerate_typical, hash_width  # noqa: F401
 from ..source import JointSource, product_source
 from ..uhf import encode_flat, encode_symbols
 
@@ -116,25 +118,22 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
     na = 1 << w
     _check_work(xf.shape[0], nz1**n, w, params, 0)
 
-    # one column per distinct sample, over the support and every receiver
-    # pattern's candidate list, each list taken whole as flat indices
-    y_present, ycol = np.unique(yf, return_inverse=True)
-    flats = [xf]
-    for y in y_present:
-        listed = list(enumerate_typical(source, np.unravel_index(y, (ny,) * n), params.nu))
-        flats.append(np.ravel_multi_index(np.array(listed, np.int64).reshape(-1, n).T, (nx,) * n))
-    cols, col_of = np.unique(np.concatenate(flats), return_inverse=True)
+    # every receiver pattern's list from one walk over (x, y) pair symbols
+    # x*|Y| + y, which cost -log2 P(x | y) and +inf where P(y) = 0
+    pair = np.nan_to_num(source.surprisal_table.ravel(), nan=np.inf)
+    lx, ly = np.divmod(_listed(np.broadcast_to(pair, (n, pair.size)), params.nu).T, ny)
+    # one column per distinct sample and one row per receiver pattern
+    cols, xcol = np.unique(np.concatenate([xf, np.ravel_multi_index(lx, (nx,) * n)]), return_inverse=True)
+    ys, ycol = np.unique(np.concatenate([yf, np.ravel_multi_index(ly, (ny,) * n)]), return_inverse=True)
     tag, key = _hash_tables(w, encode_flat(cols, n, nx), t, params.ell)
-    xcol, *list_cols = np.split(col_of, np.cumsum([f.shape[0] for f in flats])[:-1])
-
-    cand = np.full((len(y_present), na << t), -1, dtype=np.int64)
-    slot_base = np.arange(na, dtype=np.int64)[:, None] << t
-    for row, col in enumerate(list_cols):
-        slots = (slot_base + tag[:, col]).ravel()
-        cand[row, slots] = np.broadcast_to(col, (na, col.shape[0])).ravel()
-        cand[row, np.bincount(slots, minlength=na << t) > 1] = -1
-
-    cand = cand.reshape(len(y_present), na, 1 << t)
+    (xcol, list_col), (ycol, list_row) = np.split(xcol, [xf.size]), np.split(ycol, [yf.size])
+    # cand[y, a, g]: y's one list entry with tag g under a; -1 for none or several
+    cand = np.full((na, len(ys) << t), -1, dtype=np.int64)
+    for a, row in enumerate(cand):
+        slots = (list_row << t) + tag[a, list_col]
+        row[slots] = list_col
+        row[np.bincount(slots, minlength=row.size) > 1] = -1
+    cand = cand.reshape(na, len(ys), 1 << t).transpose(1, 0, 2)
     # z patterns interned to the support's: a view without mass adds nothing
     z_present, zcol = np.unique(zf, return_inverse=True)
     sd = float(compose_sd(tag, key, xcol, ycol, zcol, ptr, cand, t, params.ell, len(z_present)))

@@ -47,7 +47,7 @@ import numpy as np
 from . import gf2
 from .errors import FormatError, InfeasibleKeyLength, RegimeTooLarge
 from .source import JointSource, avg_cond_min_entropy, check_symbols
-from .uhf import UhfSeed, UhfSpec, encode_symbols, hash_value, sample_seed, symbol_bits
+from .uhf import MAX_HASH_WIDTH, UhfSeed, UhfSpec, encode_symbols, hash_value, sample_seed, symbol_bits
 
 # Slack for floating-point comparisons in branch pruning; every rebuilt
 # row is re-checked against nu by _within, in the exact accumulation
@@ -64,11 +64,6 @@ MAX_CANDIDATES = 1 << 18
 # cut: enough to take a short half-list in a few numpy calls, small
 # enough that children a per-position cut would drop cost little.
 CHUNK_CELLS = 1 << 12
-
-# Widest hash input a session may have: GF(2^w) fields are searched on
-# first use, and the search grows without bound in w; up to 512 bits
-# the slowest width takes under a second.
-MAX_HASH_WIDTH = 512
 
 
 class _BottomType:
@@ -251,9 +246,7 @@ def hash_width(source: JointSource, params: IkemParams) -> int:
     """
     enc = params.n * symbol_bits(source.alphabet_sizes[0])
     w = max(1, enc, params.t, params.ell)
-    if w > MAX_HASH_WIDTH:
-        raise RegimeTooLarge(f"hash width {w} exceeds {MAX_HASH_WIDTH} bits")
-    return w
+    return UhfSpec(w, 1).input_bits  # UhfSpec refuses a width past MAX_HASH_WIDTH
 
 
 def tag_spec(source: JointSource, params: IkemParams) -> UhfSpec:
@@ -336,14 +329,11 @@ def _walk(cost: np.ndarray, nu: float, table: np.ndarray | None = None) -> _Walk
     """
     n, nx = cost.shape
     mins = cost.min(axis=1)
-    min_suffix = np.zeros(n + 1)
-    min_suffix[:n] = np.cumsum(mins[::-1])[::-1]
-    min_prefix = np.zeros(n + 1)
-    min_prefix[1:] = np.cumsum(mins)
     limit = nu + _PRUNE_SLACK
     # a symbol past nu even beside the cheapest symbols elsewhere is in no
-    # row of the list: dropped from its whole position
-    feasible = (min_prefix[:n, None] + cost) + min_suffix[1:, None] <= limit
+    # row of the list: dropped from its whole position (a position of +inf
+    # costs makes every rest inf or NaN, so nothing is feasible)
+    feasible = cost + (mins.sum() - mins)[:, None] <= limit
     width = feasible.sum(axis=1)
     forced = feasible.argmax(axis=1)  # the only symbol where width == 1
     if nu < 0 or not width.all():  # some position has no feasible symbol: empty list
@@ -402,9 +392,9 @@ def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None =
     XOR_i table[i, x_i] equals want.
 
     A walk prunes and one check decides.  The walk drops a symbol that
-    exceeds nu even after the cheapest prefix and the cheapest suffix
-    from its whole position; a position left with one symbol (its
-    cheapest) adds its cost once, to the starting cost.  The others are
+    exceeds nu even beside every other position's cheapest symbol from
+    its whole position; a position left with one symbol (its cheapest)
+    adds its cost once, to the starting cost.  The others are
     taken in blocks: each prefix is extended by every combination of
     the block's symbols in one chained outer sum, and a child is cut at
     the block's end when its partial surprisal plus the cheapest rest
@@ -415,8 +405,8 @@ def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None =
     does, so the output equals the brute-force filter exactly, whatever
     the blocks.
 
-    Without a tag the whole list is walked, and every row rebuilt,
-    before the first row is yielded.  With one, the list itself is
+    Without a tag, :func:`_listed` walks the whole list and rebuilds
+    every row before the first is yielded; with one, the list itself is
     never walked: see :func:`_tag_join`.  A block whose first position
     extends the prefixes to more than MAX_CANDIDATES children raises
     RegimeTooLarge (the same position at which a block of one position
@@ -426,19 +416,22 @@ def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None =
     if nu < 0:
         raise FormatError("nu must be >= 0")
     if tag is None:
-        cost = _cost_matrix(source, y_vec)
-        walk = _walk(cost, nu)
-        rows = walk.rows(np.arange(walk.count))
+        yield from _listed(_cost_matrix(source, y_vec), nu)
     else:
-        table, want = tag
-        cost = _cost_matrix(source, y_vec, len(table))
-        rows = _tag_join(cost, nu, table, want)
-    yield from rows[_within(cost, rows, nu)]
+        yield from _tag_join(_cost_matrix(source, y_vec, len(tag[0])), nu, *tag)
+
+
+def _listed(cost: np.ndarray, nu: float) -> np.ndarray:
+    """Every row x with sum_i cost[i, x_i] <= nu, in lexicographic order,
+    as one (rows, n) array: the walk, its rows, then :func:`_within`."""
+    walk = _walk(cost, nu)
+    rows = walk.rows(np.arange(walk.count))
+    return rows[_within(cost, rows, nu)]
 
 
 def _tag_join(cost: np.ndarray, nu: float, table: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """The rows whose tag is `want` among the pairs of two half-lists
-    that cover the list, in lexicographic order.
+    """The rows of the list whose tag is `want`, in lexicographic order,
+    from the pairs of two half-lists that cover the list.
 
     The positions split at h = n // 2.  Any x in the list has a left
     half within nu - min_R and a right half within nu - min_L, where
@@ -447,8 +440,8 @@ def _tag_join(cost: np.ndarray, nu: float, table: np.ndarray, want: np.ndarray) 
     the cost matrix, and each leaf carries its half's tag, XORed from
     the table beside the partial surprisal.  Pairs whose tags XOR to
     `want` are joined on the first tag limb and compared on every limb;
-    only their rows are rebuilt, from the walks' back-pointers.  A pair
-    may lie past nu: :func:`_within` decides.  A join of more than
+    only their rows are rebuilt, from the walks' back-pointers, and
+    :func:`_within` keeps those in the list.  A join of more than
     MAX_CANDIDATES pairs (only a t far below the derived one gets
     there) raises RegimeTooLarge.
     """
@@ -478,7 +471,8 @@ def _tag_join(cost: np.ndarray, nu: float, table: np.ndarray, want: np.ndarray) 
     if len(li) > 1:  # li ascends, but ri follows the tag sort: restore the list's order
         pick = np.lexsort((ri, li))
         li, ri = li[pick], ri[pick]
-    return np.concatenate([left.rows(li), right.rows(ri)], axis=1)
+    rows = np.concatenate([left.rows(li), right.rows(ri)], axis=1)
+    return rows[_within(cost, rows, nu)]
 
 
 def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
@@ -487,8 +481,7 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     The ciphertext's tag seed gives one linear table, and the tag
     XOR msb_t(b) is the value its table XOR must take;
     :func:`enumerate_typical` yields the candidates of T(y) with that
-    tag, joining two tag-carrying half-lists and rebuilding rows only
-    for the joined pairs.  Only the match's key is hashed.
+    tag (see :func:`_tag_join`).  Only the match's key is hashed.
 
     BOTTOM covers both zero and multiple matches; it means the
     ciphertext could not be decapsulated, not that the input was

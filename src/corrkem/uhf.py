@@ -26,6 +26,11 @@ from ._kernels import BLOCK_CELLS, census_max_dev, mul_table
 from .errors import FormatError, RegimeTooLarge
 from .source import check_symbols
 
+# Widest hash input a spec may have: GF(2^w) fields are searched on
+# first use, and the search grows without bound in w; up to 512 bits
+# the slowest width takes under a second.
+MAX_HASH_WIDTH = 512
+
 
 @dataclass(frozen=True)
 class UhfSpec:
@@ -37,6 +42,8 @@ class UhfSpec:
     def __post_init__(self):
         if self.input_bits < 1:
             raise FormatError("input_bits must be >= 1")
+        if self.input_bits > MAX_HASH_WIDTH:
+            raise RegimeTooLarge(f"hash width {self.input_bits} exceeds {MAX_HASH_WIDTH} bits")
         if not 1 <= self.output_bits <= self.input_bits:
             raise FormatError("need 1 <= output_bits <= input_bits")
 

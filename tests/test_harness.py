@@ -1,6 +1,7 @@
 """Security harness: exact checks, detectors, Monte Carlo games."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -287,6 +288,42 @@ def test_composability_matches_naive_oracle(rng, monkeypatch):
         with monkeypatch.context() as m:  # blocks of one z pattern, steps of two rows
             m.setattr(_kernels, "BLOCK_CELLS", 8 * 4)
             assert composability_sd(src, params)[0] == pytest.approx(fast, abs=1e-12)
+
+
+def test_composability_with_a_zero_mass_receiver_symbol_matches_naive_oracle(rng):
+    # y = 2 has no mass: its column of surprisals is NaN, and every
+    # receiver pattern through it must list nothing
+    pmf = rng.random((2, 3, 1))
+    pmf[:, 2, :] = 0.0
+    pmf /= pmf.sum()
+    src = JointSource((2, 3, 1), pmf)
+    params = _micro_params(n=2, nu=3.0, ell=1, t=1)
+    fast, _ = composability_sd(src, params)
+    assert fast == pytest.approx(naive_composability_sd(src, params), abs=1e-12)
+
+
+def _patterns_source(nx, ny):
+    """Y uniform on ny symbols, X = Y mod nx, Z constant."""
+    pmf = np.zeros((nx, ny, 1))
+    pmf[np.arange(ny) % nx, np.arange(ny), 0] = 1.0 / ny
+    return JointSource((nx, ny, 1), pmf)
+
+
+def test_composability_lists_every_receiver_pattern_in_one_walk():
+    # 2^16 receiver patterns, one x in each list, 2^24 terms: one walk over
+    # (x, y) pairs lists them all, so no per-pattern work adds up
+    start = time.perf_counter()
+    sd, work = composability_sd(_patterns_source(16, 1 << 16), _micro_params(t=4, ell=4, nu=0.0))
+    assert time.perf_counter() - start < 1.5
+    assert (sd, work) == (0.882568359375, 1 << 24)
+
+
+def test_composability_lists_share_the_decap_budget():
+    # 2^19 patterns with one listed x each: the pairs pass MAX_CANDIDATES
+    start = time.perf_counter()
+    with pytest.raises(RegimeTooLarge, match="candidate list exceeds"):
+        composability_sd(_patterns_source(2, 1 << 19), _micro_params(t=1, ell=1, nu=0.0))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_composability_memory_counts_only_z_patterns_with_mass(monkeypatch):

@@ -43,6 +43,17 @@ def test_hash_deterministic_and_validates():
         hash_value(spec, UhfSeed(0x100, 0), 1)
 
 
+def test_spec_past_the_width_cap_is_refused_before_the_field_search():
+    # the GF(2^w) field search grows without bound in w (seconds at 2048
+    # bits): a 4096-bit spec is refused where it is built, with the
+    # message every session check shares
+    start = time.perf_counter()
+    with pytest.raises(RegimeTooLarge, match="hash width 4096 exceeds 512 bits"):
+        hash_value(UhfSpec(4096, 8), UhfSeed(1, 0), 1)
+    assert time.perf_counter() - start < 0.1
+    assert UhfSpec(512, 8).input_bits == 512
+
+
 def test_sample_seed_deterministic():
     spec = UhfSpec(16, 4)
     s1 = sample_seed(spec, np.random.default_rng(9))

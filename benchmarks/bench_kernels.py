@@ -3,7 +3,9 @@
 Run:  python3 benchmarks/bench_kernels.py
 Times are the best of three calls after one warm-up.  Each cea_sd
 result is checked before it is timed: it must lie in [0, 1] and agree
-within 1e-12 with a run whose key operand is split into two blocks.
+within 1e-12 with a dense reference that multiplies every sample
+column and every challenge-key row in one block.  The z|x row is the
+verify_micro ot w=8 shape: Z the top two bits of X, t = 1, ell = 2.
 The mul_vector row is the posterior games' bulk product a * code over
 all |X|^n codes at the he-micro shape (w = 12, n = 3, |X| = 16); the
 linear_table rows build the GF(2)-linear table at that shape and the
@@ -16,7 +18,11 @@ checked against a run in blocks of one z pattern and steps of one
 support row, and 2^16 receiver patterns (Y uniform on 2^16 symbols,
 X = Y mod 16, Z constant, t = ell = 4, nu = 0), where both parties
 always hold the same key, so the distance must equal the challenge
-distance.  The decap rows decapsulate one encapsulation on
+distance.  One more instance is checked, untimed, against the
+full-seed naive_composability_sd: a random dense 4x4x2 source at
+nu = 3.0 and t = ell = 1, where 14 of the 16 (x, y) pairs are listed,
+so most one-bit tag slots hold two list entries.  The decap rows
+decapsulate one encapsulation on
 satellite_source(0.05, 0.05, 0.3) with reliability_params(eps=0.25),
 and the n=280 row one on the README demo session (X = Y one uniform
 bit, derive_params(n=280, eps=0.5, sigma=2^-8, ell=256)); each result
@@ -45,7 +51,7 @@ from corrkem import (
 )
 from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table
 from corrkem.gf2 import linear_table, mul_vector, reduction_low
-from corrkem.harness import composability_sd, exact_challenge_sd
+from corrkem.harness import composability_sd, exact_challenge_sd, naive_composability_sd
 
 
 def _bench(fn, *args, repeat=3):
@@ -67,19 +73,33 @@ def _check_decap(label, src, params, triple, key, got):
         raise SystemExit(f"{label}: decap returned {got!r}, encap's key was {key!r}")
 
 
+def _dense_cea(tag, key, pxz, t_bits, ell_bits, q_e):
+    """The transcript distance with no shortcut: per z, the absolute sum of
+    (T * pz) @ Kc^T over every sample column and every key row, with T and
+    K the (1 + q_e)-fold row-wise Khatri-Rao powers of the one-hot tag and
+    key tables and Kc K centred over its last digit, the challenge key."""
+    na, nx = tag.shape
+
+    def power(table, bits):
+        onehot = (table[:, None] == np.arange(1 << bits)[:, None]).reshape(-1, nx)
+        out = onehot
+        for _ in range(q_e):
+            out = (out[:, None] & onehot).reshape(-1, nx)
+        return out.astype(np.float64)
+
+    right = power(key, ell_bits).reshape(-1, 1 << ell_bits, nx)
+    right = (right - right.mean(axis=1, keepdims=True)).reshape(-1, nx)
+    left = power(tag, t_bits)
+    total = sum(np.abs((left * pz) @ right.T).sum() for pz in pxz.T)
+    return 0.5 * total / na ** (2 + 2 * q_e)
+
+
 def _check_cea(label, tag, key, pxz, t_bits, ell_bits, q_e):
-    """The distance lies in [0, 1] and does not depend on the key blocks."""
+    """The distance lies in [0, 1] and equals the dense reference's."""
     got = cea_sd(tag, key, pxz, t_bits, ell_bits, q_e)
-    two_l = 1 << ell_bits
-    groups = (tag.shape[0] << ell_bits) ** (1 + q_e) // two_l
-    budget = _kernels.BLOCK_CELLS
-    _kernels.BLOCK_CELLS = 8 * tag.shape[1] * -(-groups // 2) * two_l  # two key blocks
-    try:
-        split = cea_sd(tag, key, pxz, t_bits, ell_bits, q_e)
-    finally:
-        _kernels.BLOCK_CELLS = budget
-    if not (0.0 <= got <= 1.0 and abs(got - split) <= 1e-12):
-        raise SystemExit(f"{label}: distance {got!r}, {split!r} with two key blocks")
+    want = _dense_cea(tag, key, pxz, t_bits, ell_bits, q_e)
+    if not (0.0 <= got <= 1.0 and abs(got - want) <= 1e-12):
+        raise SystemExit(f"{label}: distance {got!r}, dense reference {want!r}")
 
 
 def _check_compose(label, src, params, reference):
@@ -129,12 +149,15 @@ def main():
     tag = prod8 >> (8 - 2)
     key = prod8 >> (8 - 2)
     cases["cea_sd w=8 q=0"] = (cea_sd, (tag, key, pxz, 2, 2, 0))
+    leak = np.zeros((nx, 4))
+    leak[np.arange(nx), np.arange(nx) >> 6] = pxz[:, 0] / pxz[:, 0].sum()
+    cases["cea_sd w=8 q=0 z|x"] = (cea_sd, (prod8 >> 7, prod8 >> 6, leak, 1, 2, 0))
 
     prod4 = mul_table(4).astype(np.int64)
     pxz4 = rng.random((16, 2))
     pxz4 /= pxz4.sum()
     cases["cea_sd w=4 q=1"] = (cea_sd, (prod4 >> 3, prod4 >> 3, pxz4, 1, 1, 1))
-    for label in ("cea_sd w=8 q=0", "cea_sd w=4 q=1"):
+    for label in ("cea_sd w=8 q=0", "cea_sd w=8 q=0 z|x", "cea_sd w=4 q=1"):
         _check_cea(label, *cases[label][1])
 
     sup = 256
@@ -150,6 +173,10 @@ def main():
     micro_params = derive_params(micro, 1, 0.5, 0.6, 0, ell_target=2)
     _check_compose("composability w=4", micro, micro_params, lambda: _split_compose(micro, micro_params))
     cases["composability w=4"] = (composability_sd, (micro, micro_params))
+    dense = np.random.default_rng(0).random((4, 4, 2))
+    dense = JointSource((4, 4, 2), dense / dense.sum())
+    dense_params = IkemParams(1, 1, 1, 3.0, 0.5, 0.25, 0, "dense")
+    _check_compose("composability dense", dense, dense_params, lambda: naive_composability_sd(dense, dense_params))
     pmf = np.zeros((16, 1 << 16, 1))
     pmf[np.arange(1 << 16) % 16, np.arange(1 << 16), 0] = 2.0**-16
     patterns = JointSource((16, 1 << 16, 1), pmf)

@@ -29,9 +29,14 @@ row-wise Khatri-Rao power.  With k the challenge key, the last right
 digit, the distance sums |J - mean_k J|, which is the same product
 with the key rows centred over k.  One k matches each x, so that mean
 is the rows' query factors times 2^-ell, and each centred entry, 1 -
-2^-ell, -2^-ell or 0, is exact in float64.  Key blocks hold whole
-2^ell-row groups.  The one-time challenge distance is the q_e = 0
-transcript distance.
+2^-ell, -2^-ell or 0, is exact in float64.  At ell = 1 the centred
+rows of key 1 are therefore exactly those of key 0 negated, at any
+q_e, so only the key-0 rows are multiplied and their absolute sum
+counts twice.  Key blocks hold whole 2^ell-row groups.  Each z
+pattern multiplies only the sample columns it has mass on (a leaky Z
+that is a function of X has mass on a few); a pattern with mass on
+every sample takes the operands uncopied.  The one-time challenge
+distance is the q_e = 0 transcript distance.
 
 ``compose_sd`` never fills the (K_A, K_B) plane.  The reference puts
 each view's mass M uniformly on the diagonal K_A = K_B, so with D(k)
@@ -150,17 +155,21 @@ def cea_sd(tag, key, pxz, t_bits, ell_bits, q_e):
     nright = (na << ell_bits) ** (1 + q_e)
     br = _block(nright, nx, two_l)
     bl = _block(nleft, max(nx, br))
+    # each z pattern's samples with mass; one with mass on all takes the columns uncopied
+    support = [(slice(None) if pz.all() else np.flatnonzero(pz), pz) for pz in pxz.T]
+    keys = 1 if ell_bits == 1 else two_l  # at ell = 1 key 1's rows are key 0's negated
     total = 0.0
     for r in range(0, nright, br):
         right = _khatri_rao_rows(key, ell_bits, 1 + q_e, np.arange(r, min(r + br, nright)))
         right = right.reshape(-1, two_l, nx).astype(np.float64)
         right -= right.mean(axis=1, keepdims=True)  # centred over the challenge key
+        right = right[:, :keys].reshape(-1, nx)
         for l in range(0, nleft, bl):
             left = _khatri_rao_rows(tag, t_bits, 1 + q_e, np.arange(l, min(l + bl, nleft)))
-            for pz in pxz.T:
-                joint = (left * pz) @ right.reshape(-1, nx).T
+            for c, pz in support:
+                joint = (left[:, c] * pz[c]) @ right[:, c].T
                 total += np.abs(joint, out=joint).sum()
-    return 0.5 * total / na ** (2 + 2 * q_e)
+    return two_l // keys * 0.5 * total / na ** (2 + 2 * q_e)
 
 
 # ---------------------------------------------------------------------------

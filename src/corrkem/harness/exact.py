@@ -17,6 +17,10 @@ terms and the cells of the (z, a, g, a', k) table the kernel fills,
 
 with q_e = 0 for composability, whose lists, all taken in one walk,
 share ikem.MAX_CANDIDATES; RegimeTooLarge is raised beyond them.
+Composability's int32 table ``cand`` of tag-matching list entries has
+2^w * 2^t cells per receiver pattern in the support (every listed
+pattern is), so with t <= w its cells are at most the terms and
+within WORK_LIMIT.
 """
 
 from itertools import product as _iterprod
@@ -128,7 +132,7 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
     tag, key = _hash_tables(w, encode_flat(cols, n, nx), t, params.ell)
     (xcol, list_col), (ycol, list_row) = np.split(xcol, [xf.size]), np.split(ycol, [yf.size])
     # cand[y, a, g]: y's one list entry with tag g under a; -1 for none or several
-    cand = np.full((na, len(ys) << t), -1, dtype=np.int64)
+    cand = np.full((na, len(ys) << t), -1, dtype=np.int32)  # columns < support <= WORK_LIMIT
     for a, row in enumerate(cand):
         slots = (list_row << t) + tag[a, list_col]
         row[slots] = list_col

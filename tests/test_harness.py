@@ -213,6 +213,30 @@ def test_cea_sd_centred_key_blocks_match_dict_definition(monkeypatch, t, ell, q_
                 assert abs(_kernels.cea_sd(tag, key, pxz, t, ell, q_e) - want) <= 1e-12
 
 
+@pytest.mark.parametrize("q_e", [0, 1])
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_cea_sd_at_ell_1_on_sparse_patterns_matches_dict_definition(monkeypatch, t, q_e):
+    # at ell = 1 the kernel multiplies the key-0 rows alone and counts them
+    # twice, and each z pattern multiplies only the samples it has mass on:
+    # here one pattern has mass on every sample, one on none, one on a
+    # single sample and one on three of seven; in one block and in many
+    rng = np.random.default_rng(100 + 10 * q_e + t)
+    na, nx = 4, 7
+    for _ in range(3):
+        tag = rng.integers(0, 1 << t, (na, nx))
+        key = rng.integers(0, 2, (na, nx))
+        pxz = rng.random((nx, 4)) + 0.01
+        pxz[:, 1] = 0.0
+        pxz[:, 2] *= np.arange(nx) == rng.integers(nx)
+        pxz[:, 3] *= rng.permutation(nx) < 3
+        pxz /= pxz.sum()
+        want = _dict_transcript_sd(tag, key, pxz, 2, q_e)
+        assert abs(_kernels.cea_sd(tag, key, pxz, t, 1, q_e) - want) <= 1e-12
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "BLOCK_CELLS", 8 * 16)
+            assert abs(_kernels.cea_sd(tag, key, pxz, t, 1, q_e) - want) <= 1e-12
+
+
 @pytest.mark.parametrize("xbits, t, q_e", [(8, 4, 0), (4, 2, 1)])
 def test_cea_sd_memory_within_budget_at_the_work_limit(xbits, t, q_e):
     # both cases fill a 2^24-cell transcript table, the most the guard admits
@@ -316,6 +340,19 @@ def test_composability_lists_every_receiver_pattern_in_one_walk():
     sd, work = composability_sd(_patterns_source(16, 1 << 16), _micro_params(t=4, ell=4, nu=0.0))
     assert time.perf_counter() - start < 1.5
     assert (sd, work) == (0.882568359375, 1 << 24)
+
+
+def test_composability_memory_at_2_16_receiver_patterns():
+    # the (y, a, g) candidate table is int32: 2^24 cells, 64 MiB of the peak
+    src = _patterns_source(16, 1 << 16)
+    tracemalloc.start()
+    try:
+        sd, _ = composability_sd(src, _micro_params(t=4, ell=4, nu=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sd == 0.882568359375
+    assert peak < 128 << 20
 
 
 def test_composability_lists_share_the_decap_budget():

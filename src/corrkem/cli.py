@@ -248,11 +248,9 @@ def cmd_verify(args) -> int:
     source, params = _load_session(args)
     report = _CHECKS[args.mode](source, params, args)
     doc = harness.report_json(report)
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+        wire.save_json(args.out, doc)
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK if report.passed else EXIT_USAGE
 
 

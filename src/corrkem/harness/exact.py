@@ -23,6 +23,7 @@ pattern is), so with t <= w its cells are at most the terms and
 within WORK_LIMIT.
 """
 
+from functools import reduce
 from itertools import product as _iterprod
 
 import numpy as np
@@ -126,9 +127,10 @@ def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, in
     # x*|Y| + y, which cost -log2 P(x | y) and +inf where P(y) = 0
     pair = np.nan_to_num(source.surprisal_table.ravel(), nan=np.inf)
     lx, ly = np.divmod(_listed(np.broadcast_to(pair, (n, pair.size)), params.nu).T, ny)
-    # one column per distinct sample and one row per receiver pattern
-    cols, xcol = np.unique(np.concatenate([xf, np.ravel_multi_index(lx, (nx,) * n)]), return_inverse=True)
-    ys, ycol = np.unique(np.concatenate([yf, np.ravel_multi_index(ly, (ny,) * n)]), return_inverse=True)
+    # one column per distinct sample and one row per receiver pattern; the
+    # flat index folds f * |X| + x, as no n-axis shape passes numpy's 64 axes
+    cols, xcol = np.unique(np.concatenate([xf, reduce(lambda f, d: f * nx + d, lx)]), return_inverse=True)
+    ys, ycol = np.unique(np.concatenate([yf, reduce(lambda f, d: f * ny + d, ly)]), return_inverse=True)
     tag, key = _hash_tables(w, encode_flat(cols, n, nx), t, params.ell)
     (xcol, list_col), (ycol, list_row) = np.split(xcol, [xf.size]), np.split(ycol, [yf.size])
     # cand[y, a, g]: y's one list entry with tag g under a; -1 for none or several
@@ -226,6 +228,7 @@ def naive_composability_sd(source: JointSource, params: IkemParams) -> float:
     n = params.n
     nx, ny, _ = source.alphabet_sizes
     pxyz = product_source(source, n).pmf
+    place = np.arange(n - 1, -1, -1)  # a flat index's digit i is index // base**place[i] % base
     tspec = UhfSpec(w, params.t)
     kspec = UhfSpec(w, params.ell)
     na = 1 << w
@@ -242,11 +245,11 @@ def naive_composability_sd(source: JointSource, params: IkemParams) -> float:
         s2 = UhfSeed(a2, b2)
         for xi, yi, zi in zip(xf, yflat_arr, zf):
             p = pxyz[xi, yi, zi] * seed_p
-            code = encode_symbols(np.unravel_index(xi, (nx,) * n), nx)
+            code = encode_symbols(xi // nx**place % nx, nx)
             g = hash_value(tspec, s, code)
             ka = hash_value(kspec, s2, code)
             ctxt = IkemCiphertext(g, s2, s)
-            got = decap(params, source, np.array(np.unravel_index(yi, (ny,) * n)), ctxt)
+            got = decap(params, source, yi // ny**place % ny, ctxt)
             view = (int(zi), a, b, g, a2, b2)
             if got is not BOTTOM and got.bits == ka:
                 _add(diag, view + (ka,), p)

@@ -26,7 +26,7 @@ from ..errors import FormatError, RegimeTooLarge
 from ..gf2 import mul_vector
 from ..hybrid import he_encrypt
 from ..ikem import IkemParams, encap, decap, hash_width
-from ..source import JointSource, sample_with_rng
+from ..source import JointSource, check_symbols, sample_with_rng
 # perfbench/tracing.py patches games.hash_value, so the name stays bound here
 from ..uhf import hash_value, rand_bits  # noqa: F401
 from .exact import cea_transcript_sd, composability_sd, exact_challenge_sd
@@ -137,15 +137,17 @@ class _PosteriorMixin:
 
     def prior_given_z(self, z_vec) -> np.ndarray:
         """P(x, z_vec) for every flat sample x, multiplied first symbol
-        first: ((p0 * p1) * p2) ...
+        first: ((p0 * p1) * p2) ...; z_vec must pass :func:`check_symbols`.
 
         Each trial's first posterior step, so it refuses the regime, after
         the games' own work check and before any |X|^n array exists."""
-        if self.source.alphabet_sizes[0] ** self.params.n > _POSTERIOR_LIMIT:
+        nx, _, nz = self.source.alphabet_sizes
+        z_vec = check_symbols(z_vec, nz, self.params.n)
+        if nx**self.params.n > _POSTERIOR_LIMIT:
             raise RegimeTooLarge("posterior enumeration needs |X|^n <= 2^20")
         if self.w > 62:
             raise RegimeTooLarge(f"posterior hashing needs a hash width <= 62, got {self.w}")
-        return reduce(np.multiply.outer, self.pxz1[:, np.asarray(z_vec)].T).ravel()
+        return reduce(lambda p, q: np.multiply.outer(p, q).ravel(), self.pxz1[:, z_vec].T)
 
     def hash_all(self, seed, out_bits: int) -> np.ndarray:
         vals = mul_vector(seed.a, self.params.n, self.source.alphabet_sizes[0], self.w)

@@ -121,17 +121,10 @@ def satellite_source(p_a: float, p_b: float, p_e: float) -> JointSource:
     for p in (p_a, p_b, p_e):
         if not 0.0 <= p <= 0.5:
             raise FormatError(f"flip probability {p} outside [0, 0.5]")
-    pmf = np.zeros((2, 2, 2))
-    for beacon in (0, 1):
-        for x in (0, 1):
-            for y in (0, 1):
-                for z in (0, 1):
-                    pmf[x, y, z] += 0.5 * _flip(x, beacon, p_a) * _flip(y, beacon, p_b) * _flip(z, beacon, p_e)
+    # channel matrices: [out, beacon] is 1 - p on the diagonal, p off it
+    a, b, e = (np.array([[1.0 - p, p], [p, 1.0 - p]]) for p in (p_a, p_b, p_e))
+    pmf = sum(0.5 * a[:, k, None, None] * b[:, k, None] * e[:, k] for k in (0, 1))
     return JointSource((2, 2, 2), pmf, f"satellite({p_a},{p_b},{p_e})")
-
-
-def _flip(out: int, inp: int, p: float) -> float:
-    return p if out != inp else 1.0 - p
 
 
 def sample_n(source: JointSource, n: int, seed: int) -> SampleTriple:
@@ -181,6 +174,9 @@ def _symbol_array(vec, n: int | None) -> np.ndarray:
         raise FormatError(f"not a symbol vector: {exc}") from exc
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise FormatError(f"symbols must be a 1-D integer vector, not {arr.dtype} of shape {arr.shape}")
+    # numpy turns bools mixed into an integer list into 0 and 1
+    if not isinstance(vec, np.ndarray) and {bool, np.bool_} & set(map(type, vec)):
+        raise FormatError("symbols must be integers, not bools")
     if n is not None and arr.size != n:
         raise FormatError(f"sample must have n={n} symbols, got {arr.size}")
     return arr
@@ -189,13 +185,16 @@ def _symbol_array(vec, n: int | None) -> np.ndarray:
 def check_symbols(vec, alphabet_size: int, n: int | None = None) -> np.ndarray:
     """The one definition of a symbol vector: one-dimensional integers (n
     of them, if given) in [0, alphabet_size), returned as int64.  Anything
-    else raises FormatError (bools and floats too; the first symbol outside
-    the alphabet is named).  An empty vector may have any dtype."""
+    else raises FormatError (floats, and bools even mixed into a list of
+    ints; the first symbol outside the alphabet is named).  An empty
+    vector may have any dtype."""
     arr = _symbol_array(vec, n)
-    outside = (arr < 0) | (arr >= alphabet_size)
-    if outside.any():
+    symbols = arr.astype(np.int64, copy=False)
+    # read unsigned, a negative symbol is past any alphabet: one comparison
+    outside = symbols.view(np.uint64) >= alphabet_size
+    if np.count_nonzero(outside):
         raise FormatError(f"symbol {arr[outside.argmax()]} outside alphabet of {alphabet_size}")
-    return arr.astype(np.int64, copy=False)
+    return symbols
 
 
 def surprisal(source: JointSource, x_vec, y_vec) -> float:

@@ -31,7 +31,7 @@ from .dem import SCHEME_OTP, SCHEME_STREAM, DemCiphertext
 from .errors import FormatError
 from .hybrid import HybridCiphertext
 from .ikem import IkemCiphertext, IkemKey, IkemParams, key_spec, params_digest, tag_spec
-from .source import JointSource, SampleTriple, make_table_source, satellite_source
+from .source import JointSource, SampleTriple, check_symbols, make_table_source, satellite_source
 from .uhf import seed_from_bytes, seed_to_bytes
 
 KEM_MAGIC = b"IKM1"
@@ -133,23 +133,19 @@ def save_json(path, doc: dict) -> None:
 
 def load_sample(path, params: IkemParams, source: JointSource, role: str) -> np.ndarray:
     """The symbols of `role`'s sample ("alice", "bob" or "eve"): a file
-    of that role listing exactly n JSON integers, each in the role's
-    alphabet of `source`."""
+    of that role whose symbols pass :func:`check_symbols` for n symbols
+    of the role's alphabet of `source`."""
     doc = _read_json(path, "sample")
-    size = source.alphabet_sizes[_ROLES.index(role)]
     try:
         digest, symbols = doc["digest"], doc["symbols"]
         if doc["role"] != role:
             raise FormatError(f"sample is {doc['role']!r}'s, this command needs {role!r}'s")
-        if not (isinstance(symbols, list) and len(symbols) == params.n
-                and all(type(s) is int for s in symbols)):  # never a bool or a float
-            raise FormatError(f"sample symbols must be a list of n={params.n} JSON integers")
-        outside = [s for s in symbols if not 0 <= s < size]
-        if outside:
-            raise FormatError(f"sample symbol {outside[0]} outside {role}'s alphabet of {size}")
-        symbols = np.array(symbols, dtype=np.int64)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed sample file: {exc}") from exc
+    try:
+        symbols = check_symbols(symbols, source.alphabet_sizes[_ROLES.index(role)], params.n)
+    except FormatError as exc:
+        raise FormatError(f"sample of {role}: {exc}") from exc
     if digest != params_digest(params).hex():
         raise FormatError("sample was generated under different params")
     return symbols

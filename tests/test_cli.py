@@ -228,6 +228,7 @@ def test_verify_correctness_and_ot_bound(tmp_path, det_source_file, capsys):
     code = main(["verify", "--source", det_source_file, "--params", params_path,
                  "--mode", "ot-bound", "--out", out])
     assert code == 0
+    assert Path(out).read_text() == capsys.readouterr().out  # the printed report, byte for byte
     saved = json.loads((tmp_path / "report.json").read_text())
     assert saved["exact"] is True and saved["pass"] is True
     assert set(saved) == {"game", "exact", "trials", "advantage", "bound", "pass", "seed"}
@@ -276,6 +277,23 @@ def test_verify_he_game_and_composability(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["exact"] and report["pass"]
+
+
+@pytest.mark.parametrize("mode, ell", [("composability", 1), ("he-game", 8)])
+def test_verify_past_64_symbols_on_a_one_cell_source(tmp_path, mode, ell, capsys):
+    # a one-cell source hashes n symbols in 0 bits: n = 70 must not hit
+    # numpy's 64-axis limit in a traceback
+    src_path = tmp_path / "one.json"
+    wire.save_json(src_path, {"type": "table", "alphabets": [1, 1, 1],
+                              "pmf": [{"x": 0, "y": 0, "z": 0, "p": 1.0}]})
+    params = reliability_params(wire.load_source(src_path), n=70, eps=0.5, ell=ell)
+    params_path = tmp_path / "params.json"
+    wire.save_json(params_path, wire.params_to_json(params))
+    code = main(["verify", "--source", str(src_path), "--params", str(params_path),
+                 "--mode", mode, "--trials", "20"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["pass"] and captured.err == ""
 
 
 def test_verify_he_game_past_the_work_limit_exits_4(tmp_path, sat_source_file, capsys):

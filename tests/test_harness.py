@@ -417,6 +417,17 @@ def test_composability_deterministic_source_within_sigma():
     assert report.advantage_estimate <= params.sigma + 1e-12
 
 
+def test_one_cell_source_past_64_symbols():
+    # |X| = |Y| = |Z| = 1 encodes n symbols in 0 bits, so n is unbounded;
+    # no step may build an array with one axis per symbol (numpy stops at 64)
+    src = make_table_source((1, 1, 1), {(0, 0, 0): 1.0})
+    short, long = (reliability_params(src, n, 0.5, ell=1) for n in (2, 70))
+    assert composability_sd(src, long) == composability_sd(src, short)
+    assert naive_composability_sd(src, long) == naive_composability_sd(src, short)
+    adversary = BestGuessOtpHeAdversary(src, reliability_params(src, 70, 0.5, ell=8))
+    assert adversary.prior_given_z([0] * 70).tolist() == [1.0]
+
+
 def test_random_guess_adversary_near_zero(rng):
     src, params = honest_ot_instance(rng, max_bits=6)
     report = run_ikem_game(src, params, RandomGuessAdversary(), 0, 2000, seed=5)

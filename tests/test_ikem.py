@@ -25,7 +25,7 @@ from corrkem import (
     satellite_source,
     surprisal,
 )
-from corrkem import gf2
+from corrkem import gf2, wire
 from corrkem.errors import FormatError, InfeasibleKeyLength, RegimeTooLarge
 from corrkem.ikem import (
     CHUNK_CELLS,
@@ -38,10 +38,12 @@ from corrkem.ikem import (
     IkemParams,
     encode_sample,
     key_spec,
+    params_digest,
     source_digest,
     tag_spec,
 )
-from corrkem.source import avg_cond_min_entropy, sample_with_rng
+from corrkem.harness import BestGuessAdversary, BestGuessOtpHeAdversary
+from corrkem.source import SampleTriple, avg_cond_min_entropy, check_symbols, sample_with_rng
 from corrkem.uhf import UhfSpec, encode_symbols, hash_value, symbol_bits
 
 from conftest import deterministic_pair_source, dishonest, leaky_uniform_source
@@ -653,31 +655,50 @@ def test_decap_validates_lengths():
             decap(params, src, y_vec, ctxt)
 
 
+# One corpus of bad 4-symbol vectors over binary alphabets, each with the
+# part of the rule it breaks: its type, its range or its length.
 _MALFORMED_SYMBOLS = {
-    "float": [0.7, 1.2, 0, 1],
-    "bool": [True, False, True, True],
-    "str": ["0", "1", "0", "1"],
-    "none": None,
-    "2-D": [[0, 1], [0, 1]],
+    "float": ([0.7, 1.2, 0, 1], "type"),
+    "bool": ([True, False, True, True], "type"),
+    "mixed-bool": ([True, 0, 1, 1], "type"),
+    "str": (["0", "1", "0", "1"], "type"),
+    "none": (None, "type"),
+    "2-D": ([[0, 1], [0, 1]], "type"),
+    "ragged": ([[0, 1], [0], 1, 0], "type"),
+    "negative": ([0, -1, 0, 1], "range"),
+    "outside": ([0, 2, 0, 1], "range"),
+    "short": ([0, 1, 0], "length"),
 }
 
 
-@pytest.mark.parametrize("bad", _MALFORMED_SYMBOLS.values(), ids=_MALFORMED_SYMBOLS.keys())
-def test_malformed_symbol_vectors_are_format_errors(bad):
-    # no silent int64 truncation of floats or bools, no bare TypeError
-    # or ValueError: every entry point checks its vectors one way
+@pytest.mark.parametrize("bad, breaks", _MALFORMED_SYMBOLS.values(), ids=_MALFORMED_SYMBOLS.keys())
+def test_malformed_symbol_vectors_are_format_errors(bad, breaks, tmp_path):
+    # no silent int64 truncation of floats or bools, no negative-index
+    # wrap, no bare TypeError, ValueError or IndexError: every entry point
+    # that takes a symbol vector checks it with check_symbols
     src = satellite_source(0.05, 0.05, 0.3)
     params = reliability_params(src, 4, 0.25, ell=8)
     good = [0, 1, 0, 1]
     ctxt, _ = encap(params, src, good, np.random.default_rng(1))
+    sample = tmp_path / "bob.json"
+    wire.save_json(sample, {"role": "bob", "digest": params_digest(params).hex(), "symbols": bad})
     calls = {
-        "encap": lambda: encap(params, src, bad, np.random.default_rng(1)),
-        "decap": lambda: decap(params, src, bad, ctxt),
-        "enumerate_typical": lambda: list(enumerate_typical(src, bad, params.nu)),
+        "check_symbols": lambda: check_symbols(bad, 2, 4),
+        "encode_symbols": lambda: encode_symbols(bad, 2, 4),
         "surprisal x": lambda: surprisal(src, bad, good),
         "surprisal y": lambda: surprisal(src, good, bad),
-        "encode_symbols": lambda: encode_symbols(bad, 2),
+        "encap": lambda: encap(params, src, bad, np.random.default_rng(1)),
+        "decap": lambda: decap(params, src, bad, ctxt),
+        "load_sample": lambda: wire.load_sample(sample, params, src, "bob"),
+        "BestGuessAdversary.pre_challenge":
+            lambda: BestGuessAdversary(src, params).pre_challenge(None, bad, None),
+        "BestGuessOtpHeAdversary.choose":
+            lambda: BestGuessOtpHeAdversary(src, params).choose(None, bad, None),
     }
+    if breaks != "length":  # the list's own length is its n
+        calls["enumerate_typical"] = lambda: list(enumerate_typical(src, bad, params.nu))
+    if breaks != "range":  # SampleTriple does not know the alphabets
+        calls["SampleTriple"] = lambda: SampleTriple(4, good, good, bad)
     for name, call in calls.items():
         with pytest.raises(FormatError):
             call()

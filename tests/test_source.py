@@ -12,6 +12,7 @@ from corrkem import (
     surprisal,
 )
 from corrkem.errors import CorrkemError, FormatError, RegimeTooLarge
+from corrkem.ikem import source_digest
 from corrkem.source import JointSource, SampleTriple
 
 
@@ -45,7 +46,12 @@ def test_table_matches_satellite_construction():
                 entries[(x, y, z)] = p
     by_hand = make_table_source((2, 2, 2), entries)
     built = satellite_source(pa, pb, pe)
-    np.testing.assert_allclose(by_hand.pmf, built.pmf, atol=1e-15)
+    np.testing.assert_array_equal(by_hand.pmf, built.pmf)  # the same products, added beacon 0 first
+
+
+def test_satellite_source_bytes_are_pinned():
+    # the pmf bytes (so every session digest) of the benchmark's source
+    assert source_digest(satellite_source(0.05, 0.05, 0.3)) == "d2cf53228405c4bd"
 
 
 def test_satellite_noiseless_and_noisy():

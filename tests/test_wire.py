@@ -192,7 +192,7 @@ def test_sample_symbols_are_n_json_integers(tmp_path):
     wide = make_table_source((2, 3, 1), {(0, 0, 0): 0.5, (1, 2, 0): 0.5})
     for role, size in (("alice", 2), ("bob", 3), ("eve", 1)):
         wire.save_json(path, dict(doc, role=role, symbols=[0, 0, 0, size]))
-        with pytest.raises(FormatError, match=f"outside {role}'s alphabet of {size}"):
+        with pytest.raises(FormatError, match=f"^sample of {role}: symbol {size} outside alphabet of {size}$"):
             wire.load_sample(path, params, wide, role)
 
 

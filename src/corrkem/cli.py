@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success or passing report, 1 usage/format problems
-(argument errors, a negative seed, floats that overflow), 2 infeasible
-operating point, 3 protocol failure (decapsulation or decryption
-returned bottom), 4 enumeration regime too large.
+(argument errors, a negative seed, floats that overflow, unreadable
+files), 3 protocol failure (decapsulation or decryption returned
+bottom); a corrkem error exits with the code its class owns (see
+:mod:`corrkem.errors`: 2 infeasible operating point, 4 enumeration
+regime too large).
 
 Every subcommand is deterministic for a given ``--seed`` (default is
 the documented constant ``DEFAULT_SEED``); pass ``--random-seed`` to
@@ -26,12 +28,7 @@ import numpy as np
 
 from . import harness
 from .dem import SCHEME_OTP, SCHEME_STREAM
-from .errors import (
-    CorrkemError,
-    FormatError,
-    InfeasibleKeyLength,
-    RegimeTooLarge,
-)
+from .errors import CorrkemError, FormatError, InfeasibleKeyLength
 from .hybrid import he_decrypt, he_encrypt
 from .ikem import BOTTOM, decap, derive_params, encap, hash_width, reliability_params
 from .source import avg_cond_min_entropy, sample_n
@@ -41,9 +38,7 @@ DEFAULT_SEED = 101
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_INFEASIBLE = 2
 EXIT_BOTTOM = 3
-EXIT_REGIME = 4
 
 
 def _seed(text: str) -> int:
@@ -272,13 +267,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except InfeasibleKeyLength as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except RegimeTooLarge as exc:
-        print(f"regime too large: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except (CorrkemError, OSError) as exc:
+    except CorrkemError as exc:  # the class owns its exit code and stderr label
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:  # plan arguments or params numbers past float range

@@ -1,15 +1,14 @@
-"""Exception hierarchy for corrkem: one class per CLI exit code.
-
-    exit  class                 raised for
-    1     FormatError           malformed input or misuse
-    2     InfeasibleKeyLength   a key-length bound below one bit or the request
-    3     (none)                decap failure: the ``BOTTOM`` sentinel of ikem
-    4     RegimeTooLarge        an enumeration, table or width past its limit
+"""Exception hierarchy for corrkem: each class owns its CLI exit code
+and the label that ``cli.main`` prints before its message on stderr.
+Exit 3, a decap failure, is ikem's ``BOTTOM`` sentinel, never an error.
 """
 
 
 class CorrkemError(Exception):
     """Base class for all corrkem errors."""
+
+    exit_code = 1
+    label = "error"
 
 
 class FormatError(CorrkemError):
@@ -20,6 +19,12 @@ class FormatError(CorrkemError):
 class InfeasibleKeyLength(CorrkemError):
     """The key-length bound is below one bit for the requested targets (exit 2)."""
 
+    exit_code = 2
+    label = "infeasible"
+
 
 class RegimeTooLarge(CorrkemError):
     """Requested enumeration or width exceeds the tractable regime (exit 4)."""
+
+    exit_code = 4
+    label = "regime too large"

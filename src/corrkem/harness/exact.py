@@ -16,7 +16,8 @@ terms and the cells of the (z, a, g, a', k) table the kernel fills,
     |Z^n| * (2^w * 2^w * 2^(t + ell))^(1 + q_e)     <= 2^24,
 
 with q_e = 0 for composability, whose lists, all taken in one walk,
-share ikem.MAX_CANDIDATES; RegimeTooLarge is raised beyond them.
+share ikem.MAX_CANDIDATES; RegimeTooLarge is raised beyond them, once at
+one sample and one z pattern (every w > 12) before any n-fold table exists.
 Composability's int32 table ``cand`` of tag-matching list entries has
 2^w * 2^t cells per receiver pattern in the support (every listed
 pattern is), so with t <= w its cells are at most the terms and
@@ -28,7 +29,7 @@ from itertools import product as _iterprod
 
 import numpy as np
 
-from .._kernels import MAX_WIDTH, cea_sd, challenge_sd, compose_sd, mul_table
+from .._kernels import cea_sd, challenge_sd, compose_sd, mul_table
 from ..errors import RegimeTooLarge
 # enumerate_typical and encode_symbols stay bound here: perfbench's tracer patches both names
 from ..ikem import IkemParams, _listed, enumerate_typical, hash_width  # noqa: F401
@@ -52,17 +53,6 @@ def _iid_xz(source: JointSource, n: int):
     return encode_flat(np.arange(pxz.shape[0]), n, nx), pxz
 
 
-def _exact_width(source: JointSource, params: IkemParams) -> int:
-    """The session's hash width, refused past the exhaustive regime
-    before any n-fold table is built."""
-    w = hash_width(source, params)
-    if w > MAX_WIDTH:
-        raise RegimeTooLarge(
-            f"hash width {w} exceeds the exhaustive regime ({MAX_WIDTH}); use micro params"
-        )
-    return w
-
-
 def _hash_tables(w: int, codes: np.ndarray, t: int, ell: int):
     """tag[a, i] = msb_t(a * codes[i]) and key[a, i] = msb_ell(a * codes[i])
     for every multiplier a, as (2^w, len(codes)) int64 tables."""
@@ -82,7 +72,8 @@ def _check_work(support: int, nz: int, w: int, params: IkemParams, q_e: int) -> 
 
 
 def _challenge_tables(source: JointSource, params: IkemParams, q_e: int = 0):
-    w = _exact_width(source, params)
+    w = hash_width(source, params)
+    _check_work(1, 1, w, params, q_e)  # before the n-fold table
     codes, pxz = _iid_xz(source, params.n)
     keep = pxz.sum(axis=1) > 0.0
     _check_work(int(keep.sum()), pxz.shape[1], w, params, q_e)
@@ -113,7 +104,8 @@ def cea_transcript_sd(source: JointSource, params: IkemParams, q_e: int) -> tupl
 
 
 def composability_sd(source: JointSource, params: IkemParams) -> tuple[float, int]:
-    w = _exact_width(source, params)
+    w = hash_width(source, params)
+    _check_work(1, 1, w, params, 0)  # before the n-fold table
     nx, ny, nz1 = source.alphabet_sizes
     n, t = params.n, params.t
     pxyz = product_source(source, n).pmf

@@ -226,10 +226,9 @@ def reliability_params(
     The failure probability of decapsulation does not depend on ell,
     so this is the honest way to exercise reliability on sources whose
     secrecy bound is infeasible.  The secrecy bound is NOT asserted;
-    the hash width bound is (RegimeTooLarge past MAX_HASH_WIDTH).
+    the hash width bound is (RegimeTooLarge past MAX_HASH_WIDTH), and
+    :class:`IkemParams` refuses an n or ell below 1.
     """
-    if n < 1 or ell < 1:
-        raise FormatError("n and ell must be >= 1")
     h_xy = n * avg_cond_min_entropy(source, 0, (1,))
     nu, t, _ = derive_lengths(h_xy, 0.0, eps, sigma, q_e)
     params = IkemParams(n, t, ell, nu, eps, sigma, q_e, source_digest(source))
@@ -276,6 +275,18 @@ def encap(
     g = hash_value(tspec, s, code)
     key = hash_value(kspec, s_prime, code)
     return IkemCiphertext(g, s_prime, s), IkemKey(key, params.ell)
+
+
+def check_ciphertext(params: IkemParams, source: JointSource, ctxt: IkemCiphertext):
+    """The session's tag and key specs, once `ctxt` fits them: a tag of t
+    bits and both seeds of the hash width, else FormatError.  The one
+    ciphertext rule, for decap and the wire format."""
+    tspec, kspec = tag_spec(source, params), key_spec(source, params)
+    if not 0 <= ctxt.g < (1 << params.t):
+        raise FormatError("tag wider than t bits")
+    ctxt.s.validate(tspec)
+    ctxt.s_prime.validate(kspec)
+    return tspec, kspec
 
 
 def _cost_matrix(source: JointSource, y_vec, n: int | None = None) -> np.ndarray:
@@ -489,12 +500,7 @@ def decap(params: IkemParams, source: JointSource, y_vec, ctxt: IkemCiphertext):
     MAX_CANDIDATES prefixes, or a join of more pairs (only a t far
     below the derived one gets there), raises RegimeTooLarge.
     """
-    tspec = tag_spec(source, params)
-    kspec = key_spec(source, params)
-    if not 0 <= ctxt.g < (1 << params.t):
-        raise FormatError("tag wider than t bits")
-    ctxt.s.validate(tspec)
-    ctxt.s_prime.validate(kspec)
+    tspec, kspec = check_ciphertext(params, source, ctxt)
     nx = source.alphabet_sizes[0]
     table = gf2.linear_table(ctxt.s.a, tspec.input_bits, params.t, params.n, nx)
     want = gf2.limbs([ctxt.g ^ (ctxt.s.b >> (tspec.input_bits - params.t))], params.t)

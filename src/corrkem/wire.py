@@ -30,7 +30,7 @@ import numpy as np
 from .dem import SCHEME_OTP, SCHEME_STREAM, DemCiphertext
 from .errors import FormatError
 from .hybrid import HybridCiphertext
-from .ikem import IkemCiphertext, IkemKey, IkemParams, key_spec, params_digest, tag_spec
+from .ikem import IkemCiphertext, IkemKey, IkemParams, check_ciphertext, key_spec, params_digest, tag_spec
 from .source import JointSource, SampleTriple, check_symbols, make_table_source, satellite_source
 from .uhf import seed_from_bytes, seed_to_bytes
 
@@ -192,8 +192,7 @@ def count_use(path) -> int:
 
 
 def kem_ciphertext_to_bytes(params: IkemParams, source: JointSource, ctxt: IkemCiphertext) -> bytes:
-    if params.t >= 1 << 16:
-        raise FormatError("wire format carries t as u16; tag too wide")
+    check_ciphertext(params, source, ctxt)  # t fits its u16 too: no spec passes MAX_HASH_WIDTH
     out = bytearray()
     out += KEM_MAGIC
     out += params_digest(params)
@@ -222,13 +221,13 @@ def kem_ciphertext_from_bytes(params: IkemParams, source: JointSource, raw: byte
         raise FormatError(f"ciphertext t={t} != params t={params.t}")
     seeds = 14 + (t + 7) // 8
     g = int.from_bytes(raw[14:seeds], "big")
-    if g >= 1 << t:
-        raise FormatError("tag wider than t bits")
     kspec = key_spec(source, params)
     split = seeds + 2 * kspec.seed_bytes
     s_prime = seed_from_bytes(kspec, raw[seeds:split])
     s = seed_from_bytes(tag_spec(source, params), raw[split:])
-    return IkemCiphertext(g, s_prime, s)
+    ctxt = IkemCiphertext(g, s_prime, s)
+    check_ciphertext(params, source, ctxt)
+    return ctxt
 
 
 def key_to_bytes(key: IkemKey) -> bytes:
@@ -273,9 +272,7 @@ def hybrid_to_bytes(params: IkemParams, source: JointSource, ctxt: HybridCiphert
 def hybrid_from_bytes(params: IkemParams, source: JointSource, raw: bytes) -> HybridCiphertext:
     if raw[:4] != HYBRID_MAGIC:
         raise FormatError("bad hybrid magic")
-    ksize = kem_block_size(params, source)
-    if len(raw) < 4 + ksize + 5:
-        raise FormatError("hybrid block too short")
+    ksize = kem_block_size(params, source)  # the kem and dem decoders refuse a block cut short
     c1 = kem_ciphertext_from_bytes(params, source, raw[4 : 4 + ksize])
     c2 = dem_ciphertext_from_bytes(raw[4 + ksize :])
     return HybridCiphertext(c1, c2)

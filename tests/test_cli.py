@@ -320,7 +320,8 @@ def test_verify_he_game_past_int64_hash_width_exits_4(tmp_path, det_source_file,
     code = main(["verify", "--source", det_source_file, "--params", params_path,
                  "--mode", "he-game", "--trials", "10"])
     assert code == 4
-    assert "regime too large" in capsys.readouterr().err
+    # the adversary's own refusal, ahead of gf2.mul_vector's
+    assert capsys.readouterr().err == "regime too large: posterior hashing needs a hash width <= 62, got 100\n"
 
 
 def test_verify_composability_past_the_work_limit_exits_4(tmp_path, capsys):

@@ -7,7 +7,8 @@ within 1e-12 with a dense reference that multiplies every sample
 column and every challenge-key row in one block.  The z|x row is the
 verify_micro ot w=8 shape: Z the top two bits of X, t = 1, ell = 2.
 The mul_vector row is the posterior games' bulk product a * code over
-all |X|^n codes at the he-micro shape (w = 12, n = 3, |X| = 16); the
+all |X|^n codes at the he-micro shape (w = 12, n = 3, |X| = 16) for a
+chunk of 16 multipliers, checked against the scalar gf2.mul; the
 linear_table rows build the GF(2)-linear table at that shape and the
 README demo's decap tag table (w = n = 280, |X| = 2, t = 1).  The
 reduction_low row is the uncached field search at the README demo
@@ -50,8 +51,9 @@ from corrkem import (
     surprisal,
 )
 from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table
-from corrkem.gf2 import linear_table, mul_vector, reduction_low
+from corrkem.gf2 import linear_table, mul, mul_vector, reduction_low
 from corrkem.harness import composability_sd, exact_challenge_sd, naive_composability_sd
+from corrkem.uhf import encode_flat
 
 
 def _bench(fn, *args, repeat=3):
@@ -108,6 +110,14 @@ def _check_compose(label, src, params, reference):
     want = reference()
     if not (0.0 <= got <= 1.0 and abs(got - want) <= 1e-12):
         raise SystemExit(f"{label}: distance {got!r}, reference {want!r}")
+
+
+def _check_mul_vector(label, multipliers, n, nx, w):
+    """Row k holds multipliers[k] * code for every code in flat order."""
+    codes = encode_flat(np.arange(nx**n), n, nx).tolist()
+    want = [[mul(a, code, w) for code in codes] for a in multipliers]
+    if mul_vector(multipliers, n, nx, w).tolist() != want:
+        raise SystemExit(f"{label}: products differ from the scalar gf2.mul")
 
 
 def _split_compose(src, params):
@@ -185,7 +195,9 @@ def main():
                    lambda: exact_challenge_sd(patterns, pattern_params)[0])
     cases["composability 2^16 y"] = (composability_sd, (patterns, pattern_params))
 
-    cases["mul_vector w=12 n=3"] = (mul_vector, (int(rng.integers(1, 1 << 12)), 3, 16, 12))
+    multipliers = rng.integers(1, 1 << 12, 16).tolist()
+    _check_mul_vector("mul_vector 16 w=12 n=3", multipliers, 3, 16, 12)
+    cases["mul_vector 16 w=12 n=3"] = (mul_vector, (multipliers, 3, 16, 12))
     cases["linear_table w=12 n=3"] = (linear_table, (int(rng.integers(1, 1 << 12)), 12, 12, 3, 16))
     cases["linear_table w=280 t=1"] = (linear_table, (int.from_bytes(rng.bytes(35), "big"), 280, 1, 280, 2))
     cases["reduction_low w=280"] = (reduction_low.__wrapped__, (280,))

@@ -49,17 +49,24 @@ def mul(a: int, b: int, w: int) -> int:
     return res
 
 
-def mul_vector(a: int, n: int, alphabet_size: int, w: int) -> np.ndarray:
-    """Field products a * code for every n-symbol vector, as int64 in
-    row-major flat order (first symbol most significant).
+def mul_vector(a, n: int, alphabet_size: int, w: int) -> np.ndarray:
+    """Field products a[k] * code for each multiplier a[k] and every
+    n-symbol vector, as (len(a), |X|^n) int64, each row in row-major
+    flat order (first symbol most significant).
 
-    The XOR outer chain over the rows of :func:`linear_table` at full
-    output width; w is capped at 62 so every product fits int64.
+    :func:`linear_table` at full output width for all multipliers at
+    once: the powers of each multiplier stacked into one array, the
+    per-symbol select-and-XOR across the multipliers, then the XOR outer
+    chain over the symbols.  w is capped at 62 so every product fits
+    int64.
     """
     if w > 62:
         raise RegimeTooLarge("mul_vector supports 1 <= w <= 62")
-    table = linear_table(a, w, w, n, alphabet_size)[..., 0].view(np.int64)
-    return reduce(lambda c, d: np.bitwise_xor.outer(c, d).ravel(), table)
+    bits = (alphabet_size - 1).bit_length()
+    powers = np.ascontiguousarray(np.array([_powers(x, w, n * bits, 0) for x in a], np.uint64).T)  # [j, k]
+    table = _select_xor(powers.reshape(n, bits, len(a))[::-1], alphabet_size).view(np.int64)  # [i, s, k]
+    # last symbol first, so each step's inner loop runs over the longer suffix
+    return reduce(lambda c, d: (d[:, :, None] ^ c[:, None, :]).reshape(len(a), -1), table.transpose(0, 2, 1)[::-1])
 
 
 def linear_table(a: int, w: int, out_bits: int, n: int, alphabet_size: int) -> np.ndarray:
@@ -72,16 +79,28 @@ def linear_table(a: int, w: int, out_bits: int, n: int, alphabet_size: int) -> n
     are XORed per symbol value by one select-and-reduce.
     """
     bits = (alphabet_size - 1).bit_length()
-    poly, shift = reduction_low(w) | 1 << w, w - out_bits
+    nlimbs = (out_bits + 63) // 64
+    per_bit = limbs(_powers(a, w, n * bits, w - out_bits), out_bits).reshape(n, bits, nlimbs)[::-1]
+    return _select_xor(per_bit, alphabet_size)
+
+
+def _powers(a: int, w: int, count: int, shift: int) -> list[int]:
+    """(a * x^j) >> shift for j < count, each one shift-and-reduce from
+    the last."""
+    poly = reduction_low(w) | 1 << w
     powers = []
-    for _ in range(n * bits):
+    for _ in range(count):
         powers.append(a >> shift)
         a <<= 1
         if a >> w:
             a ^= poly
-    nlimbs = (out_bits + 63) // 64
-    per_bit = limbs(powers, out_bits).reshape(n, bits, nlimbs)[::-1]  # [i, j]: bit j of symbol i
-    sel = ((np.arange(alphabet_size)[:, None] >> np.arange(bits)) & 1).astype(np.uint64)  # [s, j]
+    return powers
+
+
+def _select_xor(per_bit: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """T[i, s, ...] = XOR of per_bit[i, j, ...] over the set bits j of s,
+    where per_bit[i, j] is the product for bit j of symbol i."""
+    sel = ((np.arange(alphabet_size)[:, None] >> np.arange(per_bit.shape[1])) & 1).astype(np.uint64)  # [s, j]
     return np.bitwise_xor.reduce(per_bit[:, None] * sel[:, :, None], axis=2)
 
 

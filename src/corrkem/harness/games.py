@@ -11,6 +11,17 @@ Wilson half-width for the one-sided correctness rate.  Exact checks
 compare enumerated statistical distances directly against the bound
 with 1e-12 slack for ties.
 
+Both Monte Carlo games judge in one batch.  The trial loop plays every
+game up to the challenge on the one seeded generator and keeps what the
+adversary is shown and the hidden bit; one guess call then returns
+every trial's bit, so no guess moves a later game's draws.  The random
+baselines draw their guesses from a generator spawned from the game
+seed.  The Bayes-optimal adversaries draw nothing: they hash chunks of
+trials (at most _BATCH_CELLS samples x trials) in one GF(2^w) pass per
+seed kind, build one prior per distinct z pattern in a chunk, and
+reduce each trial's row on its own, so every advantage equals a
+trial-by-trial judgement.
+
 The hybrid game's work is bounded: each trial hashes n symbols and the
 posterior adversary scores all |X|^n samples, so run_he_game raises
 RegimeTooLarge past HE_WORK_LIMIT (2^26) trials * (|X|^n + 256*n).
@@ -33,6 +44,11 @@ from .exact import cea_transcript_sd, composability_sd, exact_challenge_sd
 
 _TIE_SLACK = 1e-12
 _POSTERIOR_LIMIT = 1 << 20
+# Samples x trials the posterior adversaries hash in one pass.  First a
+# memory cap: a whole batch of 10^4 he-micro trials (4096 samples each)
+# would hold hundreds of MB per array; then a cache choice: a chunk of
+# 16 he-micro trials was fastest in a sweep of 1-200
+_BATCH_CELLS = 1 << 16
 HE_WORK_LIMIT = 1 << 26
 
 
@@ -111,18 +127,19 @@ def composability_check(source: JointSource, params: IkemParams) -> GameReport:
 
 class IkemAdversary:
     """Two-phase adversary: pre_challenge may call the encapsulation
-    oracle; guess sees the challenge ciphertext and candidate key."""
+    oracle; guess sees every trial's state, challenge ciphertext and
+    candidate key at once and returns one bit per trial."""
 
     def pre_challenge(self, rng, z_vec, oracle):
         return None
 
-    def guess(self, rng, state, ctxt, key_bits) -> int:
+    def guess(self, rng, states, ctxts, keys) -> list[int]:
         raise NotImplementedError
 
 
 class RandomGuessAdversary(IkemAdversary):
-    def guess(self, rng, state, ctxt, key_bits) -> int:
-        return int(rng.integers(0, 2))
+    def guess(self, rng, states, ctxts, keys) -> list[int]:
+        return rng.integers(0, 2, len(ctxts)).tolist()
 
 
 class _PosteriorMixin:
@@ -135,9 +152,9 @@ class _PosteriorMixin:
         self.w = hash_width(source, params)
         self.pxz1 = source.pmf.sum(axis=1)
 
-    def prior_given_z(self, z_vec) -> np.ndarray:
-        """P(x, z_vec) for every flat sample x, multiplied first symbol
-        first: ((p0 * p1) * p2) ...; z_vec must pass :func:`check_symbols`.
+    def check_z(self, z_vec) -> np.ndarray:
+        """z_vec as :func:`check_symbols` returns it, once the posterior
+        fits: |X|^n <= 2^20 samples and a hash width <= 62 bits.
 
         Each trial's first posterior step, so it refuses the regime, after
         the games' own work check and before any |X|^n array exists."""
@@ -147,11 +164,34 @@ class _PosteriorMixin:
             raise RegimeTooLarge("posterior enumeration needs |X|^n <= 2^20")
         if self.w > 62:
             raise RegimeTooLarge(f"posterior hashing needs a hash width <= 62, got {self.w}")
+        return z_vec
+
+    def prior_given_z(self, z_vec) -> np.ndarray:
+        """P(x, z_vec) for every flat sample x, multiplied first symbol
+        first: ((p0 * p1) * p2) ...; z_vec as :meth:`check_z` returns it."""
         return reduce(lambda p, q: np.multiply.outer(p, q).ravel(), self.pxz1[:, z_vec].T)
 
-    def hash_all(self, seed, out_bits: int) -> np.ndarray:
-        vals = mul_vector(seed.a, self.params.n, self.source.alphabet_sizes[0], self.w)
-        return (vals ^ seed.b) >> (self.w - out_bits)
+    def hash_all(self, seeds, out_bits: int) -> np.ndarray:
+        """msb_out(a * x ^ b) of every flat sample x, one row per seed."""
+        vals = mul_vector([s.a for s in seeds], self.params.n, self.source.alphabet_sizes[0], self.w)
+        vals ^= np.array([s.b for s in seeds], np.int64)[:, None]
+        vals >>= self.w - out_bits
+        return vals
+
+    def posteriors(self, zs, ctxts):
+        """(prior, tag hashes, key hashes) of every sample, per trial.
+
+        Trials are hashed in chunks of at most _BATCH_CELLS cells (at
+        least one trial): one :meth:`hash_all` per seed kind and chunk,
+        and one prior per distinct z in the chunk."""
+        per = max(1, _BATCH_CELLS // self.source.alphabet_sizes[0] ** self.params.n)
+        for lo in range(0, len(ctxts), per):
+            chunk, part = ctxts[lo:lo + per], zs[lo:lo + per]
+            distinct = {z.tobytes(): z for z in part}
+            priors = {key: self.prior_given_z(z) for key, z in distinct.items()}
+            tags = self.hash_all([c.s for c in chunk], self.params.t)
+            keys = self.hash_all([c.s_prime for c in chunk], self.params.ell)
+            yield from zip([priors[z.tobytes()] for z in part], tags, keys)
 
 
 class BestGuessAdversary(_PosteriorMixin, IkemAdversary):
@@ -159,23 +199,27 @@ class BestGuessAdversary(_PosteriorMixin, IkemAdversary):
     iff its posterior mass is at least the uniform 2^-ell."""
 
     def pre_challenge(self, rng, z_vec, oracle):
-        return self.prior_given_z(z_vec)
+        return self.check_z(z_vec)
 
-    def guess(self, rng, state, ctxt, key_bits) -> int:
-        weights = state * (self.hash_all(ctxt.s, self.params.t) == ctxt.g)
-        total = weights.sum()
-        mass = weights[self.hash_all(ctxt.s_prime, self.params.ell) == key_bits].sum()
-        return 0 if mass * (1 << self.params.ell) >= total else 1
+    def guess(self, rng, states, ctxts, keys) -> list[int]:
+        bits = []
+        for (prior, tags, hashes), ctxt, key_bits in zip(self.posteriors(states, ctxts), ctxts, keys):
+            weights = prior * (tags == ctxt.g)
+            total = weights.sum()
+            mass = weights[hashes == key_bits].sum()
+            bits.append(0 if mass * (1 << self.params.ell) >= total else 1)
+        return bits
 
 
 class HeAdversary:
     """Two-phase adversary for the hybrid game; phase one also picks
-    the challenge message pair."""
+    the challenge message pair, and guess sees every trial's state and
+    challenge ciphertext at once and returns one bit per trial."""
 
     def choose(self, rng, z_vec, oracle):
         raise NotImplementedError
 
-    def guess(self, rng, state, ctxt) -> int:
+    def guess(self, rng, states, ctxts) -> list[int]:
         raise NotImplementedError
 
 
@@ -186,8 +230,8 @@ class RandomGuessHeAdversary(HeAdversary):
     def choose(self, rng, z_vec, oracle):
         return None, b"\x00" * self.message_bytes, b"\xff" * self.message_bytes
 
-    def guess(self, rng, state, ctxt) -> int:
-        return int(rng.integers(0, 2))
+    def guess(self, rng, states, ctxts) -> list[int]:
+        return rng.integers(0, 2, len(ctxts)).tolist()
 
 
 class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
@@ -198,33 +242,46 @@ class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
         nbytes = max(1, self.params.ell // 8)
         m0 = b"\x00" * nbytes
         m1 = b"\xff" * nbytes
-        return (self.prior_given_z(z_vec), m0, m1), m0, m1
+        return (self.check_z(z_vec), m0, m1), m0, m1
 
-    def guess(self, rng, state, ctxt) -> int:
-        prior, m0, m1 = state
-        weights = prior * (self.hash_all(ctxt.c1.s, self.params.t) == ctxt.c1.g)
-        keys = self.hash_all(ctxt.c1.s_prime, self.params.ell)
-        nbits = 8 * len(ctxt.c2.body)
-        tops = keys >> (self.params.ell - nbits)
-        body = int.from_bytes(ctxt.c2.body, "big")
-        need0 = body ^ int.from_bytes(m0, "big")
-        need1 = body ^ int.from_bytes(m1, "big")
-        mass0 = weights[tops == need0].sum()
-        mass1 = weights[tops == need1].sum()
-        return 0 if mass0 >= mass1 else 1
+    def guess(self, rng, states, ctxts) -> list[int]:
+        bits = []
+        rows = self.posteriors([z for z, _, _ in states], [c.c1 for c in ctxts])
+        for (prior, tags, keys), (_, m0, m1), ctxt in zip(rows, states, ctxts):
+            weights = prior * (tags == ctxt.c1.g)
+            nbits = 8 * len(ctxt.c2.body)
+            tops = keys >> (self.params.ell - nbits)
+            body = int.from_bytes(ctxt.c2.body, "big")
+            need0 = body ^ int.from_bytes(m0, "big")
+            need1 = body ^ int.from_bytes(m1, "big")
+            mass0 = weights[tops == need0].sum()
+            mass1 = weights[tops == need1].sum()
+            bits.append(0 if mass0 >= mass1 else 1)
+        return bits
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo games
 
 
-def _count_trials(trials: int, seed: int, trial) -> int:
-    """How many of `trials` calls of trial(rng) return true, all on one
-    generator seeded by `seed`."""
+def _play(trials: int, seed: int, trial) -> list:
+    """trial(rng) for each of `trials` trials, all on one generator
+    seeded by `seed`."""
     if trials < 1:
         raise FormatError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    return sum(trial(rng) for _ in range(trials))
+    return [trial(rng) for _ in range(trials)]
+
+
+def _count_wins(trials: int, seed: int, trial, guess) -> int:
+    """How many of `trials` games the adversary wins.  Each trial plays
+    one game up to the challenge and returns guess's arguments and the
+    hidden bit; then one guess(rng, ...) call judges every game, on a
+    generator spawned from `seed`, so the games' draws do not depend on
+    the guesses.  A guess list of another length is a ValueError."""
+    *views, hidden = zip(*_play(trials, seed, trial))
+    judge = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return sum(g == b for g, b in zip(guess(judge, *views), hidden, strict=True))
 
 
 def _budgeted(fn, q_e: int, what: str):
@@ -241,10 +298,9 @@ def _budgeted(fn, q_e: int, what: str):
     return oracle
 
 
-def _mc_report(game: str, trials: int, seed: int, bound: float, trial) -> GameReport:
-    """Advantage |wins/trials - 1/2| of the trial(rng) wins against
-    bound plus three sigma_mc."""
-    adv = abs(_count_trials(trials, seed, trial) / trials - 0.5)
+def _mc_report(game: str, trials: int, seed: int, bound: float, wins: int) -> GameReport:
+    """Advantage |wins/trials - 1/2| against bound plus three sigma_mc."""
+    adv = abs(wins / trials - 0.5)
     return GameReport(game, adv, trials, False, bound, adv <= bound + 3.0 * mc_sigma(trials), seed)
 
 
@@ -263,16 +319,17 @@ def run_ikem_game(
     fresh seeds and enforces the q_e budget.
     """
 
-    def trial(rng) -> bool:
+    def trial(rng):
         triple = sample_with_rng(source, params.n, rng)
         oracle = _budgeted(lambda: encap(params, source, triple.x, rng), q_e, "encapsulation")
         state = adversary.pre_challenge(rng, triple.z, oracle)
         ctxt, real_key = encap(params, source, triple.x, rng)
         b = int(rng.integers(0, 2))
         shown = real_key.bits if b == 0 else rand_bits(rng, params.ell)
-        return adversary.guess(rng, state, ctxt, shown) == b
+        return state, ctxt, shown, b
 
-    return _mc_report(f"ikem(q_e={q_e})", trials, seed, _key_bound(params.sigma, q_e), trial)
+    wins = _count_wins(trials, seed, trial, adversary.guess)
+    return _mc_report(f"ikem(q_e={q_e})", trials, seed, _key_bound(params.sigma, q_e), wins)
 
 
 def run_he_game(
@@ -298,7 +355,7 @@ def run_he_game(
             f"{trials} trials over {nx}^{n} samples plus 256 * {n} symbols exceed {HE_WORK_LIMIT}"
         )
 
-    def trial(rng) -> bool:
+    def trial(rng):
         triple = sample_with_rng(source, params.n, rng)
 
         def encrypt(message: bytes):
@@ -308,9 +365,10 @@ def run_he_game(
         if len(m0) != len(m1):
             raise FormatError("challenge messages must have equal length")
         b = int(rng.integers(0, 2))
-        return adversary.guess(rng, state, encrypt(m1 if b else m0)) == b
+        return state, encrypt(m1 if b else m0), b
 
-    return _mc_report(f"he(q_e={q_e},{scheme_tag})", trials, seed, params.sigma, trial)
+    wins = _count_wins(trials, seed, trial, adversary.guess)
+    return _mc_report(f"he(q_e={q_e},{scheme_tag})", trials, seed, params.sigma, wins)
 
 
 def correctness_mc(source: JointSource, params: IkemParams, trials: int, seed: int) -> GameReport:
@@ -324,6 +382,6 @@ def correctness_mc(source: JointSource, params: IkemParams, trials: int, seed: i
         ctxt, key = encap(params, source, triple.x, rng)
         return decap(params, source, triple.y, ctxt) != key  # BOTTOM is never a key
 
-    rate = _count_trials(trials, seed, trial) / trials
+    rate = sum(_play(trials, seed, trial)) / trials
     passed = rate <= params.eps + 3.0 * wilson_halfwidth(rate, trials)
     return GameReport("correctness", rate, trials, False, params.eps, passed, seed)

@@ -25,6 +25,14 @@ NORM_TOL = 1e-12
 MAX_TABLE_CELLS = 1 << 22
 
 
+def _check_sizes(sizes) -> tuple[int, int, int]:
+    """The (|X|, |Y|, |Z|) sizes as ints, each at least 1."""
+    sizes = tuple(int(s) for s in sizes)
+    if len(sizes) != 3 or any(s < 1 for s in sizes):
+        raise FormatError("need three alphabet sizes >= 1")
+    return sizes
+
+
 @dataclass(frozen=True)
 class JointSource:
     """Dense joint pmf over (x, y, z) with fixed finite alphabets."""
@@ -34,9 +42,7 @@ class JointSource:
     label: str = ""
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.alphabet_sizes)
-        if len(sizes) != 3 or any(s < 1 for s in sizes):
-            raise FormatError("need three alphabet sizes >= 1")
+        sizes = _check_sizes(self.alphabet_sizes)
         pmf = np.asarray(self.pmf, dtype=np.float64)
         if pmf.shape != sizes:
             raise FormatError(f"pmf shape {pmf.shape} != alphabets {sizes}")
@@ -102,9 +108,7 @@ def make_table_source(sizes, pmf_entries, label: str = "table") -> JointSource:
     a sum off by more than 1e-12 raises FormatError.  Tables with more
     than MAX_TABLE_CELLS cells raise RegimeTooLarge.
     """
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) != 3 or any(s < 1 for s in sizes):
-        raise FormatError("need three alphabet sizes >= 1")
+    sizes = _check_sizes(sizes)
     if sizes[0] * sizes[1] * sizes[2] > MAX_TABLE_CELLS:
         raise RegimeTooLarge(f"{sizes} table has more than {MAX_TABLE_CELLS} cells")
     pmf = np.zeros(sizes)

@@ -296,10 +296,16 @@ def test_verify_past_64_symbols_on_a_one_cell_source(tmp_path, mode, ell, capsys
     assert json.loads(captured.out)["pass"] and captured.err == ""
 
 
-def test_verify_he_game_past_the_work_limit_exits_4(tmp_path, sat_source_file, capsys):
-    # 10000 trials over 2^20 sender samples: hours of posterior scoring
+def test_verify_he_game_past_the_work_limit_exits_4(tmp_path, sat_source_file, capsys, monkeypatch):
+    # 10000 trials over 2^20 sender samples: hours of posterior scoring,
+    # so sampling is stubbed: a trial past the work check fails at once
     from corrkem import reliability_params, satellite_source
+    from corrkem.harness import games
 
+    def sample(*args):
+        raise AssertionError("a trial ran past the work check")
+
+    monkeypatch.setattr(games, "sample_with_rng", sample)
     params = reliability_params(satellite_source(0.05, 0.05, 0.3), n=20, eps=0.25, ell=8)
     params_path = tmp_path / "params.json"
     wire.save_json(params_path, wire.params_to_json(params))

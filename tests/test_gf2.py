@@ -101,18 +101,21 @@ def test_mul_table_matches_scalar():
 
 
 def test_mul_vector_matches_scalar():
-    # a * code of every n-symbol vector, in flat order: |X| = 1, |X| not
-    # a power of two, n*bits = w, the he-micro shape and w = 62
+    # a[k] * code of every n-symbol vector, one row per multiplier, in
+    # flat order: |X| = 1, |X| not a power of two, n*bits = w, the
+    # he-micro shape and w = 62; a batch of one and of six multipliers
     rng = np.random.default_rng(1)
     for nx, n, w in ((1, 3, 4), (3, 4, 11), (5, 3, 9), (16, 3, 12), (2, 10, 62), (7, 2, 62)):
-        for a in (0, 1, (1 << w) - 1, *(int(rng.integers(0, 1 << w)) for _ in range(3))):
-            got = gf2.mul_vector(a, n, nx, w)
-            assert got.dtype == np.int64 and got.shape == (nx**n,)
-            for flat, value in enumerate(got.tolist()):
+        multipliers = [0, 1, (1 << w) - 1, *(int(rng.integers(0, 1 << w)) for _ in range(3))]
+        got = gf2.mul_vector(multipliers, n, nx, w)
+        assert got.dtype == np.int64 and got.shape == (len(multipliers), nx**n)
+        assert np.array_equal(gf2.mul_vector(multipliers[-1:], n, nx, w), got[-1:])
+        for a, row in zip(multipliers, got.tolist()):
+            for flat, value in enumerate(row):
                 code = encode_symbols(np.unravel_index(flat, (nx,) * n), nx)
                 assert value == gf2.mul(a, code, w)
     with pytest.raises(RegimeTooLarge, match="mul_vector supports 1 <= w <= 62"):
-        gf2.mul_vector(1, 1, 2, 63)
+        gf2.mul_vector([1], 1, 2, 63)
 
 
 def test_mul_table_width_guard():

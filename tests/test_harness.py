@@ -10,6 +10,8 @@ import pytest
 from corrkem import _kernels
 from corrkem import IkemParams, JointSource, derive_params, make_table_source, reliability_params
 from corrkem.errors import FormatError, RegimeTooLarge
+from corrkem.gf2 import mul_vector
+from corrkem.harness import games
 from corrkem.harness import (
     BestGuessAdversary,
     BestGuessOtpHeAdversary,
@@ -509,6 +511,109 @@ def test_posterior_prior_matches_gather_formula(n):
         z_vec = rng.integers(0, 3, n)
         old = np.prod(pxz1[digits, z_vec[None, :]], axis=1)
         assert np.array_equal(adversary.prior_given_z(z_vec), old)
+
+
+class _TrialByTrialIkem(BestGuessAdversary):
+    """The Bayes-optimal key distinguisher judged one trial at a time, as
+    it was before batching: its own prior and two one-seed hashes."""
+
+    def guess(self, rng, states, ctxts, keys):
+        return [self._one(z, ctxt, key_bits) for z, ctxt, key_bits in zip(states, ctxts, keys)]
+
+    def _one(self, z, ctxt, key_bits):
+        weights = self.prior_given_z(z) * (_one_seed_hash(self, ctxt.s, self.params.t) == ctxt.g)
+        total = weights.sum()
+        mass = weights[_one_seed_hash(self, ctxt.s_prime, self.params.ell) == key_bits].sum()
+        return 0 if mass * (1 << self.params.ell) >= total else 1
+
+
+class _TrialByTrialHe(BestGuessOtpHeAdversary):
+    """The one-time-pad hybrid distinguisher judged one trial at a time."""
+
+    def guess(self, rng, states, ctxts):
+        return [self._one(state, ctxt) for state, ctxt in zip(states, ctxts)]
+
+    def _one(self, state, ctxt):
+        z, m0, m1 = state
+        weights = self.prior_given_z(z) * (_one_seed_hash(self, ctxt.c1.s, self.params.t) == ctxt.c1.g)
+        keys = _one_seed_hash(self, ctxt.c1.s_prime, self.params.ell)
+        nbits = 8 * len(ctxt.c2.body)
+        tops = keys >> (self.params.ell - nbits)
+        body = int.from_bytes(ctxt.c2.body, "big")
+        need0 = body ^ int.from_bytes(m0, "big")
+        need1 = body ^ int.from_bytes(m1, "big")
+        mass0 = weights[tops == need0].sum()
+        mass1 = weights[tops == need1].sum()
+        return 0 if mass0 >= mass1 else 1
+
+
+def _one_seed_hash(adversary, seed, out_bits):
+    nx, n, w = adversary.source.alphabet_sizes[0], adversary.params.n, adversary.w
+    return (mul_vector([seed.a], n, nx, w)[0] ^ seed.b) >> (w - out_bits)
+
+
+def _leaky_z_instance():
+    """A non-dyadic 16x16x2 source whose Z is the top bit of X through a
+    0.3 flip, Y = X with probability 0.9; n = 3 and ell = 8 (w = 12)."""
+    px = np.random.default_rng(12345).random(16) + 0.5
+    pyx = np.full((16, 16), 0.1 / 16) + 0.9 * np.eye(16)
+    top = np.arange(16) >> 3
+    pzx = np.stack([np.where(top, 0.3, 0.7), np.where(top, 0.7, 0.3)], axis=1)
+    pmf = px[:, None, None] * pyx[:, :, None] * pzx[:, None, :]
+    pmf /= pmf.sum()
+    src = make_table_source((16, 16, 2), {idx: float(p) for idx, p in np.ndenumerate(pmf)})
+    return src, reliability_params(src, 3, 0.5, ell=8)
+
+
+def _advantages(src, params, he_adversary, ikem_adversary, trials):
+    """Both games' advantages at seeds 1..30."""
+    return (
+        [run_he_game(src, params, he_adversary, 0, trials, s).advantage_estimate for s in range(1, 31)],
+        [run_ikem_game(src, params, ikem_adversary, 0, trials, s).advantage_estimate for s in range(1, 31)],
+    )
+
+
+# |2 wins - trials| at 23 trials, seeds 1..30, judged one trial at a time
+# before batching: the batch keeps every draw and every bit
+_HE_MICRO_MARGINS = (
+    [9, 11, 5, 9, 1, 7, 9, 5, 1, 1, 3, 3, 7, 1, 5, 5, 1, 1, 5, 1, 3, 5, 3, 3, 1, 1, 1, 7, 3, 5],
+    [3, 1, 7, 1, 1, 5, 3, 1, 1, 7, 7, 1, 5, 13, 5, 1, 5, 1, 5, 1, 7, 1, 5, 1, 7, 3, 1, 3, 7, 1],
+)
+
+
+@pytest.mark.parametrize("instance", [he_micro_instance, _leaky_z_instance], ids=["he-micro", "leaky-z"])
+def test_batched_judgement_equals_trial_by_trial(instance, monkeypatch):
+    # 23 trials: not a multiple of a chunk of 3 or of the default 16
+    src, params = instance()
+    cells = src.alphabet_sizes[0] ** params.n
+    trials = 23
+    oracle = _advantages(src, params, _TrialByTrialHe(src, params), _TrialByTrialIkem(src, params), trials)
+    if instance is he_micro_instance:
+        assert [[round(2 * trials * adv) for adv in game] for game in oracle] == list(_HE_MICRO_MARGINS)
+    he, ikem = BestGuessOtpHeAdversary(src, params), BestGuessAdversary(src, params)
+    for chunk in (None, 1, 3):
+        if chunk is not None:
+            monkeypatch.setattr(games, "_BATCH_CELLS", chunk * cells)
+        assert _advantages(src, params, he, ikem, trials) == oracle, chunk
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_guess_list_of_another_length_is_refused(extra):
+    # one bit per trial: a short list must not shrink the count of wins
+    src, params = he_micro_instance()
+
+    class OffByOneHe(RandomGuessHeAdversary):
+        def guess(self, rng_, states, ctxts):
+            return super().guess(rng_, states, ctxts)[: len(ctxts) + extra] + [0] * extra
+
+    class OffByOneIkem(RandomGuessAdversary):
+        def guess(self, rng_, states, ctxts, keys):
+            return super().guess(rng_, states, ctxts, keys)[: len(ctxts) + extra] + [0] * extra
+
+    with pytest.raises(ValueError, match="zip"):
+        run_he_game(src, params, OffByOneHe(1), 0, 5, seed=3)
+    with pytest.raises(ValueError, match="zip"):
+        run_ikem_game(src, params, OffByOneIkem(), 0, 5, seed=3)
 
 
 def test_he_game_budget():

@@ -19,6 +19,7 @@ from corrkem import (
     dem,
     enumerate_typical,
     gf2,
+    make_table_source,
     product_source,
     reliability_params,
     satellite_source,
@@ -139,6 +140,14 @@ def test_a_source_file_out_of_range_is_refused(tmp_path, capsys, cells, message)
     code, err = _run(capsys, ["plan", "--source", src, "--n", 8, "--eps", 0.5, "--sigma", 0.25,
                               "--out", tmp_path / "params.json"])
     assert (code, err) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 0), (4, 1), (0, 1, 1), (1, 1, 1, 1), (-3, 2, 2)])
+def test_both_source_builders_refuse_bad_sizes_with_one_message(sizes):
+    for build in (lambda: JointSource(sizes, np.zeros(1)), lambda: make_table_source(sizes, {})):
+        with pytest.raises(FormatError) as refused:
+            build()
+        assert str(refused.value) == "need three alphabet sizes >= 1"
 
 
 def test_joint_source_refuses_sizes_and_shape():
@@ -301,8 +310,8 @@ class _UnequalMessages(HeAdversary):
     def choose(self, rng, z_vec, oracle):
         return None, b"\x00", b"\x00\x00"
 
-    def guess(self, rng, state, ctxt) -> int:
-        return 0
+    def guess(self, rng, states, ctxts) -> list[int]:
+        return [0] * len(ctxts)
 
 
 def test_he_game_refuses_unequal_challenge_messages():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corrkem import _kernels
+from corrkem import _kernels, uhf
 from corrkem import UhfSeed, UhfSpec, hash_value, pairwise_independence_census, sample_seed
 from corrkem._kernels import cea_sd, census_max_dev, mul_table
 from corrkem.errors import FormatError, RegimeTooLarge
@@ -147,9 +147,14 @@ def test_census_memory_within_budget_at_the_widest_specs(w, m):
     assert peak <= 8 * _kernels.BLOCK_CELLS
 
 
-def test_census_regime_guard():
+def test_census_regime_guard(monkeypatch):
     # past w + m = 9 the Gram matrix outgrows one kernel block; a w = 12
-    # census would enumerate 2^24 seeds for hours
+    # census would enumerate 2^24 seeds for hours, so the census itself
+    # is stubbed: without the guard the test fails at once
+    def census(*args):
+        raise AssertionError("census ran past the regime guard")
+
+    monkeypatch.setattr(uhf, "census_max_dev", census)
     for w, m in [(12, 1), (9, 1), (7, 3), (13, 4)]:
         start = time.perf_counter()
         with pytest.raises(RegimeTooLarge):

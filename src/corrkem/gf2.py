@@ -29,7 +29,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import FormatError, RegimeTooLarge
+from .errors import FormatError
 
 
 def mul(a: int, b: int, w: int) -> int:
@@ -57,11 +57,10 @@ def mul_vector(a, n: int, alphabet_size: int, w: int) -> np.ndarray:
     :func:`linear_table` at full output width for all multipliers at
     once: the powers of each multiplier stacked into one array, the
     per-symbol select-and-XOR across the multipliers, then the XOR outer
-    chain over the symbols.  w is capped at 62 so every product fits
-    int64.
+    chain over the symbols.  Needs 1 <= w <= 62, so that every product
+    fits int64: the caller's check, as the posterior adversaries' check_z
+    refuses a wider hash.
     """
-    if w > 62:
-        raise RegimeTooLarge("mul_vector supports 1 <= w <= 62")
     bits = (alphabet_size - 1).bit_length()
     powers = np.ascontiguousarray(np.array([_powers(x, w, n * bits, 0) for x in a], np.uint64).T)  # [j, k]
     table = _select_xor(powers.reshape(n, bits, len(a))[::-1], alphabet_size).view(np.int64)  # [i, s, k]

@@ -32,7 +32,7 @@ import numpy as np
 from .._kernels import cea_sd, challenge_sd, compose_sd, mul_table
 from ..errors import RegimeTooLarge
 # enumerate_typical and encode_symbols stay bound here: perfbench's tracer patches both names
-from ..ikem import IkemParams, _listed, enumerate_typical, hash_width  # noqa: F401
+from ..ikem import IkemParams, _listed, enumerate_typical, hash_specs, hash_width  # noqa: F401
 from ..source import JointSource, product_source
 from ..uhf import encode_flat, encode_symbols
 
@@ -176,14 +176,13 @@ def naive_cea_sd(source: JointSource, params: IkemParams, q_e: int) -> float:
     """Transcript SD by enumerating full (a, b) seeds of every family
     instance: challenge pair plus q_e oracle pairs.  Cost
     (2^w)^(4 + 4*q_e) * support; keep w <= 2 for q_e = 1."""
-    from ..uhf import UhfSeed, UhfSpec, hash_value
+    from ..uhf import UhfSeed, hash_value
 
-    w = hash_width(source, params)
+    tspec, kspec = hash_specs(source, params)
+    w = tspec.input_bits
     if (1 << (4 * (1 + q_e) * w)) > WORK_LIMIT:
         raise RegimeTooLarge("naive enumeration is for tiny widths only")
     codes, pxz = _iid_xz(source, params.n)
-    tspec = UhfSpec(w, params.t)
-    kspec = UhfSpec(w, params.ell)
     na = 1 << w
     npairs = 2 * (1 + q_e)
     seed_p = 1.0 / na ** (2 * npairs)
@@ -212,17 +211,16 @@ def naive_cea_sd(source: JointSource, params: IkemParams, q_e: int) -> float:
 def naive_composability_sd(source: JointSource, params: IkemParams) -> float:
     """Four-tuple SD via full seeds and the real decapsulation path."""
     from ..ikem import BOTTOM, IkemCiphertext, decap
-    from ..uhf import UhfSeed, UhfSpec, hash_value
+    from ..uhf import UhfSeed, hash_value
 
-    w = hash_width(source, params)
+    tspec, kspec = hash_specs(source, params)
+    w = tspec.input_bits
     if (1 << (4 * w)) > WORK_LIMIT:
         raise RegimeTooLarge("naive enumeration is for tiny widths only")
     n = params.n
     nx, ny, _ = source.alphabet_sizes
     pxyz = product_source(source, n).pmf
     place = np.arange(n - 1, -1, -1)  # a flat index's digit i is index // base**place[i] % base
-    tspec = UhfSpec(w, params.t)
-    kspec = UhfSpec(w, params.ell)
     na = 1 << w
     seed_p = 1.0 / na**4
     two_l = 1 << params.ell

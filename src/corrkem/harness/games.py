@@ -25,6 +25,8 @@ trial-by-trial judgement.
 The hybrid game's work is bounded: each trial hashes n symbols and the
 posterior adversary scores all |X|^n samples, so run_he_game raises
 RegimeTooLarge past HE_WORK_LIMIT (2^26) trials * (|X|^n + 256*n).
+Each game then takes the session rule, :func:`corrkem.ikem.hash_width`,
+before its first draw.
 """
 
 import math
@@ -318,6 +320,7 @@ def run_ikem_game(
     The oracle re-encapsulates under the trial's sender sample with
     fresh seeds and enforces the q_e budget.
     """
+    hash_width(source, params)
 
     def trial(rng):
         triple = sample_with_rng(source, params.n, rng)
@@ -347,13 +350,14 @@ def run_he_game(
     Refuses more than HE_WORK_LIMIT trials * (|X|^n + 256*n) before the
     first trial: a symbol costs a trial about as much as 256 scored
     samples (on a 2-vCPU Xeon, 5 us against 32 ns), so a one-cell
-    source, |X|^n = 1, cannot run 10^4 trials at n = 10^5 for hours.
+    source, |X|^n = 1, is charged for its n symbols too.
     """
     nx, n = source.alphabet_sizes[0], params.n
     if trials * (nx**n + 256 * n) > HE_WORK_LIMIT:
         raise RegimeTooLarge(
             f"{trials} trials over {nx}^{n} samples plus 256 * {n} symbols exceed {HE_WORK_LIMIT}"
         )
+    hash_width(source, params)
 
     def trial(rng):
         triple = sample_with_rng(source, params.n, rng)
@@ -376,6 +380,7 @@ def correctness_mc(source: JointSource, params: IkemParams, trials: int, seed: i
     Wilson half-widths."""
     if trials < 1000:
         raise FormatError("correctness estimation needs >= 1000 trials")
+    hash_width(source, params)
 
     def trial(rng) -> bool:
         triple = sample_with_rng(source, params.n, rng)

@@ -8,7 +8,8 @@ receiver's candidate list
     T(y) = { x : sum_i -log2 P(x_i | y_i) <= nu }
 
 and accepts iff exactly one candidate reproduces the tag.  Anything
-else is the protocol failure ``BOTTOM`` (never an exception).
+else is the protocol failure ``BOTTOM`` (never an exception).  A
+session's width and n are at most MAX_HASH_WIDTH (:func:`hash_width`).
 
 The tag msb_t(a*x) XOR msb_t(b) is affine over GF(2) in the packed
 code x: one (position, symbol) table per ciphertext gives any
@@ -192,8 +193,8 @@ def derive_params(
     ell_target if that is smaller (a shorter key only improves the
     distance to uniform).  Raises InfeasibleKeyLength when the bound
     falls below 1 bit, or below ell_target; once ell is fixed, the
-    point is :func:`reliability_params`'s (RegimeTooLarge when the hash
-    width passes MAX_HASH_WIDTH).
+    point is :func:`reliability_params`'s (RegimeTooLarge past
+    :func:`hash_width`'s bounds).
     """
     if n < 1:
         raise FormatError("n must be >= 1")
@@ -226,7 +227,7 @@ def reliability_params(
     The failure probability of decapsulation does not depend on ell,
     so this is the honest way to exercise reliability on sources whose
     secrecy bound is infeasible.  The secrecy bound is NOT asserted;
-    the hash width bound is (RegimeTooLarge past MAX_HASH_WIDTH), and
+    :func:`hash_width`'s bounds are (RegimeTooLarge past them), and
     :class:`IkemParams` refuses an n or ell below 1.
     """
     h_xy = n * avg_cond_min_entropy(source, 0, (1,))
@@ -241,23 +242,20 @@ def hash_width(source: JointSource, params: IkemParams) -> int:
 
     The encoded sample occupies n*ceil(log2(|X|)) bits; the width is
     padded up to max(t, ell) so truncation stays well-defined.  A width
-    past MAX_HASH_WIDTH raises RegimeTooLarge.
+    past MAX_HASH_WIDTH raises RegimeTooLarge, and so does an n past it:
+    a one-cell X packs into 0 bits, so only this bounds its n.
     """
     enc = params.n * symbol_bits(source.alphabet_sizes[0])
-    w = max(1, enc, params.t, params.ell)
-    return UhfSpec(w, 1).input_bits  # UhfSpec refuses a width past MAX_HASH_WIDTH
+    w = UhfSpec(max(1, enc, params.t, params.ell), 1).input_bits  # UhfSpec refuses a width past MAX_HASH_WIDTH
+    if params.n > MAX_HASH_WIDTH:
+        raise RegimeTooLarge(f"n = {params.n} symbols exceeds {MAX_HASH_WIDTH}")
+    return w
 
 
-def tag_spec(source: JointSource, params: IkemParams) -> UhfSpec:
-    return UhfSpec(hash_width(source, params), params.t)
-
-
-def key_spec(source: JointSource, params: IkemParams) -> UhfSpec:
-    return UhfSpec(hash_width(source, params), params.ell)
-
-
-def encode_sample(source: JointSource, params: IkemParams, vec) -> int:
-    return encode_symbols(vec, source.alphabet_sizes[0], params.n)
+def hash_specs(source: JointSource, params: IkemParams) -> tuple[UhfSpec, UhfSpec]:
+    """The session's (tag, key) specs: t and ell bits out of one hash width."""
+    w = hash_width(source, params)
+    return UhfSpec(w, params.t), UhfSpec(w, params.ell)
 
 
 def encap(
@@ -267,9 +265,8 @@ def encap(
     rng: np.random.Generator,
 ) -> tuple[IkemCiphertext, IkemKey]:
     """Fresh seeds, tag and key from the sender's sample."""
-    code = encode_sample(source, params, x_vec)
-    tspec = tag_spec(source, params)
-    kspec = key_spec(source, params)
+    code = encode_symbols(x_vec, source.alphabet_sizes[0], params.n)
+    tspec, kspec = hash_specs(source, params)
     s_prime = sample_seed(kspec, rng)
     s = sample_seed(tspec, rng)
     g = hash_value(tspec, s, code)
@@ -278,10 +275,10 @@ def encap(
 
 
 def check_ciphertext(params: IkemParams, source: JointSource, ctxt: IkemCiphertext):
-    """The session's tag and key specs, once `ctxt` fits them: a tag of t
-    bits and both seeds of the hash width, else FormatError.  The one
+    """:func:`hash_specs`'s pair, once `ctxt` fits it: a tag of t bits
+    and both seeds of the hash width, else FormatError.  The one
     ciphertext rule, for decap and the wire format."""
-    tspec, kspec = tag_spec(source, params), key_spec(source, params)
+    tspec, kspec = hash_specs(source, params)
     if not 0 <= ctxt.g < (1 << params.t):
         raise FormatError("tag wider than t bits")
     ctxt.s.validate(tspec)
@@ -303,13 +300,12 @@ def _cost_matrix(source: JointSource, y_vec, n: int | None = None) -> np.ndarray
 
 @dataclass(frozen=True)
 class _Walk:
-    """One block walk's leaves: how many, each one's tag limbs (None when
-    the walk had no table), and the back-pointers that rebuild rows."""
+    """One block walk's leaves: how many, their tag limbs and the row back-pointers."""
 
     forced: np.ndarray  # each position's only feasible symbol, where it has one
     blocks: list  # (branching positions, shape of the block's outer sum, kept flat indices)
     count: int
-    tags: np.ndarray | None
+    tags: np.ndarray
 
     def rows(self, leaves) -> np.ndarray:
         """The rows of the given leaves, as a (len(leaves), n) array."""
@@ -329,13 +325,13 @@ class _Walk:
         return rows
 
 
-def _walk(cost: np.ndarray, nu: float, table: np.ndarray | None = None) -> _Walk:
+def _walk(cost: np.ndarray, nu: float, table: np.ndarray) -> _Walk:
     """The block walk behind :func:`enumerate_typical` over an (n, |X|)
     cost matrix.  It only prunes: its leaves, in lexicographic order,
     cover every x with sum_i cost[i, x_i] <= nu, and may hold rows up
-    to _PRUNE_SLACK past it.  Given a linear tag table T (n, |X|,
-    limbs), each leaf carries XOR_i T[i, x_i]: the tag is affine, so
-    the forced positions' entries join one constant and a branching
+    to _PRUNE_SLACK past it.  Each leaf carries XOR_i T[i, x_i] of the
+    tag table T (n, |X|, limbs; zero limbs: no tag): the tag is affine,
+    so the forced positions' entries join one constant and a branching
     one is XORed in beside its cost.  A negative nu lists nothing.
     """
     n, nx = cost.shape
@@ -348,12 +344,12 @@ def _walk(cost: np.ndarray, nu: float, table: np.ndarray | None = None) -> _Walk
     width = feasible.sum(axis=1)
     forced = feasible.argmax(axis=1)  # the only symbol where width == 1
     if nu < 0 or not width.all():  # some position has no feasible symbol: empty list
-        return _Walk(forced, [], 0, None if table is None else np.zeros((0, table.shape[2]), np.uint64))
+        return _Walk(forced, [], 0, np.zeros((0, table.shape[2]), np.uint64))
     width, costs = width.tolist(), mins.tolist()  # a few positions: Python beats numpy calls
     at = [i for i in range(n) if width[i] == 1]  # forced: the one feasible symbol is the cheapest
     branch = [i for i in range(n) if width[i] > 1]
     part = np.array([math.fsum(costs[i] for i in at)])
-    tags = None if table is None else np.bitwise_xor.reduce(table[at, forced[at]], axis=0, keepdims=True)
+    tags = np.bitwise_xor.reduce(table[at, forced[at]], axis=0, keepdims=True)
     suffix = list(accumulate((costs[i] for i in reversed(branch)), initial=0.0))[::-1]  # cheapest rest
     cap = min(CHUNK_CELLS, MAX_CANDIDATES)
 
@@ -371,18 +367,16 @@ def _walk(cost: np.ndarray, nu: float, table: np.ndarray | None = None) -> _Walk
             # a new axis; where every symbol is feasible, its rank is the symbol
             syms = None if width[i] == nx else feasible[i].nonzero()[0]
             child = np.add.outer(child, cost[i] if syms is None else cost[i, syms])
-            if tags is not None:
-                entries = table[i] if syms is None else table[i, syms]
-                child_tags = (child_tags[:, None] ^ entries).reshape(-1, entries.shape[1])
+            entries = table[i] if syms is None else table[i, syms]
+            # an explicit row count: numpy refuses reshape(-1, 0)
+            child_tags = (child_tags[:, None] ^ entries).reshape(child.size, entries.shape[1])
             axes.append((i, syms))
             shape.append(width[i])
             k += 1
         child = child.ravel()
         # the bound stays unnamed: one level-sized array less at the memory peak
         kept = (child + suffix[k] <= limit).nonzero()[0]
-        part = child[kept]
-        if tags is not None:
-            tags = child_tags[kept]
+        part, tags = child[kept], child_tags[kept]
         blocks.append((axes, shape, kept))
     return _Walk(forced, blocks, part.size, tags)  # no branching position: one leaf
 
@@ -435,7 +429,7 @@ def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None =
 def _listed(cost: np.ndarray, nu: float) -> np.ndarray:
     """Every row x with sum_i cost[i, x_i] <= nu, in lexicographic order,
     as one (rows, n) array: the walk, its rows, then :func:`_within`."""
-    walk = _walk(cost, nu)
+    walk = _walk(cost, nu, np.zeros(cost.shape + (0,), np.uint64))  # zero limbs: no tag
     rows = walk.rows(np.arange(walk.count))
     return rows[_within(cost, rows, nu)]
 

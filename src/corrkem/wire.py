@@ -30,7 +30,7 @@ import numpy as np
 from .dem import SCHEME_OTP, SCHEME_STREAM, DemCiphertext
 from .errors import FormatError
 from .hybrid import HybridCiphertext
-from .ikem import IkemCiphertext, IkemKey, IkemParams, check_ciphertext, key_spec, params_digest, tag_spec
+from .ikem import IkemCiphertext, IkemKey, IkemParams, check_ciphertext, hash_specs, params_digest
 from .source import JointSource, SampleTriple, check_symbols, make_table_source, satellite_source
 from .uhf import seed_from_bytes, seed_to_bytes
 
@@ -192,20 +192,20 @@ def count_use(path) -> int:
 
 
 def kem_ciphertext_to_bytes(params: IkemParams, source: JointSource, ctxt: IkemCiphertext) -> bytes:
-    check_ciphertext(params, source, ctxt)  # t fits its u16 too: no spec passes MAX_HASH_WIDTH
+    tspec, kspec = check_ciphertext(params, source, ctxt)  # t fits its u16 too: no spec passes MAX_HASH_WIDTH
     out = bytearray()
     out += KEM_MAGIC
     out += params_digest(params)
     out += params.t.to_bytes(2, "big")
     out += ctxt.g.to_bytes((params.t + 7) // 8, "big")
-    out += seed_to_bytes(key_spec(source, params), ctxt.s_prime)
-    out += seed_to_bytes(tag_spec(source, params), ctxt.s)
+    out += seed_to_bytes(kspec, ctxt.s_prime)
+    out += seed_to_bytes(tspec, ctxt.s)
     return bytes(out)
 
 
 def kem_block_size(params: IkemParams, source: JointSource) -> int:
-    seeds = key_spec(source, params).seed_bytes + tag_spec(source, params).seed_bytes
-    return 4 + 8 + 2 + (params.t + 7) // 8 + 2 * seeds
+    tspec, kspec = hash_specs(source, params)
+    return 4 + 8 + 2 + (params.t + 7) // 8 + 2 * (kspec.seed_bytes + tspec.seed_bytes)
 
 
 def kem_ciphertext_from_bytes(params: IkemParams, source: JointSource, raw: bytes) -> IkemCiphertext:
@@ -221,10 +221,10 @@ def kem_ciphertext_from_bytes(params: IkemParams, source: JointSource, raw: byte
         raise FormatError(f"ciphertext t={t} != params t={params.t}")
     seeds = 14 + (t + 7) // 8
     g = int.from_bytes(raw[14:seeds], "big")
-    kspec = key_spec(source, params)
+    tspec, kspec = hash_specs(source, params)
     split = seeds + 2 * kspec.seed_bytes
     s_prime = seed_from_bytes(kspec, raw[seeds:split])
-    s = seed_from_bytes(tag_spec(source, params), raw[split:])
+    s = seed_from_bytes(tspec, raw[split:])
     ctxt = IkemCiphertext(g, s_prime, s)
     check_ciphertext(params, source, ctxt)
     return ctxt

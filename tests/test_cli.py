@@ -326,7 +326,7 @@ def test_verify_he_game_past_int64_hash_width_exits_4(tmp_path, det_source_file,
     code = main(["verify", "--source", det_source_file, "--params", params_path,
                  "--mode", "he-game", "--trials", "10"])
     assert code == 4
-    # the adversary's own refusal, ahead of gf2.mul_vector's
+    # check_z's refusal: gf2.mul_vector relies on it and has no guard of its own
     assert capsys.readouterr().err == "regime too large: posterior hashing needs a hash width <= 62, got 100\n"
 
 

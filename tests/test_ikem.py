@@ -36,11 +36,9 @@ from corrkem.ikem import (
     _within,
     IkemKey,
     IkemParams,
-    encode_sample,
-    key_spec,
+    hash_specs,
     params_digest,
     source_digest,
-    tag_spec,
 )
 from corrkem.harness import BestGuessAdversary, BestGuessOtpHeAdversary
 from corrkem.source import SampleTriple, avg_cond_min_entropy, check_symbols, sample_with_rng
@@ -256,14 +254,14 @@ def test_walk_carries_each_leafs_tag_and_rebuilds_any_rows(rng, monkeypatch):
                         with monkeypatch.context() as m:
                             m.setattr("corrkem.ikem.CHUNK_CELLS", chunk)
                             walk = _walk(cost[lo:hi], nu, table[lo:hi])
-                            plain = _walk(cost[lo:hi], nu)
+                            plain = _walk(cost[lo:hi], nu, np.zeros((hi - lo, nx, 0), np.uint64))
                         rows = walk.rows(np.arange(walk.count))
                         inside = _within(cost[lo:hi], rows, nu)
                         assert np.array_equal(rows[inside], listed)
                         totals = cost[np.arange(lo, hi), rows].sum(axis=1)
                         assert (totals[~inside] <= nu + _PRUNE_SLACK).all()
                         assert np.array_equal(plain.rows(np.arange(plain.count)), rows)
-                        assert plain.tags is None
+                        assert plain.tags.shape == (plain.count, 0)
                         tags = np.bitwise_xor.reduce(table[np.arange(lo, hi), rows], axis=1)
                         assert walk.tags.shape == (walk.count, (t + 63) // 64)
                         assert np.array_equal(walk.tags, tags)
@@ -276,7 +274,7 @@ def test_walk_carries_each_leafs_tag_and_rebuilds_any_rows(rng, monkeypatch):
     assert {(1, 1), (1, 0), (0, 1)} <= splits_seen
     # the forced last position's cost counts from the start: each 0.25-bit
     # detour fits alone, and no two fit together
-    walk = _walk(np.array([[1.0, 1.25]] * 3 + [[1.0, 3.0]]), 4.4)
+    walk = _walk(np.array([[1.0, 1.25]] * 3 + [[1.0, 3.0]]), 4.4, np.zeros((4, 2, 0), np.uint64))
     assert walk.rows(np.arange(walk.count)).tolist() == [
         [0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]
     ]
@@ -497,7 +495,7 @@ def test_decap_matches_brute_force_oracle(rng):
             n=n, t=t, ell=int(rng.integers(1, 9)), nu=nu, eps=0.5, sigma=0.5,
             q_e=0, source_digest=source_digest(src),
         )
-        tspec, kspec = tag_spec(src, params), key_spec(src, params)
+        tspec, kspec = hash_specs(src, params)
         cands = _brute_list(src, y_vec, nu)
         if cands and rng.random() < 0.8:
             x = np.array(cands[int(rng.integers(len(cands)))])
@@ -561,7 +559,7 @@ def _straddling_cases():
     params = IkemParams(
         n=4, t=3, ell=4, nu=nu, eps=0.5, sigma=0.5, q_e=0, source_digest=source_digest(src)
     )
-    tspec = tag_spec(src, params)
+    tspec, _ = hash_specs(src, params)
     assert tspec.input_bits == 4
     for a in range(16):
         seed = UhfSeed(a, 0b1010)
@@ -584,7 +582,7 @@ def test_decap_hand_built_lists_with_zero_one_and_many_matches():
         got = decap(params, src, y_vec, ctxt)
         if len(matched) == 1:
             code = encode_symbols(matched[0], 2)
-            assert got == IkemKey(hash_value(key_spec(src, params), ctxt.s_prime, code), 4)
+            assert got == IkemKey(hash_value(hash_specs(src, params)[1], ctxt.s_prime, code), 4)
             seen["one straddling"] += _straddles(matched[0], y_vec)
         else:
             assert got is BOTTOM
@@ -748,7 +746,7 @@ def test_roundtrip_exhaustive_micro():
     )
     w = hash_width(src, params)
     assert w == 4
-    tspec, kspec = tag_spec(src, params), key_spec(src, params)
+    tspec, kspec = hash_specs(src, params)
     s_prime = UhfSeed(0b0110, 0b1011)
     pxy = src.pmf.sum(axis=2)
     for y_pair in product(range(3), repeat=2):
@@ -759,7 +757,7 @@ def test_roundtrip_exhaustive_micro():
                 continue
             if tuple(x_pair) not in cands:
                 continue
-            code = encode_sample(src, params, np.array(x_pair))
+            code = encode_symbols(np.array(x_pair), 3, params.n)
             for a in range(1 << w):
                 for b in range(0, 1 << w, 5):  # stride the mask, it cancels
                     seed = UhfSeed(a, b)
@@ -768,7 +766,7 @@ def test_roundtrip_exhaustive_micro():
                         c
                         for c in cands
                         if c != tuple(x_pair)
-                        and hash_value(tspec, seed, encode_sample(src, params, np.array(c))) == g
+                        and hash_value(tspec, seed, encode_symbols(np.array(c), 3, params.n)) == g
                     ]
                     if others:
                         continue

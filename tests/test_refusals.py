@@ -5,6 +5,7 @@ Cases that a command can reach run through ``cli.main`` and check the
 exit code and the stderr label; the rest call the library directly.
 """
 
+import dataclasses
 import json
 import time
 
@@ -29,14 +30,18 @@ from corrkem.cli import main
 from corrkem.errors import CorrkemError, FormatError, InfeasibleKeyLength, RegimeTooLarge
 from corrkem.harness import (
     HeAdversary,
+    RandomGuessAdversary,
+    RandomGuessHeAdversary,
     cea_bound_check,
     composability_check,
+    correctness_mc,
     ot_bound_check,
     run_he_game,
+    run_ikem_game,
 )
 from corrkem.harness import exact, games
 from corrkem.harness.exact import naive_cea_sd, naive_composability_sd
-from corrkem.source import sample_with_rng
+from corrkem.source import SampleTriple, sample_with_rng
 from corrkem.uhf import UhfSeed, symbol_bits
 
 from conftest import deterministic_pair_source
@@ -269,20 +274,75 @@ def test_count_use_refuses_a_document_that_is_not_an_object(tmp_path):
 
 def test_he_game_charges_every_symbol(tmp_path, capsys, monkeypatch):
     # a one-cell source scores one sample per trial, but each trial still
-    # samples and hashes n symbols: 10^4 trials at n = 10^5 ran for hours
+    # samples and hashes n symbols; past n = 512 the session rule refuses
+    # first (test_a_one_cell_session_past_512_symbols_is_refused)
     def sample(*args):
         raise AssertionError("a trial ran past the work charge")
 
     monkeypatch.setattr(games, "sample_with_rng", sample)
     src = _write(tmp_path, "one.json", ONE_CELL)
-    for n in (4000, 100_000):
-        params = reliability_params(wire.load_source(src), n, 0.5, 8)
-        doc = _write(tmp_path, f"params{n}.json", wire.params_to_json(params))
+    params = reliability_params(wire.load_source(src), 512, 0.5, 8)
+    doc = _write(tmp_path, "params.json", wire.params_to_json(params))
+    start = time.perf_counter()
+    code, err = _run(capsys, ["verify", "--source", src, "--params", doc, "--mode", "he-game"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (4, "regime too large: 10000 trials over 1^512 samples plus 256 * 512 symbols"
+                              f" exceed {games.HE_WORK_LIMIT}\n")
+
+
+def _one_cell_session(tmp_path, n):
+    """A one-cell source, its params file at n and alice's sample.  The
+    source gives nu = 0 and t = 1 at every n, so the file is the
+    operating point it gives even where reliability_params refuses n."""
+    src = _write(tmp_path, "one.json", ONE_CELL)
+    params = dataclasses.replace(reliability_params(wire.load_source(src), 512, 0.5, 8), n=n)
+    zeros = np.zeros(n, np.int64)
+    alice = wire.triple_to_sample_docs(params, SampleTriple(n, zeros, zeros, zeros))["alice"]
+    return src, _write(tmp_path, "params.json", wire.params_to_json(params)), _write(tmp_path, "alice.json", alice)
+
+
+@pytest.mark.parametrize("n", [513, 100_000])
+def test_a_one_cell_session_past_512_symbols_is_refused(tmp_path, capsys, n):
+    # a one-cell X packs into 0 bits, so the hash width never bounded n,
+    # while sampling, hashing and the games all grow with it
+    src, params, alice = _one_cell_session(tmp_path, n)
+    with pytest.raises(RegimeTooLarge, match=f"^n = {n} symbols exceeds 512$"):
+        reliability_params(wire.load_source(src), n, 0.5, 8)
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    common = ["--source", src, "--params", params]
+    for argv in (["gen", *common, "--out", tmp_path / "s"],
+                 ["encap", *common, "--sample", alice, "--out", tmp_path / "k"],
+                 ["verify", *common, "--mode", "correctness", "--out", tmp_path / "report.json"]):
         start = time.perf_counter()
-        code, err = _run(capsys, ["verify", "--source", src, "--params", doc, "--mode", "he-game"])
+        code, err = _run(capsys, argv)
         assert time.perf_counter() - start < 1.0
-        assert code == 4
-        assert err.startswith(f"regime too large: 10000 trials over 1^{n} samples plus 256 * {n} symbols")
+        assert (code, err) == (4, f"regime too large: n = {n} symbols exceeds 512\n")
+    # no output written, and alice's use not counted
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
+def test_a_one_cell_session_at_512_symbols_runs(tmp_path, capsys):
+    src, params, alice = _one_cell_session(tmp_path, 512)
+    common = ["--source", src, "--params", params]
+    assert _run(capsys, ["gen", *common, "--out", tmp_path / "s"]) == (0, "")
+    code, err = _run(capsys, ["encap", *common, "--sample", alice, "--out", tmp_path / "k"])
+    assert code == 0 and err.startswith("warning: ell=8 is past the secrecy bound")  # no key bound here
+    assert _run(capsys, ["verify", *common, "--mode", "correctness", "--trials", 1000]) == (0, "")
+
+
+def test_the_library_games_take_the_session_rule_before_a_draw(monkeypatch):
+    def sample(*args):
+        raise AssertionError("a game drew a sample past the session rule")
+
+    monkeypatch.setattr(games, "sample_with_rng", sample)
+    src = make_table_source((1, 1, 1), {(0, 0, 0): 1.0})
+    for n in (1000, 100_000):  # 100_000 symbols pass the he game's charge at one trial
+        params = dataclasses.replace(reliability_params(src, 512, 0.5, 8), n=n)
+        for play in (lambda: run_ikem_game(src, params, RandomGuessAdversary(), 0, 1, 1),
+                     lambda: run_he_game(src, params, RandomGuessHeAdversary(), 0, 1, 1),
+                     lambda: correctness_mc(src, params, 1000, 1)):
+            with pytest.raises(RegimeTooLarge, match=f"^n = {n} symbols exceeds 512$"):
+                play()
 
 
 def test_he_game_posterior_refuses_past_2_to_20_samples(tmp_path, capsys):

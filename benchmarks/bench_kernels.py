@@ -1,7 +1,11 @@
 """Benchmark the exact-enumeration kernels and decapsulation.
 
 Run:  python3 benchmarks/bench_kernels.py
-Times are the best of three calls after one warm-up.  Each cea_sd
+Times are the best of three calls after one warm-up.  The census
+row is checked before it is timed: it must read 0 on the field table,
+and on mul_table(4) with one entry's top bit flipped it must equal a
+full (a, b) recount written here, which counts every output pair of
+every ordered input pair over all 2^8 seeds.  Each cea_sd
 result is checked before it is timed: it must lie in [0, 1] and agree
 within 1e-12 with a dense reference that multiplies every sample
 column and every challenge-key row in one block.  The z|x row is the
@@ -104,6 +108,27 @@ def _check_cea(label, tag, key, pxz, t_bits, ell_bits, q_e):
         raise SystemExit(f"{label}: distance {got!r}, dense reference {want!r}")
 
 
+def _recount_census(prod, w, m):
+    """The census with no shortcut: per ordered input pair x1 != x2, the
+    count of every output pair over all (a, b) seeds, against n^2 / 4^m."""
+    n, nm = 1 << w, 1 << m
+    a, b = np.divmod(np.arange(n * n), n)
+    out = (prod[a] ^ b[:, None]) >> (w - m)  # (seed, x)
+    pair = np.arange(n * n).reshape(n, n) * nm
+    cells = (pair + out[:, :, None]) * nm + out[:, None, :]  # (seed, x1, x2)
+    counts = np.bincount(cells.ravel(), minlength=n * n * nm * nm).reshape(n, n, -1)
+    dev = np.abs(counts - n * n // (nm * nm))
+    dev[np.arange(n), np.arange(n)] = 0  # x1 == x2 is not a pair
+    return int(dev.max())
+
+
+def _check_census(label, prod, w, m, want):
+    """The census of `prod` equals `want`."""
+    got = census_max_dev(prod, w, m)
+    if got != want:
+        raise SystemExit(f"{label}: census {got}, expected {want}")
+
+
 def _check_compose(label, src, params, reference):
     """The distance lies in [0, 1] and equals the reference's."""
     got, _ = composability_sd(src, params)
@@ -151,6 +176,10 @@ def main():
     cases = {}
     cases["mul_table w=8"] = (mul_table, (8,))
     cases["census w=6 m=3"] = (census_max_dev, (mul_table(6), 6, 3))
+    _check_census("census w=6 m=3", *cases["census w=6 m=3"][1], 0)
+    planted = mul_table(4)
+    planted[5, 9] ^= 0b1000
+    _check_census("census planted w=4 m=2", planted, 4, 2, _recount_census(planted, 4, 2))
 
     nx = 256
     pxz = rng.random((nx, 4))

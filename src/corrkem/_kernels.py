@@ -7,7 +7,7 @@ against full (a, b) seed enumeration at q_e = 0 and 1 and against its
 definition on random tables, ``compose_sd``
 against the naive composability enumeration, and ``census_max_dev``
 against its closed form on a degenerate all-zero product table and a
-per-pair recount on a planted fault.
+full (a, b) recount on random tables and a planted fault.
 
 The exact statistical-distance kernels exploit one structural fact
 about the affine hash family h_{a,b}(x) = msb_m(a*x XOR b): the b part
@@ -45,15 +45,16 @@ the view adds M - sum_k min(D(k), M / 2^ell) to the distance.  ``cand``
 holds the unique tag-matching list entry, or -1 for none or several.
 
 The census, itself the verification oracle for the hash family,
-enumerates the full (a, b) seed space with no shortcut: one float32
-Gram matrix O^T O of the one-hot matrix O[(a, b), (x, output)],
-accumulated over seed blocks, counts every output pair of every input
-pair, and x1 = x2 is left out.
+enumerates every multiplier a and ordered input pair x1 != x2 but
+counts the masks b: msb_m(u XOR b) = msb_m(u) XOR msb_m(b) for any
+table, so 2^(w-m) masks give (x1, x2) each output pair whose XOR is
+msb(a*x1) XOR msb(a*x2), the integer a full (a, b) count gives.
 
-``cea_sd`` works in blocks of rows, the census in blocks of seeds and
-``compose_sd`` in blocks of z patterns (each block's support rows taken
-in steps), so no temporary exceeds BLOCK_CELLS / 8 cells at any width
-the regime guards admit; a table that fits is one block.
+``cea_sd`` works in blocks of rows, the census in blocks of
+multipliers and ``compose_sd`` in blocks of z patterns (each block's
+support rows taken in steps), so no temporary exceeds BLOCK_CELLS / 8
+cells at any width the regime guards admit; a table that fits is one
+block.
 """
 
 import numpy as np
@@ -126,21 +127,20 @@ def _khatri_rao_rows(table, bits, factors, rows):
 
 
 # ---------------------------------------------------------------------------
-# Pairwise-independence census: the Gram matrix of the full (a, b) seed space
+# Pairwise-independence census: output differences per multiplier
 
 
 def census_max_dev(prod, w, m):
     n = 1 << w
-    rows = np.arange(n << m)  # one Gram row per (x, output) pair
-    gram = np.zeros((rows.shape[0], rows.shape[0]), np.float32)  # exact up to 2^24
-    sb = _block(n * n, rows.shape[0])
-    for s in range(0, n * n, sb):
-        a, b = np.divmod(np.arange(s, min(s + sb, n * n)), n)
-        hashes = (prod[a].T ^ b.astype(prod.dtype)) >> (w - m)  # (x, seed)
-        onehot = _khatri_rao_rows(hashes, m, 1, rows).astype(np.float32)
-        gram += onehot @ onehot.T
-    dev = np.abs(gram - ((n * n) >> (2 * m)))
-    dev[np.equal.outer(rows >> m, rows >> m)] = 0  # x1 == x2 is not a pair
+    cells = np.arange(n * n).reshape(n, n) << m  # 2^m difference cells per (x1, x2)
+    counts = np.zeros(n * n << m, np.int64)
+    ab = _block(n, n * n)
+    for a in range(0, n, ab):
+        out = prod[a:a + ab] >> (w - m)  # (a, x)
+        diff = out[:, :, None] ^ out[:, None, :]  # (a, x1, x2)
+        counts += np.bincount((cells + diff).ravel(), minlength=counts.shape[0])
+    dev = np.abs((counts.reshape(n, n, -1) << (w - m)) - ((n * n) >> (2 * m)))  # 2^(w-m) masks per count
+    dev[np.arange(n), np.arange(n)] = 0  # x1 == x2 is not a pair
     return int(dev.max())
 
 

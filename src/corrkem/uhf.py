@@ -10,7 +10,7 @@ significant of the w bits.  For any two distinct inputs the map
 (a, b) -> (a*x ^ b, a*x' ^ b) is a bijection of the seed space, so the
 truncated output pair is exactly uniform: pairwise independence holds
 with zero deviation, which :func:`pairwise_independence_census`
-verifies by brute force.
+verifies by brute force over every multiplier and input pair.
 
 Seeds serialize as a then b, each ceil(w/8) bytes big-endian with the
 high bits zero-padded.
@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from . import gf2
-from ._kernels import BLOCK_CELLS, census_max_dev, mul_table
+from ._kernels import census_max_dev, mul_table
 from .errors import FormatError, RegimeTooLarge
 from .source import check_symbols
 
@@ -133,13 +133,12 @@ def pairwise_independence_census(spec: UhfSpec) -> float:
     """Max deviation of pair frequencies from 2^-2m over the full seed
     space, all ordered input pairs, and all output pairs.
 
-    Exhaustive over all 2^2w seeds, into one 2^(w+m)-square Gram matrix
-    of (input, output) pairs that must fit one kernel block:
-    4^(w+m) <= BLOCK_CELLS / 8, i.e. w + m <= 9, else RegimeTooLarge.
-    For this family the return value is exactly 0.0.
+    Enumerates every multiplier and input pair and counts the masks b
+    (:func:`corrkem._kernels.census_max_dev`).  w + m <= 9, else
+    RegimeTooLarge, so a spec counts at most 2^(3w) <= 2^24 (multiplier,
+    input pair) cells.  For this family the return value is exactly 0.0.
     """
     w, m = spec.input_bits, spec.output_bits
-    if 4 ** (w + m) > BLOCK_CELLS // 8:
-        raise RegimeTooLarge(f"census Gram matrix of 4^{w + m} cells exceeds one kernel block")
+    if w + m > 9:
+        raise RegimeTooLarge(f"census limited to w + m <= 9, got {w + m}")
     return census_max_dev(mul_table(w), w, m) / float((1 << w) ** 2)
-

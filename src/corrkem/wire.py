@@ -32,7 +32,7 @@ from .errors import FormatError
 from .hybrid import HybridCiphertext
 from .ikem import IkemCiphertext, IkemKey, IkemParams, check_ciphertext, hash_specs, params_digest
 from .source import JointSource, SampleTriple, check_symbols, make_table_source, satellite_source
-from .uhf import seed_from_bytes, seed_to_bytes
+from .uhf import UhfSpec, seed_from_bytes, seed_to_bytes
 
 KEM_MAGIC = b"IKM1"
 HYBRID_MAGIC = b"IHE1"
@@ -203,13 +203,13 @@ def kem_ciphertext_to_bytes(params: IkemParams, source: JointSource, ctxt: IkemC
     return bytes(out)
 
 
-def kem_block_size(params: IkemParams, source: JointSource) -> int:
-    tspec, kspec = hash_specs(source, params)
-    return 4 + 8 + 2 + (params.t + 7) // 8 + 2 * (kspec.seed_bytes + tspec.seed_bytes)
+def kem_block_size(tspec: UhfSpec, kspec: UhfSpec) -> int:
+    return 4 + 8 + 2 + (tspec.output_bits + 7) // 8 + 2 * (kspec.seed_bytes + tspec.seed_bytes)
 
 
 def kem_ciphertext_from_bytes(params: IkemParams, source: JointSource, raw: bytes) -> IkemCiphertext:
-    expected = kem_block_size(params, source)
+    tspec, kspec = hash_specs(source, params)
+    expected = kem_block_size(tspec, kspec)
     if len(raw) != expected:
         raise FormatError(f"kem block must be {expected} bytes, got {len(raw)}")
     if raw[:4] != KEM_MAGIC:
@@ -221,7 +221,6 @@ def kem_ciphertext_from_bytes(params: IkemParams, source: JointSource, raw: byte
         raise FormatError(f"ciphertext t={t} != params t={params.t}")
     seeds = 14 + (t + 7) // 8
     g = int.from_bytes(raw[14:seeds], "big")
-    tspec, kspec = hash_specs(source, params)
     split = seeds + 2 * kspec.seed_bytes
     s_prime = seed_from_bytes(kspec, raw[seeds:split])
     s = seed_from_bytes(tspec, raw[split:])
@@ -272,7 +271,7 @@ def hybrid_to_bytes(params: IkemParams, source: JointSource, ctxt: HybridCiphert
 def hybrid_from_bytes(params: IkemParams, source: JointSource, raw: bytes) -> HybridCiphertext:
     if raw[:4] != HYBRID_MAGIC:
         raise FormatError("bad hybrid magic")
-    ksize = kem_block_size(params, source)  # the kem and dem decoders refuse a block cut short
+    ksize = kem_block_size(*hash_specs(source, params))  # the kem and dem decoders refuse a block cut short
     c1 = kem_ciphertext_from_bytes(params, source, raw[4 : 4 + ksize])
     c2 = dem_ciphertext_from_bytes(raw[4 + ksize :])
     return HybridCiphertext(c1, c2)

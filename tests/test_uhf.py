@@ -135,6 +135,19 @@ def test_census_counts_a_planted_fault(monkeypatch, m):
     assert census_max_dev(prod, 4, m) == dev
 
 
+@pytest.mark.parametrize("budget", [None, 8 * 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("w,m", [(3, 1), (4, 2), (4, 4), (5, 3)])
+def test_census_matches_full_recount_on_random_tables(monkeypatch, w, m, seed, budget):
+    # msb_m(u ^ b) = msb_m(u) ^ msb_m(b) for any table, so a table that is
+    # not a field still gives the full (a, b) recount's integer; a budget
+    # of 8 * 64 cells leaves one multiplier per block
+    prod = np.random.default_rng(seed).integers(0, 1 << w, (1 << w, 1 << w))
+    if budget:
+        monkeypatch.setattr(_kernels, "BLOCK_CELLS", budget)
+    assert census_max_dev(prod, w, m) == _census_by_pairs(prod, w, m)
+
+
 @pytest.mark.parametrize("w,m", [(8, 1), (6, 3)])
 def test_census_memory_within_budget_at_the_widest_specs(w, m):
     # the widest admitted specs: a 2^(w+m)-square Gram matrix of 2^18 cells
@@ -148,9 +161,9 @@ def test_census_memory_within_budget_at_the_widest_specs(w, m):
 
 
 def test_census_regime_guard(monkeypatch):
-    # past w + m = 9 the Gram matrix outgrows one kernel block; a w = 12
-    # census would enumerate 2^24 seeds for hours, so the census itself
-    # is stubbed: without the guard the test fails at once
+    # past w + m = 9 the census is refused; a w = 12 census would count
+    # 2^36 (multiplier, input pair) cells, so the census itself is
+    # stubbed: without the guard the test fails at once
     def census(*args):
         raise AssertionError("census ran past the regime guard")
 

@@ -13,7 +13,7 @@ from corrkem import (
     sample_n,
     satellite_source,
 )
-from corrkem import wire
+from corrkem import ikem, wire
 from corrkem.errors import FormatError, RegimeTooLarge
 
 from conftest import deterministic_pair_source, dishonest
@@ -117,6 +117,19 @@ def test_kem_ciphertext_roundtrip_and_digest_binding():
         wire.kem_ciphertext_from_bytes(params, src, raw[:-1])
     with pytest.raises(FormatError):
         wire.kem_ciphertext_from_bytes(params, src, b"XXXX" + raw[4:])
+
+
+def test_kem_decode_takes_the_session_rule_at_most_twice(monkeypatch):
+    # once for the block size and the seeds, once in check_ciphertext
+    src = deterministic_pair_source()
+    params = derive_params(src, 24, 0.5, 0.25, 0)
+    ctxt, _ = encap(params, src, sample_n(src, 24, seed=1).x, np.random.default_rng(2))
+    raw = wire.kem_ciphertext_to_bytes(params, src, ctxt)
+    calls = []
+    width = ikem.hash_width
+    monkeypatch.setattr(ikem, "hash_width", lambda *args: calls.append(args) or width(*args))
+    assert wire.kem_ciphertext_from_bytes(params, src, raw) == ctxt
+    assert 1 <= len(calls) <= 2
 
 
 def test_key_file_roundtrip():

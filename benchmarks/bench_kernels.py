@@ -1,6 +1,7 @@
 """Benchmark the exact-enumeration kernels and decapsulation.
 
 Run:  python3 benchmarks/bench_kernels.py
+It imports corrkem from this checkout's src/, installed or not.
 Times are the best of three calls after one warm-up.  The census
 row is checked before it is timed: it must read 0 on the field table,
 and on mul_table(4) with one entry's top bit flipped it must equal a
@@ -14,9 +15,10 @@ The mul_vector row is the posterior games' bulk product a * code over
 all |X|^n codes at the he-micro shape (w = 12, n = 3, |X| = 16) for a
 chunk of 16 multipliers, checked against the scalar gf2.mul; the
 linear_table rows build the GF(2)-linear table at that shape and the
-README demo's decap tag table (w = n = 280, |X| = 2, t = 1).  The
-reduction_low row is the uncached field search at the README demo
-width.  The composability_sd rows are the whole exact check: one
+README demo's decap tag table (w = n = 280, |X| = 2, t = 1).  Before
+any row, untimed, gf2.REDUCTION_LOWS must equal the published rule's
+search (the oracle in tests/test_gf2.py) at every tabulated width, which
+takes about 16 s.  The composability_sd rows are the whole exact check: one
 verify_micro-sized instance (X near-uniform on 16 symbols, Y = X with
 the low bit flipped at rate 0.03, Z its top bit, t = 1, ell = 2),
 checked against a run in blocks of one z pattern and steps of one
@@ -35,11 +37,16 @@ is checked before it is timed, so a wrong decap or distance fails the
 script instead of being timed.
 """
 
+import sys
 import time
+from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # this checkout's corrkem; the field oracle
 
-from corrkem import (
+import numpy as np  # noqa: E402
+
+from corrkem import (  # noqa: E402
     BOTTOM,
     IkemParams,
     JointSource,
@@ -54,10 +61,11 @@ from corrkem import (
     satellite_source,
     surprisal,
 )
-from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table
-from corrkem.gf2 import linear_table, mul, mul_vector, reduction_low
-from corrkem.harness import composability_sd, exact_challenge_sd, naive_composability_sd
-from corrkem.uhf import encode_flat
+from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table  # noqa: E402
+from corrkem.gf2 import REDUCTION_LOWS, linear_table, mul, mul_vector  # noqa: E402
+from corrkem.harness import composability_sd, exact_challenge_sd, naive_composability_sd  # noqa: E402
+from corrkem.uhf import encode_flat  # noqa: E402
+from test_gf2 import search_low  # noqa: E402
 
 
 def _bench(fn, *args, repeat=3):
@@ -137,6 +145,14 @@ def _check_compose(label, src, params, reference):
         raise SystemExit(f"{label}: distance {got!r}, reference {want!r}")
 
 
+def _check_reduction_table():
+    """Every tabulated polynomial is the one the rule's search finds."""
+    for w, low in enumerate(REDUCTION_LOWS, 1):
+        if low != search_low(w):
+            raise SystemExit(f"REDUCTION_LOWS[{w - 1}] = {low}, the rule's search gives {search_low(w)}")
+    print(f"reduction polynomials: the table equals the search at w = 1..{len(REDUCTION_LOWS)}")
+
+
 def _check_mul_vector(label, multipliers, n, nx, w):
     """Row k holds multipliers[k] * code for every code in flat order."""
     codes = encode_flat(np.arange(nx**n), n, nx).tolist()
@@ -169,6 +185,7 @@ def _leaky_source(rng):
 
 def main():
     print(f"backend: {BACKEND}")
+    _check_reduction_table()
     rng = np.random.default_rng(0)
 
     table = mul_table(8)
@@ -229,7 +246,6 @@ def main():
     cases["mul_vector 16 w=12 n=3"] = (mul_vector, (multipliers, 3, 16, 12))
     cases["linear_table w=12 n=3"] = (linear_table, (int(rng.integers(1, 1 << 12)), 12, 12, 3, 16))
     cases["linear_table w=280 t=1"] = (linear_table, (int.from_bytes(rng.bytes(35), "big"), 280, 1, 280, 2))
-    cases["reduction_low w=280"] = (reduction_low.__wrapped__, (280,))
 
     sat = satellite_source(0.05, 0.05, 0.3)
     sessions = [(sat, reliability_params(sat, n=n, eps=0.25, ell=8)) for n in (8, 12, 16, 24, 32)]

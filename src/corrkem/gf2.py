@@ -12,24 +12,26 @@ bit-for-bit:
              that x^w + mask is irreducible over GF(2)   (w >= 2;
              low(1) = 1).
 
-The rule yields the conventional minimal-weight polynomials, e.g.
+At the familiar widths the rule yields the conventional polynomials:
 
-    w = 3   x^3 + x + 1                 (low = 0b0011)
-    w = 4   x^4 + x + 1                 (low = 0b0011)
-    w = 8   x^8 + x^4 + x^3 + x + 1     (low = 0b11011)
-    w = 64  x^64 + x^4 + x^3 + x + 1    (low = 0b11011)
+    w = 3    x^3 + x + 1                   (low = 0b0011)
+    w = 4    x^4 + x + 1                   (low = 0b0011)
+    w = 8    x^8 + x^4 + x^3 + x + 1       (low = 0b11011)
+    w = 64   x^64 + x^4 + x^3 + x + 1      (low = 0b11011)
+    w = 128  x^128 + x^7 + x^2 + x + 1     (low = 0x87)
 
-Every width w >= 2 is searched by this rule on first use, each candidate
-decided by Ben-Or's irreducibility test, and cached; sessions bound the
-width at ``corrkem.ikem.MAX_HASH_WIDTH`` = 512 bits, where the search
-stays under a second.
+``REDUCTION_LOWS`` is the rule's output for every width 1 <= w <= 512,
+the widest field a session may use (``corrkem.uhf.MAX_HASH_WIDTH`` is
+its length).  The tests keep the rule's search, which decides each
+candidate with Ben-Or's irreducibility test, as the oracle for it.  A
+wider field is refused.
 """
 
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, RegimeTooLarge
 
 
 def mul(a: int, b: int, w: int) -> int:
@@ -109,59 +111,51 @@ def limbs(values, bits: int) -> np.ndarray:
     return np.frombuffer(b"".join(v.to_bytes(8 * nl, "little") for v in values), "<u8").reshape(-1, nl)
 
 
+# low(w) by the rule above, at index w - 1.
+REDUCTION_LOWS = (
+       1,    3,    3,    3,    5,    3,    3,   27,    3,    9,    5,    9,   27,   33,    3,   43,  # w = 1-16
+       9,    9,   39,    9,    5,    3,   33,   27,    9,   27,   39,    3,    5,    3,    9,  141,  # w = 17-32
+      75,   27,    5,   53,   63,   99,   17,   57,    9,   39,   89,   33,   27,    3,   33,   45,  # w = 33-48
+     113,   29,   75,    9,   71,  125,   71,  149,   17,   99,  123,    3,   39,  105,    3,   27,  # w = 49-64
+      27,    9,   39,  163,  101,   43,   43,   95,   29,   71,   75,   53,  101,   95,   29,  175,  # w = 65-80
+      17,  215,  149,   33,  263,  101,  163,   63,  105,   45,  237,  101,    5,   99,  119,  111,  # w = 81-96
+      65,  153,   75,  101,  195,  105,  189,   27,   17,   99,  175,   83,   53,   83,  149,   57,  # w = 97-112
+      45,   45,  175,   23,   39,  101,  257,   27,  291,   71,    5,  125,  175,  149,    3,  135,  # w = 113-128
+      33,    9,  243,  119,  111,  163,   89,   45,  317,  365,  175,   83,  427,  243,   45,  149,  # w = 129-144
+      99,   45,   63,  169,  763,   53,    9,   77,    3,  225,  177,  105,  101,  311,  123,   45,  # w = 145-160
+      77,  231,  201,  495,  603,   99,   65,   95,  353,   77,   63,    3,  293,  125,   65,  189,  # w = 161-176
+      45,  389,   23,    9,  195,  243,  401,  349,  267,  413,  225,  101,  101,  449,  187,  135,  # w = 177-192
+     503,   29,  183,    9,  495,  105,  237,   45,   77,  209,  387,   53,  549,  175,  579,  461,  # w = 193-208
+      45,  129,  619,  153,  101,   43,  105,  139,  113,  245,  245,  129,  311,   53,   53,  437,  # w = 209-224
+     365,  245,  123,  263,  615,  189,  149,  245,  189,  459,  461,   33,  147,   39,   63,  297,  # w = 225-240
+     377,  371,  291,  359,   83,  423,  533,  317,  147,  111,  149,  125,   63,  135,   45, 1061,  # w = 241-256
+     189,  593,  507,  105,  209,  785,  639,  581,   45,   77,  329,  903,  195,   53,  287,  483,  # w = 257-272
+     135,  237,  315,   75,  183,   33,   33,  549,  531,   77,  359,  353,  175,  507,  101,  469,  # w = 273-288
+     245,   45,  123,  139,  603,  249,   53,  141,   33,  315,  175,   33,  359,   63,    3,   63,  # w = 289-304
+     197,  139,  277,  903,  371,  291,  169,  657,  139,  359,  123,  363,  149,  353,  303,   27,  # w = 305-320
+     165,  759,  123,   23,  343, 1035,  237,  267,  317,  111,  245,   71,    5,   39,  819,  147,  # w = 321-336
+     231,   27,  175,  715,  287,  349,  987,  135,  277,  231,  245,  401,  101,  101,  329,  189,  # w = 337-352
+     657,  811,   99,  231,  497,  363,  359,   45,  147,  411,  297,  513,  609,  353,  187,  141,  # w = 353-368
+    1515,   45,  269,  365,  389,  353,   23,  417,  267,  593,  811, 1379,   39,  547,  547,  479,  # w = 369-384
+      65,  917,  387,  153,  207,  315,   71,  411,  129,  389,  503,  125,  483,  197,  599,   45,  # w = 385-400
+     187,   63,  801,  123,  853,  269,  423,   45,  169, 1049,  365,  165,  215,  315,  533,  549,  # w = 401-416
+     315,  119,  639,  129,   53,  187,  543,  429,  123,  627,  359,  347,  573,  317,   43,  235,  # w = 417-432
+     879,  231, 1131,  113,   71,  413,  269,   27,  129,  165,  399,  703,  209, 1699,  413,  189,  # w = 433-448
+     639,  469,  821,  113, 2033,  323,  753,  207,  621,  543,  219,  547,  195,  609, 1429,  599,  # w = 449-464
+     269,  969, 2115, 1375,  125,  317,    3,   63,  329,  697,  785,  159,  377,   83,  509,  221,  # w = 465-480
+     663,  609,  219, 1495,  429,  249,  533,   27,  609,  673,  123,   83,  591, 1343,  177,  407,  # w = 481-496
+    1699,  119,  717,  359,   53,  305,    9,   95,  797,  791,  245,  159,  393,   83, 1025,  293,  # w = 497-512
+)
+
+
+# A lookup needs no cache.  The wrapper stays because perfbench/tracing.py
+# times reduction_low.__wrapped__(280), and the benchmark's files stay as
+# they are until benchmark v2 (ROADMAP item 1b), which can drop both.
 @lru_cache(maxsize=None)
 def reduction_low(w: int) -> int:
     """Low terms of the degree-w reduction polynomial (x^w excluded)."""
     if w < 1:
         raise FormatError("field width must be >= 1")
-    if w == 1:
-        return 1
-    mask = 3
-    while True:
-        # odd mask: x does not divide f; even popcount: (x+1) does not.
-        if bin(mask).count("1") % 2 == 0 and _is_irreducible(w, mask):
-            return mask
-        mask += 2
-
-
-def _sqr_mod(r: int, w: int, low: int) -> int:
-    """Square a polynomial mod x^w + low.
-
-    Squaring over GF(2) interleaves zero bits: the binary digits of r
-    read in base 4.  Reduction exploits that low has very few terms.
-    """
-    r = int(format(r, "b"), 4)
-    wmask = (1 << w) - 1
-    while r >> w:
-        hi = r >> w
-        r &= wmask
-        m = low
-        while m:
-            j = (m & -m).bit_length() - 1
-            r ^= hi << j
-            m &= m - 1
-    return r
-
-
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        while a and a.bit_length() >= b.bit_length():
-            a ^= b << (a.bit_length() - b.bit_length())
-        a, b = b, a
-    return a
-
-
-def _is_irreducible(w: int, low: int) -> bool:
-    """Ben-Or's irreducibility test for f = x^w + low over GF(2).
-
-    f is irreducible iff gcd(x^(2^i) - x, f) = 1 for every i <= w/2:
-    otherwise f has a factor of degree dividing some such i.  Small
-    factors, the common case, are found at small i.
-    """
-    f_full = (1 << w) | low
-    r = 2  # the polynomial x
-    for _ in range(w // 2):
-        r = _sqr_mod(r, w, low)
-        if _poly_gcd(f_full, r ^ 2) != 1:
-            return False
-    return True
+    if w > len(REDUCTION_LOWS):
+        raise RegimeTooLarge(f"field width {w} exceeds {len(REDUCTION_LOWS)} bits")
+    return REDUCTION_LOWS[w - 1]

@@ -36,7 +36,8 @@ from ..ikem import IkemParams, _listed, enumerate_typical, hash_specs, hash_widt
 from ..source import JointSource, product_source
 from ..uhf import encode_flat, encode_symbols
 
-WORK_LIMIT = 1 << 24
+WORK_BITS = 24
+WORK_LIMIT = 1 << WORK_BITS
 
 
 def lhl_bound(t: int, ell: int, h_xz: float) -> float:
@@ -61,14 +62,17 @@ def _hash_tables(w: int, codes: np.ndarray, t: int, ell: int):
 
 
 def _check_work(support: int, nz: int, w: int, params: IkemParams, q_e: int) -> None:
-    """Refuse past WORK_LIMIT enumerated terms or (z, a, g, a', k)^(1+q_e) cells."""
-    terms = support * (1 << w) ** (2 + 2 * q_e)
-    cells = nz * (1 << (2 * w + params.t + params.ell)) ** (1 + q_e)
-    if max(terms, cells) > WORK_LIMIT:
-        raise RegimeTooLarge(
-            f"enumeration of {terms} terms over {cells} cells exceeds {WORK_LIMIT};"
-            " use micro params"
-        )
+    """Refuse past WORK_LIMIT enumerated terms or (z, a, g, a', k)^(1+q_e)
+    cells.  Each count is factor * 2^bits, compared as factor against
+    WORK_LIMIT >> bits: nothing bounds q_e, so no product is built."""
+    terms = w * (2 + 2 * q_e)
+    cells = (2 * w + params.t + params.ell) * (1 + q_e)
+    for factor, bits in ((support, terms), (nz, cells)):
+        if factor > WORK_LIMIT >> bits:
+            raise RegimeTooLarge(
+                f"enumeration of {support} * 2^{terms} terms over {nz} * 2^{cells} cells"
+                f" exceeds 2^{WORK_BITS}; use micro params"
+            )
 
 
 def _challenge_tables(source: JointSource, params: IkemParams, q_e: int = 0):
@@ -180,7 +184,7 @@ def naive_cea_sd(source: JointSource, params: IkemParams, q_e: int) -> float:
 
     tspec, kspec = hash_specs(source, params)
     w = tspec.input_bits
-    if (1 << (4 * (1 + q_e) * w)) > WORK_LIMIT:
+    if 4 * (1 + q_e) * w > WORK_BITS:  # exponents: q_e has no bound of its own
         raise RegimeTooLarge("naive enumeration is for tiny widths only")
     codes, pxz = _iid_xz(source, params.n)
     na = 1 << w
@@ -215,7 +219,7 @@ def naive_composability_sd(source: JointSource, params: IkemParams) -> float:
 
     tspec, kspec = hash_specs(source, params)
     w = tspec.input_bits
-    if (1 << (4 * w)) > WORK_LIMIT:
+    if 4 * w > WORK_BITS:
         raise RegimeTooLarge("naive enumeration is for tiny widths only")
     n = params.n
     nx, ny, _ = source.alphabet_sizes

@@ -26,10 +26,9 @@ from ._kernels import census_max_dev, mul_table
 from .errors import FormatError, RegimeTooLarge
 from .source import check_symbols
 
-# Widest hash input a spec may have: GF(2^w) fields are searched on
-# first use, and the search grows without bound in w; up to 512 bits
-# the slowest width takes under a second.
-MAX_HASH_WIDTH = 512
+# Widest hash input a spec may have: the widest field whose reduction
+# polynomial gf2 tabulates, 512 bits.
+MAX_HASH_WIDTH = len(gf2.REDUCTION_LOWS)
 
 
 @dataclass(frozen=True)

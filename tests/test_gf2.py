@@ -1,4 +1,9 @@
-"""Field arithmetic and the published reduction polynomials."""
+"""Field arithmetic and the published reduction polynomials.
+
+The reduction polynomials are checked against an independent oracle
+kept here: the published rule, searched with Ben-Or's irreducibility
+test.  ``benchmarks/bench_kernels.py`` runs it at every tabulated width.
+"""
 
 import numpy as np
 import pytest
@@ -8,9 +13,10 @@ from hypothesis import strategies as st
 from corrkem import gf2
 from corrkem._kernels import mul_table
 from corrkem.errors import RegimeTooLarge
-from corrkem.uhf import encode_symbols
+from corrkem.uhf import MAX_HASH_WIDTH, encode_symbols
 
-PUBLISHED = {3: 0b0011, 4: 0b0011, 8: 0b11011, 64: 0b11011}
+# AES's field at w = 8, GCM's at w = 128 and NIST B-163's
+PUBLISHED = {3: 0b0011, 4: 0b0011, 8: 0b11011, 64: 0b11011, 128: 0x87, 163: 0b11001001}
 
 # low(w) for w = 1..64 as the rule gives them, and w = 280, the README
 # demo width, whose polynomial fixes the walkthrough's wire bytes.
@@ -25,6 +31,73 @@ RULE = {
     57: 17, 58: 99, 59: 123, 60: 3, 61: 39, 62: 105, 63: 3, 64: 27,
     280: 549,
 }
+
+
+# the table against the oracle: every w <= 64, GCM's 128, 256, the README demo
+# width 280, 453 (among the slowest searches) and the widest field
+CHECKED_WIDTHS = [*range(1, 65), 128, 256, 280, 453, 512]
+
+
+def search_low(w: int) -> int:
+    """low(w) by the published rule: the smallest odd mask with an even
+    popcount such that x^w + mask is irreducible (low(1) = 1)."""
+    if w == 1:
+        return 1
+    mask = 3
+    while True:
+        # odd mask: x does not divide f; even popcount: (x+1) does not.
+        if bin(mask).count("1") % 2 == 0 and is_irreducible(w, mask):
+            return mask
+        mask += 2
+
+
+def _sqr_mod(r: int, w: int, low: int) -> int:
+    """Square a polynomial mod x^w + low.
+
+    Squaring over GF(2) interleaves zero bits: the binary digits of r
+    read in base 4.  Reduction exploits that low has very few terms.
+    """
+    r = int(format(r, "b"), 4)
+    wmask = (1 << w) - 1
+    while r >> w:
+        hi = r >> w
+        r &= wmask
+        m = low
+        while m:
+            j = (m & -m).bit_length() - 1
+            r ^= hi << j
+            m &= m - 1
+    return r
+
+
+def _poly_gcd(a: int, b: int) -> int:
+    while b:
+        while a and a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def is_irreducible(w: int, low: int) -> bool:
+    """Ben-Or's irreducibility test for f = x^w + low over GF(2).
+
+    f is irreducible iff gcd(x^(2^i) - x, f) = 1 for every i <= w/2:
+    otherwise f has a factor of degree dividing some such i.  Small
+    factors, the common case, are found at small i.
+    """
+    f_full = (1 << w) | low
+    r = 2  # the polynomial x
+    for _ in range(w // 2):
+        r = _sqr_mod(r, w, low)
+        if _poly_gcd(f_full, r ^ 2) != 1:
+            return False
+    return True
+
+
+def test_table_matches_the_search():
+    assert len(gf2.REDUCTION_LOWS) == MAX_HASH_WIDTH == 512
+    for w in CHECKED_WIDTHS:
+        assert gf2.reduction_low(w) == search_low(w), w
 
 
 def test_published_polynomials():
@@ -42,7 +115,7 @@ def _brute_irreducible(w: int, low: int) -> bool:
     f = (1 << w) | low
     for d in range(1, w // 2 + 1):
         for g in range(1 << d, 1 << (d + 1)):
-            if gf2._poly_gcd(f, g) == g:
+            if _poly_gcd(f, g) == g:
                 return False
     return True
 
@@ -59,7 +132,7 @@ def test_reduction_polys_irreducible_by_trial_division(w):
 
 def test_on_demand_width_beyond_table():
     low = gf2.reduction_low(80)
-    assert gf2._is_irreducible(80, low)
+    assert is_irreducible(80, low)
     assert low % 2 == 1 and bin(low).count("1") % 2 == 0
 
 

@@ -186,6 +186,11 @@ def test_uhf_spec_refuses_its_widths():
         symbol_bits(0)
     with pytest.raises(FormatError, match="field width must be >= 1"):
         gf2.reduction_low(0)
+    for w in (513, 10**9):
+        with pytest.raises(RegimeTooLarge, match=f"^hash width {w} exceeds 512 bits$"):
+            UhfSpec(w, 1)
+        with pytest.raises(RegimeTooLarge, match=f"^field width {w} exceeds 512 bits$"):
+            gf2.reduction_low(w)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +398,11 @@ def test_naive_oracles_refuse_wide_hashes(monkeypatch):
         naive_cea_sd(src, params, 0)
     with pytest.raises(RegimeTooLarge, match="naive enumeration is for tiny widths only"):
         naive_composability_sd(src, params)
+    # w = 1 at q_e = 10^9: the guard once built 2^(4 (1 + q_e)), a 500 MB integer
+    start = time.perf_counter()
+    with pytest.raises(RegimeTooLarge, match="naive enumeration is for tiny widths only"):
+        naive_cea_sd(src, reliability_params(src, 1, 0.5, 1), 10**9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_checks_refuse_a_wide_hash_by_the_work_rule():
@@ -400,5 +410,20 @@ def test_exact_checks_refuse_a_wide_hash_by_the_work_rule():
     src = deterministic_pair_source()
     params = reliability_params(src, 13, 0.5, 1)
     for check in (ot_bound_check, cea_bound_check, composability_check):
-        with pytest.raises(RegimeTooLarge, match=r"enumeration of 67108864 terms over \d+ cells"):
+        with pytest.raises(RegimeTooLarge) as refused:
             check(src, params)
+        assert str(refused.value) == ("enumeration of 1 * 2^26 terms over 1 * 2^28 cells exceeds 2^24;"
+                                      " use micro params")
+
+
+@pytest.mark.parametrize("q_e", [2000, 100_000])
+def test_cea_bound_refuses_a_huge_q_e_by_its_exponents(tmp_path, capsys, det_session, q_e):
+    # w = 8, t = 1, ell = 5: the counts, 2^(16 (1 + q_e)) terms and
+    # 2^(22 (1 + q_e)) cells, have thousands of digits; their exponents do not
+    src, params = det_session
+    bad = _write(tmp_path, "bad.json", dict(json.loads(open(params).read()), q_e=q_e))
+    start = time.perf_counter()
+    code, err = _run(capsys, ["verify", "--source", src, "--params", bad, "--mode", "cea-bound"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (4, f"regime too large: enumeration of 1 * 2^{16 * (1 + q_e)} terms over"
+                              f" 1 * 2^{22 * (1 + q_e)} cells exceeds 2^24; use micro params\n")

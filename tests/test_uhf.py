@@ -150,7 +150,8 @@ def test_census_matches_full_recount_on_random_tables(monkeypatch, w, m, seed, b
 
 @pytest.mark.parametrize("w,m", [(8, 1), (6, 3)])
 def test_census_memory_within_budget_at_the_widest_specs(w, m):
-    # the widest admitted specs: a 2^(w+m)-square Gram matrix of 2^18 cells
+    # the widest admitted specs: 2^(2w + m) output-difference counts (2^17
+    # at w = 8, m = 1), filled from (a, x1, x2) blocks of BLOCK_CELLS / 8 cells
     tracemalloc.start()
     try:
         assert pairwise_independence_census(UhfSpec(w, m)) == 0.0

@@ -2,7 +2,9 @@
 
 Run:  python3 benchmarks/bench_kernels.py
 It imports corrkem from this checkout's src/, installed or not.
-Times are the best of three calls after one warm-up.  The census
+Times are the best of three calls after one warm-up.  The mul_table
+rows are checked before they are timed: every product at w = 8, and
+2^16 seeded pairs at w = 12, must equal the scalar gf2.mul.  The census
 row is checked before it is timed: it must read 0 on the field table,
 and on mul_table(4) with one entry's top bit flipped it must equal a
 full (a, b) recount written here, which counts every output pair of
@@ -153,6 +155,15 @@ def _check_reduction_table():
     print(f"reduction polynomials: the table equals the search at w = 1..{len(REDUCTION_LOWS)}")
 
 
+def _check_mul_table(label, w, pairs=None):
+    """mul_table(w) is int32 and each of its products a * x, or `pairs`
+    seeded pairs of them, equals the scalar gf2.mul."""
+    table, n = mul_table(w), 1 << w
+    a, x = np.divmod(np.arange(n * n), n) if pairs is None else np.random.default_rng(w).integers(0, n, (2, pairs))
+    if table.dtype != np.int32 or table[a, x].tolist() != [mul(*ax, w) for ax in zip(a.tolist(), x.tolist())]:
+        raise SystemExit(f"{label}: products differ from the scalar gf2.mul")
+
+
 def _check_mul_vector(label, multipliers, n, nx, w):
     """Row k holds multipliers[k] * code for every code in flat order."""
     codes = encode_flat(np.arange(nx**n), n, nx).tolist()
@@ -191,7 +202,10 @@ def main():
     table = mul_table(8)
 
     cases = {}
+    _check_mul_table("mul_table w=8", 8)
     cases["mul_table w=8"] = (mul_table, (8,))
+    _check_mul_table("mul_table w=12", 12, 1 << 16)
+    cases["mul_table w=12"] = (mul_table, (12,))
     cases["census w=6 m=3"] = (census_max_dev, (mul_table(6), 6, 3))
     _check_census("census w=6 m=3", *cases["census w=6 m=3"][1], 0)
     planted = mul_table(4)

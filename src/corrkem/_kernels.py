@@ -8,6 +8,8 @@ definition on random tables, ``compose_sd``
 against the naive composability enumeration, and ``census_max_dev``
 against its closed form on a degenerate all-zero product table and a
 full (a, b) recount on random tables and a planted fault.
+``mul_table`` takes the field's powers and select-XOR from
+:mod:`corrkem.gf2`, which keeps the one shift-and-reduce.
 
 The exact statistical-distance kernels exploit one structural fact
 about the affine hash family h_{a,b}(x) = msb_m(a*x XOR b): the b part
@@ -60,7 +62,7 @@ block.
 import numpy as np
 
 from .errors import RegimeTooLarge
-from .gf2 import reduction_low
+from .gf2 import _powers, _select_xor
 
 BACKEND = "numpy"
 
@@ -77,30 +79,15 @@ BLOCK_CELLS = 1 << 22
 
 
 def mul_table(w: int) -> np.ndarray:
-    """Dense (2^w, 2^w) table of field products a*x.
-
-    Limited to w <= MAX_WIDTH; the exhaustive-enumeration regime never
-    needs more.
-    """
+    """Dense (2^w, 2^w) int32 table of field products a*x: the basis
+    x^k * x (k < w) selected from a sliding window of the powers x^i mod
+    f, then each row a as the XOR of the basis rows at a's set bits.
+    Limited to w <= MAX_WIDTH, all the exhaustive regime needs."""
     if w > MAX_WIDTH:
         raise RegimeTooLarge(f"product table limited to 1 <= w <= {MAX_WIDTH}")
-    low = reduction_low(w)  # FormatError for w < 1
-    n = 1 << w
-    top = 1 << (w - 1)
-    mask = n - 1
-    # rows of (x << i) mod f for i = 0..w-1
-    shifted = np.empty((w, n), np.int32)
-    s = np.arange(n, dtype=np.int32)
-    for i in range(w):
-        shifted[i] = s
-        carry = (s & top) != 0
-        s = (s << 1) & mask
-        s[carry] ^= low
-    out = np.zeros((n, n), np.int32)
-    for a in range(1, n):
-        b = (a & -a).bit_length() - 1
-        out[a] = out[a & (a - 1)] ^ shifted[b]
-    return out
+    powers = np.array(_powers(1, w, 2 * w - 1, 0), np.int32)  # FormatError for w < 1
+    basis = _select_xor(np.lib.stride_tricks.sliding_window_view(powers, w), 1 << w)  # [k, x] = x^k * x
+    return _select_xor(basis[None], 1 << w)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -57,15 +57,12 @@ def mul_vector(a, n: int, alphabet_size: int, w: int) -> np.ndarray:
     flat order (first symbol most significant).
 
     :func:`linear_table` at full output width for all multipliers at
-    once: the powers of each multiplier stacked into one array, the
-    per-symbol select-and-XOR across the multipliers, then the XOR outer
-    chain over the symbols.  Needs 1 <= w <= 62, so that every product
-    fits int64: the caller's check, as the posterior adversaries' check_z
-    refuses a wider hash.
+    once: the per-symbol tables of :func:`_code_tables`, then the XOR
+    outer chain over the symbols.  Needs 1 <= w <= 62, so that every
+    product fits int64: the caller's check, as the posterior adversaries'
+    check_z refuses a wider hash.
     """
-    bits = (alphabet_size - 1).bit_length()
-    powers = np.ascontiguousarray(np.array([_powers(x, w, n * bits, 0) for x in a], np.uint64).T)  # [j, k]
-    table = _select_xor(powers.reshape(n, bits, len(a))[::-1], alphabet_size).view(np.int64)  # [i, s, k]
+    table = _code_tables(a, w, w, n, alphabet_size)[..., 0].view(np.int64)  # [i, s, k]
     # last symbol first, so each step's inner loop runs over the longer suffix
     return reduce(lambda c, d: (d[:, :, None] ^ c[:, None, :]).reshape(len(a), -1), table.transpose(0, 2, 1)[::-1])
 
@@ -75,13 +72,19 @@ def linear_table(a: int, w: int, out_bits: int, n: int, alphabet_size: int) -> n
     limbs, shape (n, |X|, ceil(out_bits/64)), with bits = ceil(log2 |X|).
 
     The field product is GF(2)-linear in the packed code, so a * code
-    of any n-symbol vector x is XOR_i T[i, x_i] (then truncated).  The
-    n*bits products a * x^j, each one shift-and-reduce from the last,
-    are XORed per symbol value by one select-and-reduce.
+    of any n-symbol vector x is XOR_i T[i, x_i] (then truncated).
     """
+    return _code_tables([a], w, out_bits, n, alphabet_size)[:, :, 0]
+
+
+def _code_tables(a, w: int, out_bits: int, n: int, alphabet_size: int) -> np.ndarray:
+    """:func:`linear_table` of each multiplier a[k], as T[i, s, k, limb]: the
+    one owner of the packed-symbol layout.  Code bit j, bit j % bits of
+    symbol n-1 - j // bits, has the product a[k] * x^j from :func:`_powers`,
+    and :func:`_select_xor` XORs those per symbol value."""
     bits = (alphabet_size - 1).bit_length()
-    nlimbs = (out_bits + 63) // 64
-    per_bit = limbs(_powers(a, w, n * bits, w - out_bits), out_bits).reshape(n, bits, nlimbs)[::-1]
+    products = limbs([p for x in a for p in _powers(x, w, n * bits, w - out_bits)], out_bits)  # [(k, j), limb]
+    per_bit = products.reshape(len(a), n, bits, products.shape[1]).transpose(1, 2, 0, 3)[::-1]  # [i, j, k, limb]
     return _select_xor(per_bit, alphabet_size)
 
 
@@ -100,14 +103,19 @@ def _powers(a: int, w: int, count: int, shift: int) -> list[int]:
 
 def _select_xor(per_bit: np.ndarray, alphabet_size: int) -> np.ndarray:
     """T[i, s, ...] = XOR of per_bit[i, j, ...] over the set bits j of s,
-    where per_bit[i, j] is the product for bit j of symbol i."""
-    sel = ((np.arange(alphabet_size)[:, None] >> np.arange(per_bit.shape[1])) & 1).astype(np.uint64)  # [s, j]
-    return np.bitwise_xor.reduce(per_bit[:, None] * sel[:, :, None], axis=2)
+    for s < alphabet_size, filled by doubling: the values below 2^(j+1)
+    are those below 2^j, each XORed with per_bit[i, j]."""
+    out = np.zeros(per_bit.shape[:1] + (1 << per_bit.shape[1],) + per_bit.shape[2:], per_bit.dtype)
+    for j in range(per_bit.shape[1]):
+        np.bitwise_xor(out[:, :1 << j], per_bit[:, j:j + 1], out=out[:, 1 << j:2 << j])
+    return out[:, :alphabet_size]
 
 
 def limbs(values, bits: int) -> np.ndarray:
     """bits-wide ints as rows of ceil(bits/64) little-endian uint64 limbs."""
     nl = (bits + 63) // 64
+    if nl == 1:  # each value fits one limb: numpy converts the list directly
+        return np.array(values, np.uint64).reshape(-1, 1)
     return np.frombuffer(b"".join(v.to_bytes(8 * nl, "little") for v in values), "<u8").reshape(-1, nl)
 
 

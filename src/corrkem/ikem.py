@@ -47,7 +47,7 @@ import numpy as np
 
 from . import gf2
 from .errors import FormatError, InfeasibleKeyLength, RegimeTooLarge
-from .source import JointSource, avg_cond_min_entropy, check_symbols
+from .source import JointSource, _cost_matrix, avg_cond_min_entropy
 from .uhf import MAX_HASH_WIDTH, UhfSeed, UhfSpec, encode_symbols, hash_value, sample_seed, symbol_bits
 
 # Slack for floating-point comparisons in branch pruning; every rebuilt
@@ -284,18 +284,6 @@ def check_ciphertext(params: IkemParams, source: JointSource, ctxt: IkemCipherte
     ctxt.s.validate(tspec)
     ctxt.s_prime.validate(kspec)
     return tspec, kspec
-
-
-def _cost_matrix(source: JointSource, y_vec, n: int | None = None) -> np.ndarray:
-    """cost[i, s] = -log2 P(x = s | y_i), +inf where P = 0, gathered from
-    the source's cached table; raises FormatError for a receiver vector
-    that fails :func:`check_symbols` or a symbol of probability 0."""
-    y_vec = check_symbols(y_vec, source.alphabet_sizes[1], n)
-    cost = source.surprisal_table[:, y_vec].T
-    undefined = np.isnan(cost[:, 0])
-    if undefined.any():
-        raise FormatError(f"P(y={y_vec[undefined.argmax()]}) = 0")
-    return cost
 
 
 @dataclass(frozen=True)

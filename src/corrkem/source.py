@@ -201,6 +201,18 @@ def check_symbols(vec, alphabet_size: int, n: int | None = None) -> np.ndarray:
     return symbols
 
 
+def _cost_matrix(source: JointSource, y_vec, n: int | None = None) -> np.ndarray:
+    """cost[i, s] = -log2 P(x = s | y_i), +inf where P = 0, gathered from
+    the source's cached table; raises FormatError for a receiver vector
+    that fails :func:`check_symbols` or a symbol of probability 0."""
+    y_vec = check_symbols(y_vec, source.alphabet_sizes[1], n)
+    cost = source.surprisal_table[:, y_vec].T
+    undefined = np.isnan(cost[:, 0])
+    if undefined.any():
+        raise FormatError(f"P(y={y_vec[undefined.argmax()]}) = 0")
+    return cost
+
+
 def surprisal(source: JointSource, x_vec, y_vec) -> float:
     """Total conditional surprisal sum_i -log2 P(x_i | y_i) in bits.
 
@@ -209,17 +221,13 @@ def surprisal(source: JointSource, x_vec, y_vec) -> float:
     length is x's).
     """
     x_vec = check_symbols(x_vec, source.alphabet_sizes[0])
-    y_vec = check_symbols(y_vec, source.alphabet_sizes[1], x_vec.size)
-    table = source.surprisal_table
+    cost = _cost_matrix(source, y_vec, x_vec.size)  # every y_i checked before the sum
     total = 0.0
-    for xi, yi in zip(x_vec.tolist(), y_vec.tolist()):
-        cost = table[xi, yi]
-        if np.isnan(cost):
-            raise FormatError(f"P(y={yi}) = 0")
-        if cost == np.inf:
-            return float("inf")
-        total += cost
-    return float(total)
+    for c in cost[np.arange(x_vec.size), x_vec].tolist():  # left to right
+        if c == math.inf:
+            return c
+        total += c
+    return total
 
 
 def product_source(source: JointSource, n: int) -> JointSource:

@@ -13,7 +13,7 @@ from corrkem import (
 )
 from corrkem.errors import CorrkemError, FormatError, RegimeTooLarge
 from corrkem.ikem import source_digest
-from corrkem.source import JointSource, SampleTriple
+from corrkem.source import JointSource, SampleTriple, _cost_matrix
 
 
 def test_make_table_source_perfect_pair():
@@ -222,12 +222,24 @@ def test_surprisal_table_is_cached_and_read_only():
         assert table[:, :2].tolist() == (-np.log2(src.conditional_xy()[:, :2])).tolist()
     assert table[2, 0] == np.inf and table[0, 1] == np.inf  # P(x | y) = 0
     assert np.isnan(table[:, 2]).all()  # P(y = 2) = 0
-    # surprisal sums the table left to right; an impossible symbol
-    # before an undefined receiver symbol is +inf, after it raises
+    # surprisal sums the table left to right; an undefined receiver
+    # symbol raises wherever it sits, also after an impossible symbol
     assert surprisal(src, [0, 1, 2], [0, 0, 1]) == (table[0, 0] + table[1, 0]) + table[2, 1]
-    assert surprisal(src, [2, 0], [0, 2]) == np.inf
-    with pytest.raises(FormatError, match="P\\(y=2\\) = 0"):
-        surprisal(src, [0, 2], [2, 0])
+    for x_vec, y_vec in (([2, 0], [0, 2]), ([0, 2], [2, 0])):
+        with pytest.raises(FormatError, match="P\\(y=2\\) = 0"):
+            surprisal(src, x_vec, y_vec)
+
+
+def test_surprisal_refusal_does_not_depend_on_symbol_order():
+    # P(x=1 | y=0) = 0 and P(y=2) = 0: decap's cost matrix refuses both
+    # orders, and so must surprisal, the oracle decap's list is checked by
+    src = make_table_source((2, 3, 1), {(0, 0, 0): 0.5, (0, 1, 0): 0.25, (1, 1, 0): 0.25})
+    for x_vec, y_vec in (([1, 0], [0, 2]), ([0, 1], [2, 0]), ([1, 1, 0], [0, 1, 2])):
+        with pytest.raises(FormatError, match="P\\(y=2\\) = 0"):
+            surprisal(src, x_vec, y_vec)
+        with pytest.raises(FormatError, match="P\\(y=2\\) = 0"):
+            _cost_matrix(src, y_vec)
+    assert surprisal(src, [1, 0], [0, 1]) == np.inf
 
 
 def test_entropy_chain_rule_bound(rng):

@@ -30,7 +30,11 @@ always hold the same key, so the distance must equal the challenge
 distance.  One more instance is checked, untimed, against the
 full-seed naive_composability_sd: a random dense 4x4x2 source at
 nu = 3.0 and t = ell = 1, where 14 of the 16 (x, y) pairs are listed,
-so most one-bit tag slots hold two list entries.  The decap rows
+so most one-bit tag slots hold two list entries.  The he game row is
+verify_micro's he check: run_he_game on the he-micro source with
+BestGuessOtpHeAdversary, 200 trials, q_e = 0 and OTP; before it is
+timed, its report must pass and its advantage must equal the
+trial-by-trial judgement of tests/test_harness.py.  The decap rows
 decapsulate one encapsulation on
 satellite_source(0.05, 0.05, 0.3) with reliability_params(eps=0.25),
 and the n=280 row one on the README demo session (X = Y one uniform
@@ -44,7 +48,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # this checkout's corrkem; the field oracle
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # this checkout's corrkem; the test oracles
 
 import numpy as np  # noqa: E402
 
@@ -65,9 +69,17 @@ from corrkem import (  # noqa: E402
 )
 from corrkem._kernels import BACKEND, cea_sd, census_max_dev, compose_sd, mul_table  # noqa: E402
 from corrkem.gf2 import REDUCTION_LOWS, linear_table, mul, mul_vector  # noqa: E402
-from corrkem.harness import composability_sd, exact_challenge_sd, naive_composability_sd  # noqa: E402
+from corrkem.harness import (  # noqa: E402
+    BestGuessOtpHeAdversary,
+    composability_sd,
+    exact_challenge_sd,
+    naive_composability_sd,
+    run_he_game,
+)
 from corrkem.uhf import encode_flat  # noqa: E402
+from conftest import he_micro_instance  # noqa: E402
 from test_gf2 import search_low  # noqa: E402
+from test_harness import _TrialByTrialHe  # noqa: E402
 
 
 def _bench(fn, *args, repeat=3):
@@ -172,6 +184,15 @@ def _check_mul_vector(label, multipliers, n, nx, w):
         raise SystemExit(f"{label}: products differ from the scalar gf2.mul")
 
 
+def _check_he_game(label, src, params, trials, seed):
+    """The report passes, and its advantage equals the trial-by-trial
+    judgement's."""
+    got = run_he_game(src, params, BestGuessOtpHeAdversary(src, params), 0, trials, seed)
+    want = run_he_game(src, params, _TrialByTrialHe(src, params), 0, trials, seed)
+    if not got.passed or got.advantage_estimate != want.advantage_estimate:
+        raise SystemExit(f"{label}: {got}, trial-by-trial advantage {want.advantage_estimate!r}")
+
+
 def _split_compose(src, params):
     """composability_sd in blocks of one z pattern and steps of one row."""
     budget = _kernels.BLOCK_CELLS
@@ -260,6 +281,10 @@ def main():
     cases["mul_vector 16 w=12 n=3"] = (mul_vector, (multipliers, 3, 16, 12))
     cases["linear_table w=12 n=3"] = (linear_table, (int(rng.integers(1, 1 << 12)), 12, 12, 3, 16))
     cases["linear_table w=280 t=1"] = (linear_table, (int.from_bytes(rng.bytes(35), "big"), 280, 1, 280, 2))
+
+    he_src, he_params = he_micro_instance()
+    _check_he_game("he game 200", he_src, he_params, 200, 1)
+    cases["he game 200"] = (run_he_game, (he_src, he_params, BestGuessOtpHeAdversary(he_src, he_params), 0, 200, 1))
 
     sat = satellite_source(0.05, 0.05, 0.3)
     sessions = [(sat, reliability_params(sat, n=n, eps=0.25, ell=8)) for n in (8, 12, 16, 24, 32)]

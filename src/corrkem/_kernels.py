@@ -189,20 +189,15 @@ def compose_sd(tag, key, xcol, ycol, zcol, ptr, cand, t_bits, ell_bits, nz):
         steps = range(0, block.shape[0], rb)
         held = [step(r) for r in steps] if len(steps) == 1 else None  # else rebuilt per a
         for a in range(na):
-            own = mass = None
+            own = mass = 0.0
             for x, y, zv, p, ka, cell in held or map(step, steps):
                 g = tag[a, x]
                 m = cand[y, a, g]
                 view = zv + g
-                part = np.bincount(view, weights=p, minlength=nview)
+                mass += np.bincount(view, weights=p, minlength=nview)
                 agree = (m >= 0) & (key[:, m] == ka)
-                table = np.bincount((cell + (view << ell_bits)).ravel(), weights=(agree * p).ravel(),
-                                    minlength=(na * nview) << ell_bits)
-                if own is None:
-                    own, mass = table, part
-                else:
-                    own += table
-                    mass += part
+                own += np.bincount((cell + (view << ell_bits)).ravel(), weights=(agree * p).ravel(),
+                                   minlength=(na * nview) << ell_bits)
             own = own.reshape(na, nview, -1)
             overlap += np.minimum(own, mass[:, None] / (1 << ell_bits), out=own).sum()
     return ptr.sum() - overlap / (na * na)

@@ -11,22 +11,22 @@ Wilson half-width for the one-sided correctness rate.  Exact checks
 compare enumerated statistical distances directly against the bound
 with 1e-12 slack for ties.
 
-Both Monte Carlo games judge in one batch.  The trial loop plays every
-game up to the challenge on the one seeded generator and keeps what the
-adversary is shown and the hidden bit; one guess call then returns
-every trial's bit, so no guess moves a later game's draws.  The random
-baselines draw their guesses from a generator spawned from the game
-seed.  The Bayes-optimal adversaries draw nothing: they hash chunks of
-trials (at most _BATCH_CELLS samples x trials) in one GF(2^w) pass per
-seed kind, build one prior per distinct z pattern in a chunk, and
-reduce each trial's row on its own, so every advantage equals a
-trial-by-trial judgement.
+Both Monte Carlo games judge in one batch.  The trial loop, _play,
+draws each game's sample on the one seeded generator; the game plays
+to the challenge and keeps what the adversary is shown and the hidden
+bit; one guess call then returns every trial's bit, so no guess moves a
+later game's draws.  The random baselines draw their guesses from a
+generator spawned from the game seed.  The Bayes-optimal adversaries
+draw nothing: they hash chunks of trials (at most _BATCH_CELLS samples
+x trials) in one GF(2^w) pass per seed kind, build one prior per
+distinct z pattern in a chunk, mask it to each trial's tag and reduce
+each row alone, so every advantage equals a trial-by-trial judgement.
 
 The hybrid game's work is bounded: each trial hashes n symbols and the
 posterior adversary scores all |X|^n samples, so run_he_game raises
 RegimeTooLarge past HE_WORK_LIMIT (2^26) trials * (|X|^n + 256*n).
-Each game then takes the session rule, :func:`corrkem.ikem.hash_width`,
-before its first draw.
+Then _play takes the session rule, :func:`corrkem.ikem.hash_width`,
+before it checks trials >= 1 and draws.
 """
 
 import math
@@ -181,7 +181,7 @@ class _PosteriorMixin:
         return vals
 
     def posteriors(self, zs, ctxts):
-        """(prior, tag hashes, key hashes) of every sample, per trial.
+        """(prior * [tag(x) = g], key hashes) of every sample x, per trial.
 
         Trials are hashed in chunks of at most _BATCH_CELLS cells (at
         least one trial): one :meth:`hash_all` per seed kind and chunk,
@@ -193,7 +193,8 @@ class _PosteriorMixin:
             priors = {key: self.prior_given_z(z) for key, z in distinct.items()}
             tags = self.hash_all([c.s for c in chunk], self.params.t)
             keys = self.hash_all([c.s_prime for c in chunk], self.params.ell)
-            yield from zip([priors[z.tobytes()] for z in part], tags, keys)
+            for z, c, row, hashes in zip(part, chunk, tags, keys):
+                yield priors[z.tobytes()] * (row == c.g), hashes
 
 
 class BestGuessAdversary(_PosteriorMixin, IkemAdversary):
@@ -205,8 +206,7 @@ class BestGuessAdversary(_PosteriorMixin, IkemAdversary):
 
     def guess(self, rng, states, ctxts, keys) -> list[int]:
         bits = []
-        for (prior, tags, hashes), ctxt, key_bits in zip(self.posteriors(states, ctxts), ctxts, keys):
-            weights = prior * (tags == ctxt.g)
+        for (weights, hashes), key_bits in zip(self.posteriors(states, ctxts), keys):
             total = weights.sum()
             mass = weights[hashes == key_bits].sum()
             bits.append(0 if mass * (1 << self.params.ell) >= total else 1)
@@ -249,8 +249,7 @@ class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
     def guess(self, rng, states, ctxts) -> list[int]:
         bits = []
         rows = self.posteriors([z for z, _, _ in states], [c.c1 for c in ctxts])
-        for (prior, tags, keys), (_, m0, m1), ctxt in zip(rows, states, ctxts):
-            weights = prior * (tags == ctxt.c1.g)
+        for (weights, keys), (_, m0, m1), ctxt in zip(rows, states, ctxts):
             nbits = 8 * len(ctxt.c2.body)
             tops = keys >> (self.params.ell - nbits)
             body = int.from_bytes(ctxt.c2.body, "big")
@@ -266,22 +265,23 @@ class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
 # Monte Carlo games
 
 
-def _play(trials: int, seed: int, trial) -> list:
-    """trial(rng) for each of `trials` trials, all on one generator
-    seeded by `seed`."""
+def _play(source: JointSource, params: IkemParams, trials: int, seed: int, trial) -> list:
+    """trial(rng, triple) per trial, triple its n-fold draw from `source`, all
+    on one generator seeded by `seed`; hash_width first, then trials >= 1."""
+    hash_width(source, params)
     if trials < 1:
         raise FormatError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    return [trial(rng) for _ in range(trials)]
+    return [trial(rng, sample_with_rng(source, params.n, rng)) for _ in range(trials)]
 
 
-def _count_wins(trials: int, seed: int, trial, guess) -> int:
+def _count_wins(source: JointSource, params: IkemParams, trials: int, seed: int, trial, guess) -> int:
     """How many of `trials` games the adversary wins.  Each trial plays
     one game up to the challenge and returns guess's arguments and the
     hidden bit; then one guess(rng, ...) call judges every game, on a
     generator spawned from `seed`, so the games' draws do not depend on
     the guesses.  A guess list of another length is a ValueError."""
-    *views, hidden = zip(*_play(trials, seed, trial))
+    *views, hidden = zip(*_play(source, params, trials, seed, trial))
     judge = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     return sum(g == b for g, b in zip(guess(judge, *views), hidden, strict=True))
 
@@ -320,10 +320,8 @@ def run_ikem_game(
     The oracle re-encapsulates under the trial's sender sample with
     fresh seeds and enforces the q_e budget.
     """
-    hash_width(source, params)
 
-    def trial(rng):
-        triple = sample_with_rng(source, params.n, rng)
+    def trial(rng, triple):
         oracle = _budgeted(lambda: encap(params, source, triple.x, rng), q_e, "encapsulation")
         state = adversary.pre_challenge(rng, triple.z, oracle)
         ctxt, real_key = encap(params, source, triple.x, rng)
@@ -331,7 +329,7 @@ def run_ikem_game(
         shown = real_key.bits if b == 0 else rand_bits(rng, params.ell)
         return state, ctxt, shown, b
 
-    wins = _count_wins(trials, seed, trial, adversary.guess)
+    wins = _count_wins(source, params, trials, seed, trial, adversary.guess)
     return _mc_report(f"ikem(q_e={q_e})", trials, seed, _key_bound(params.sigma, q_e), wins)
 
 
@@ -357,11 +355,8 @@ def run_he_game(
         raise RegimeTooLarge(
             f"{trials} trials over {nx}^{n} samples plus 256 * {n} symbols exceed {HE_WORK_LIMIT}"
         )
-    hash_width(source, params)
 
-    def trial(rng):
-        triple = sample_with_rng(source, params.n, rng)
-
+    def trial(rng, triple):
         def encrypt(message: bytes):
             return he_encrypt(params, source, triple.x, message, rng, scheme_tag)
 
@@ -371,7 +366,7 @@ def run_he_game(
         b = int(rng.integers(0, 2))
         return state, encrypt(m1 if b else m0), b
 
-    wins = _count_wins(trials, seed, trial, adversary.guess)
+    wins = _count_wins(source, params, trials, seed, trial, adversary.guess)
     return _mc_report(f"he(q_e={q_e},{scheme_tag})", trials, seed, params.sigma, wins)
 
 
@@ -380,13 +375,11 @@ def correctness_mc(source: JointSource, params: IkemParams, trials: int, seed: i
     Wilson half-widths."""
     if trials < 1000:
         raise FormatError("correctness estimation needs >= 1000 trials")
-    hash_width(source, params)
 
-    def trial(rng) -> bool:
-        triple = sample_with_rng(source, params.n, rng)
+    def trial(rng, triple) -> bool:
         ctxt, key = encap(params, source, triple.x, rng)
         return decap(params, source, triple.y, ctxt) != key  # BOTTOM is never a key
 
-    rate = sum(_play(trials, seed, trial)) / trials
+    rate = sum(_play(source, params, trials, seed, trial)) / trials
     passed = rate <= params.eps + 3.0 * wilson_halfwidth(rate, trials)
     return GameReport("correctness", rate, trials, False, params.eps, passed, seed)

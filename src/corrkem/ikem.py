@@ -124,7 +124,9 @@ class IkemKey:
     length: int
 
     def __post_init__(self):
-        if self.length < 1 or not 0 <= self.bits < (1 << self.length):
+        if self.length < 1:
+            raise FormatError(f"key length must be >= 1 bit, got {self.length}")
+        if not 0 <= self.bits < (1 << self.length):
             raise FormatError("key bits wider than declared length")
 
 

@@ -241,7 +241,7 @@ def key_from_bytes(raw: bytes) -> IkemKey:
     nb = (length + 7) // 8
     if len(raw) != 2 + nb:
         raise FormatError(f"key file must be {2 + nb} bytes for {length} bits")
-    return IkemKey(int.from_bytes(raw[2:], "big"), length)  # checks the bits fit the length
+    return IkemKey(int.from_bytes(raw[2:], "big"), length)  # checks the length and that the bits fit it
 
 
 def dem_ciphertext_to_bytes(ctxt: DemCiphertext) -> bytes:

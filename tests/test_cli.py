@@ -544,6 +544,27 @@ def test_use_counter_is_replaced_atomically(tmp_path, det_source_file):
                      "run.ctxt", "run.key", "msg.bin", "ct.bin"}
 
 
+def test_a_failed_counter_replace_leaves_no_trace(tmp_path, det_source_file, capsys, monkeypatch):
+    # the temp file is unlinked when the rename fails, and nothing is released
+    _, params_path = _plan(tmp_path, det_source_file, 8, 0.5, 0.25)
+    session = ["--source", det_source_file, "--params", params_path]
+    prefix = str(tmp_path / "run")
+    assert main(["gen", *session, "--out", prefix, "--seed", "1"]) == 0
+    sample = tmp_path / "run.alice.json"
+    before = sample.read_bytes()
+
+    def replace(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(wire.os, "replace", replace)
+    capsys.readouterr()
+    assert main(["encap", *session, "--sample", str(sample), "--out", prefix, "--seed", "2"]) == 1
+    assert capsys.readouterr().err == "error: replace refused\n"
+    assert sample.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+    assert not any((tmp_path / name).exists() for name in ("run.ctxt", "run.key"))
+
+
 def test_use_counter_bumped_before_output_write(tmp_path, det_source_file):
     # the ciphertext is released only after the use is counted: a failed
     # output write (missing directory, exit 1) still leaves the count

@@ -280,6 +280,19 @@ def test_cea_qe1_matches_naive_full_seed_oracle():
     assert fast == pytest.approx(slow, abs=1e-10)
 
 
+@pytest.mark.parametrize("xbits, leak, q_e, tol", [(2, 1, 0, 1e-12), (3, 2, 0, 1e-12), (2, 1, 1, 1e-10)])
+def test_cea_matches_naive_oracle_where_z_is_a_function_of_x(xbits, leak, q_e, tol):
+    # Z = the top bits of X leaves (x, z) cells with no mass, which the
+    # oracle skips and the kernel drops from each z pattern's columns
+    from corrkem.harness.exact import naive_cea_sd
+
+    src = leaky_uniform_source(np.random.default_rng(7), xbits, leak, 0.03)
+    assert (src.pmf.sum(axis=1) == 0.0).any()
+    params = _micro_params(q_e=q_e)
+    fast, _ = cea_transcript_sd(src, params, q_e)
+    assert fast == pytest.approx(naive_cea_sd(src, params, q_e), abs=tol)
+
+
 def test_cea_bound_check_honest_and_detector(rng):
     src, params = honest_cea_instance(rng)
     report = cea_bound_check(src, params)

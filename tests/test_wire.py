@@ -143,6 +143,15 @@ def test_key_file_roundtrip():
         wire.key_from_bytes((5).to_bytes(2, "big") + bytes([0xFF]))
 
 
+def test_a_zero_length_key_is_refused_by_its_length():
+    # no bit is too wide here: the declared length is below one bit
+    for make in (lambda: wire.key_from_bytes(b"\x00\x00"), lambda: IkemKey(0, 0)):
+        with pytest.raises(FormatError, match="^key length must be >= 1 bit, got 0$"):
+            make()
+    with pytest.raises(FormatError, match="^key bits wider than declared length$"):
+        IkemKey(2, 1)
+
+
 def test_dem_block_roundtrip():
     ctxt = DemCiphertext(b"abc", "OTP")
     raw = wire.dem_ciphertext_to_bytes(ctxt)

@@ -13,9 +13,11 @@ result is checked before it is timed: it must lie in [0, 1] and agree
 within 1e-12 with a dense reference that multiplies every sample
 column and every challenge-key row in one block.  The z|x row is the
 verify_micro ot w=8 shape: Z the top two bits of X, t = 1, ell = 2.
-The mul_vector row is the posterior games' bulk product a * code over
+The mul_vector rows are the posterior games' bulk product a * code over
 all |X|^n codes at the he-micro shape (w = 12, n = 3, |X| = 16) for a
-chunk of 16 multipliers, checked against the scalar gf2.mul; the
+chunk of 16 multipliers: at full width, and at the widths the posterior
+adversaries hash, its top t = 1 and ell = 8 bits; each is checked
+against the scalar gf2.mul's product, shifted; the
 linear_table rows build the GF(2)-linear table at that shape and the
 README demo's decap tag table (w = n = 280, |X| = 2, t = 1).  Before
 any row, untimed, gf2.REDUCTION_LOWS must equal the published rule's
@@ -176,11 +178,12 @@ def _check_mul_table(label, w, pairs=None):
         raise SystemExit(f"{label}: products differ from the scalar gf2.mul")
 
 
-def _check_mul_vector(label, multipliers, n, nx, w):
-    """Row k holds multipliers[k] * code for every code in flat order."""
+def _check_mul_vector(label, multipliers, n, nx, w, out_bits):
+    """Row k holds msb_out(multipliers[k] * code) for every code in flat
+    order: the scalar gf2.mul's product, shifted."""
     codes = encode_flat(np.arange(nx**n), n, nx).tolist()
-    want = [[mul(a, code, w) for code in codes] for a in multipliers]
-    if mul_vector(multipliers, n, nx, w).tolist() != want:
+    want = [[mul(a, code, w) >> (w - out_bits) for code in codes] for a in multipliers]
+    if mul_vector(multipliers, n, nx, w, out_bits).tolist() != want:
         raise SystemExit(f"{label}: products differ from the scalar gf2.mul")
 
 
@@ -277,8 +280,9 @@ def main():
     cases["composability 2^16 y"] = (composability_sd, (patterns, pattern_params))
 
     multipliers = rng.integers(1, 1 << 12, 16).tolist()
-    _check_mul_vector("mul_vector 16 w=12 n=3", multipliers, 3, 16, 12)
-    cases["mul_vector 16 w=12 n=3"] = (mul_vector, (multipliers, 3, 16, 12))
+    for label, out_bits in (("mul_vector 16 w=12 n=3", 12), ("mul_vector t=1", 1), ("mul_vector ell=8", 8)):
+        _check_mul_vector(label, multipliers, 3, 16, 12, out_bits)
+        cases[label] = (mul_vector, (multipliers, 3, 16, 12, out_bits))
     cases["linear_table w=12 n=3"] = (linear_table, (int(rng.integers(1, 1 << 12)), 12, 12, 3, 16))
     cases["linear_table w=280 t=1"] = (linear_table, (int.from_bytes(rng.bytes(35), "big"), 280, 1, 280, 2))
 

@@ -47,10 +47,13 @@ the view adds M - sum_k min(D(k), M / 2^ell) to the distance.  ``cand``
 holds the unique tag-matching list entry, or -1 for none or several.
 
 The census, itself the verification oracle for the hash family,
-enumerates every multiplier a and ordered input pair x1 != x2 but
-counts the masks b: msb_m(u XOR b) = msb_m(u) XOR msb_m(b) for any
-table, so 2^(w-m) masks give (x1, x2) each output pair whose XOR is
-msb(a*x1) XOR msb(a*x2), the integer a full (a, b) count gives.
+enumerates every multiplier a and input pair x1 != x2 but counts the
+masks b: msb_m(u XOR b) = msb_m(u) XOR msb_m(b) for any table, so
+2^(w-m) masks give (x1, x2) each output pair whose XOR is
+msb(a*x1) XOR msb(a*x2), the integer a full (a, b) count gives.  That
+XOR is symmetric, so (x2, x1) has the same counts: each unordered pair
+is counted once, as (x, x + d mod 2^w) for 0 < d <= 2^(w-1), and no
+x1 = x2 diagonal is built.
 
 ``cea_sd`` works in blocks of rows, the census in blocks of
 multipliers and ``compose_sd`` in blocks of z patterns (each block's
@@ -119,16 +122,18 @@ def _khatri_rao_rows(table, bits, factors, rows):
 
 def census_max_dev(prod, w, m):
     n = 1 << w
-    cells = np.arange(n * n).reshape(n, n) << m  # 2^m difference cells per (x1, x2)
-    counts = np.zeros(n * n << m, np.int64)
-    ab = _block(n, n * n)
+    half = n >> 1
+    pairs = n * (n - 1) >> 1
+    cells = np.arange(pairs) << m  # 2^m difference cells per unordered pair
+    counts = np.zeros(pairs << m, np.int64)
+    ab = _block(n, pairs)
     for a in range(0, n, ab):
         out = prod[a:a + ab] >> (w - m)  # (a, x)
-        diff = out[:, :, None] ^ out[:, None, :]  # (a, x1, x2)
+        # the pairs (x, x + d mod n): every x at each offset 0 < d < n/2, and x < n/2 at d = n/2
+        ahead = np.lib.stride_tricks.sliding_window_view(np.tile(out, 2), n, axis=1)[:, 1:half]  # (a, d - 1, x)
+        diff = np.concatenate([(out[:, None] ^ ahead).reshape(len(out), -1), out[:, :half] ^ out[:, half:]], axis=1)
         counts += np.bincount((cells + diff).ravel(), minlength=counts.shape[0])
-    dev = np.abs((counts.reshape(n, n, -1) << (w - m)) - ((n * n) >> (2 * m)))  # 2^(w-m) masks per count
-    dev[np.arange(n), np.arange(n)] = 0  # x1 == x2 is not a pair
-    return int(dev.max())
+    return int(np.abs((counts << (w - m)) - ((n * n) >> (2 * m))).max())  # 2^(w-m) masks per count
 
 
 # ---------------------------------------------------------------------------

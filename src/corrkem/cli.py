@@ -227,13 +227,20 @@ def cmd_decrypt(args) -> int:
     return _receive(args, args.infile, wire.hybrid_from_bytes, he_decrypt, bytes)
 
 
+def _otp_adversary(source, params, trials):
+    """The he game's posterior adversary, built once --trials has passed
+    the games' rule, so that rule is refused ahead of the adversary's."""
+    harness.games.check_trials(trials)
+    return harness.BestGuessOtpHeAdversary(source, params)
+
+
 _CHECKS = {
     "correctness": lambda source, params, args: harness.correctness_mc(
         source, params, args.trials, _seed_of(args)),
     "ot-bound": lambda source, params, args: harness.ot_bound_check(source, params),
     "cea-bound": lambda source, params, args: harness.cea_bound_check(source, params),
     "he-game": lambda source, params, args: harness.run_he_game(
-        source, params, harness.BestGuessOtpHeAdversary(source, params), params.q_e,
+        source, params, _otp_adversary(source, params, args.trials), params.q_e,
         args.trials, _seed_of(args), SCHEME_OTP),
     "composability": lambda source, params, args: harness.composability_check(source, params),
 }

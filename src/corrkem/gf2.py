@@ -51,18 +51,21 @@ def mul(a: int, b: int, w: int) -> int:
     return res
 
 
-def mul_vector(a, n: int, alphabet_size: int, w: int) -> np.ndarray:
-    """Field products a[k] * code for each multiplier a[k] and every
-    n-symbol vector, as (len(a), |X|^n) int64, each row in row-major
-    flat order (first symbol most significant).
+def mul_vector(a, n: int, alphabet_size: int, w: int, out_bits: int | None = None) -> np.ndarray:
+    """msb_out(a[k] * code) for each multiplier a[k] and every n-symbol
+    vector, as (len(a), |X|^n) in the narrowest unsigned dtype that holds
+    out_bits (default w, the full product), each row in row-major flat
+    order (first symbol most significant).
 
-    :func:`linear_table` at full output width for all multipliers at
-    once: the per-symbol tables of :func:`_code_tables`, then the XOR
-    outer chain over the symbols.  Needs 1 <= w <= 62, so that every
-    product fits int64: the caller's check, as the posterior adversaries'
-    check_z refuses a wider hash.
+    :func:`linear_table` for all multipliers at once: the per-symbol
+    tables of :func:`_code_tables`, already shifted to out_bits, then the
+    XOR outer chain over the symbols in that dtype.  msb commutes with
+    XOR, so the chain never sees the dropped low bits.  Needs
+    out_bits <= 64, one limb per product: the caller's check, as the
+    posterior adversaries' check_z refuses a hash wider than 62 bits.
     """
-    table = _code_tables(a, w, w, n, alphabet_size)[..., 0].view(np.int64)  # [i, s, k]
+    out_bits = w if out_bits is None else out_bits
+    table = _code_tables(a, w, out_bits, n, alphabet_size)[..., 0].astype(np.min_scalar_type((1 << out_bits) - 1))
     # last symbol first, so each step's inner loop runs over the longer suffix
     return reduce(lambda c, d: (d[:, :, None] ^ c[:, None, :]).reshape(len(a), -1), table.transpose(0, 2, 1)[::-1])
 

@@ -18,9 +18,13 @@ bit; one guess call then returns every trial's bit, so no guess moves a
 later game's draws.  The random baselines draw their guesses from a
 generator spawned from the game seed.  The Bayes-optimal adversaries
 draw nothing: they hash chunks of trials (at most _BATCH_CELLS samples
-x trials) in one GF(2^w) pass per seed kind, build one prior per
-distinct z pattern in a chunk, mask it to each trial's tag and reduce
-each row alone, so every advantage equals a trial-by-trial judgement.
+x trials) in one GF(2^w) pass per seed kind that keeps only the bits
+they compare, the t tag bits or the ell key bits of each product.  msb
+commutes with XOR, so a seed's mask b never enters a table: msb(b) is
+XORed into the tag or key it is compared with.  They build one prior
+per distinct z pattern in a chunk, mask it to each trial's tag and
+reduce each row alone, so every advantage equals a trial-by-trial
+judgement.
 
 The hybrid game's work is bounded: each trial hashes n symbols and the
 posterior adversary scores all |X|^n samples, so run_he_game raises
@@ -173,28 +177,23 @@ class _PosteriorMixin:
         first: ((p0 * p1) * p2) ...; z_vec as :meth:`check_z` returns it."""
         return reduce(lambda p, q: np.multiply.outer(p, q).ravel(), self.pxz1[:, z_vec].T)
 
-    def hash_all(self, seeds, out_bits: int) -> np.ndarray:
-        """msb_out(a * x ^ b) of every flat sample x, one row per seed."""
-        vals = mul_vector([s.a for s in seeds], self.params.n, self.source.alphabet_sizes[0], self.w)
-        vals ^= np.array([s.b for s in seeds], np.int64)[:, None]
-        vals >>= self.w - out_bits
-        return vals
-
     def posteriors(self, zs, ctxts):
-        """(prior * [tag(x) = g], key hashes) of every sample x, per trial.
+        """(prior * [msb_t(a * x) = g ^ msb_t(b)], msb_ell(a' * x) of every
+        sample x, msb_ell(b')) per trial, for the seeds (a, b) and (a', b').
 
         Trials are hashed in chunks of at most _BATCH_CELLS cells (at
-        least one trial): one :meth:`hash_all` per seed kind and chunk,
-        and one prior per distinct z in the chunk."""
-        per = max(1, _BATCH_CELLS // self.source.alphabet_sizes[0] ** self.params.n)
+        least one trial): one mul_vector call per seed kind and chunk, and
+        one prior per distinct z in the chunk."""
+        nx, n, w, t, ell = self.source.alphabet_sizes[0], self.params.n, self.w, self.params.t, self.params.ell
+        per = max(1, _BATCH_CELLS // nx**n)
         for lo in range(0, len(ctxts), per):
             chunk, part = ctxts[lo:lo + per], zs[lo:lo + per]
             distinct = {z.tobytes(): z for z in part}
             priors = {key: self.prior_given_z(z) for key, z in distinct.items()}
-            tags = self.hash_all([c.s for c in chunk], self.params.t)
-            keys = self.hash_all([c.s_prime for c in chunk], self.params.ell)
+            tags = mul_vector([c.s.a for c in chunk], n, nx, w, t)
+            keys = mul_vector([c.s_prime.a for c in chunk], n, nx, w, ell)
             for z, c, row, hashes in zip(part, chunk, tags, keys):
-                yield priors[z.tobytes()] * (row == c.g), hashes
+                yield priors[z.tobytes()] * (row == c.g ^ (c.s.b >> w - t)), hashes, c.s_prime.b >> w - ell
 
 
 class BestGuessAdversary(_PosteriorMixin, IkemAdversary):
@@ -206,9 +205,9 @@ class BestGuessAdversary(_PosteriorMixin, IkemAdversary):
 
     def guess(self, rng, states, ctxts, keys) -> list[int]:
         bits = []
-        for (weights, hashes), key_bits in zip(self.posteriors(states, ctxts), keys):
+        for (weights, hashes, mask), key_bits in zip(self.posteriors(states, ctxts), keys):
             total = weights.sum()
-            mass = weights[hashes == key_bits].sum()
+            mass = weights[hashes == key_bits ^ mask].sum()
             bits.append(0 if mass * (1 << self.params.ell) >= total else 1)
         return bits
 
@@ -238,10 +237,16 @@ class RandomGuessHeAdversary(HeAdversary):
 
 class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
     """Posterior-ratio distinguisher for the one-time-pad hybrid: each
-    hypothesis pins down the key prefix, so compare their masses."""
+    hypothesis pins down the key prefix, so compare their masses.  Its
+    messages are whole bytes, ell // 8 of them, so it needs ell >= 8."""
+
+    def __init__(self, source: JointSource, params: IkemParams):
+        super().__init__(source, params)
+        if params.ell < 8:
+            raise FormatError(f"the one-time-pad adversary pads whole bytes of key, so it needs ell >= 8, got ell = {params.ell}")
 
     def choose(self, rng, z_vec, oracle):
-        nbytes = max(1, self.params.ell // 8)
+        nbytes = self.params.ell // 8
         m0 = b"\x00" * nbytes
         m1 = b"\xff" * nbytes
         return (self.check_z(z_vec), m0, m1), m0, m1
@@ -249,10 +254,10 @@ class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
     def guess(self, rng, states, ctxts) -> list[int]:
         bits = []
         rows = self.posteriors([z for z, _, _ in states], [c.c1 for c in ctxts])
-        for (weights, keys), (_, m0, m1), ctxt in zip(rows, states, ctxts):
-            nbits = 8 * len(ctxt.c2.body)
-            tops = keys >> (self.params.ell - nbits)
-            body = int.from_bytes(ctxt.c2.body, "big")
+        for (weights, keys, mask), (_, m0, m1), ctxt in zip(rows, states, ctxts):
+            shift = self.params.ell - 8 * len(ctxt.c2.body)
+            tops = keys >> shift
+            body = int.from_bytes(ctxt.c2.body, "big") ^ (mask >> shift)
             need0 = body ^ int.from_bytes(m0, "big")
             need1 = body ^ int.from_bytes(m1, "big")
             mass0 = weights[tops == need0].sum()
@@ -269,10 +274,15 @@ def _play(source: JointSource, params: IkemParams, trials: int, seed: int, trial
     """trial(rng, triple) per trial, triple its n-fold draw from `source`, all
     on one generator seeded by `seed`; hash_width first, then trials >= 1."""
     hash_width(source, params)
-    if trials < 1:
-        raise FormatError("trials must be >= 1")
+    check_trials(trials)
     rng = np.random.default_rng(seed)
     return [trial(rng, sample_with_rng(source, params.n, rng)) for _ in range(trials)]
+
+
+def check_trials(trials: int) -> None:
+    """The Monte Carlo games' rule trials >= 1."""
+    if trials < 1:
+        raise FormatError("trials must be >= 1")
 
 
 def _count_wins(source: JointSource, params: IkemParams, trials: int, seed: int, trial, guess) -> int:

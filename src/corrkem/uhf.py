@@ -65,8 +65,13 @@ class UhfSeed:
 
 
 def sample_seed(spec: UhfSpec, rng: np.random.Generator) -> UhfSeed:
-    """Uniform seed, deterministic in the generator state."""
-    return UhfSeed(rand_bits(rng, spec.input_bits), rand_bits(rng, spec.input_bits))
+    """Uniform seed, deterministic in the generator state: a then b as two
+    :func:`rand_bits` draws give them, from one call for all their words.
+    A full-range uint64 draw is one raw word of a 64-bit bit generator
+    (default_rng's PCG64), so the raw words are the same stream."""
+    nl, mask = (spec.input_bits + 63) // 64, (1 << spec.input_bits) - 1
+    both = int.from_bytes(rng.bit_generator.random_raw(2 * nl).astype(">u8").tobytes(), "big")
+    return UhfSeed(both >> 64 * nl & mask, both & mask)
 
 
 def rand_bits(rng: np.random.Generator, w: int) -> int:

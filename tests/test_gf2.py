@@ -179,19 +179,23 @@ def test_mul_table_matches_scalar():
 
 
 def test_mul_vector_matches_scalar():
-    # a[k] * code of every n-symbol vector, one row per multiplier, in
-    # flat order: |X| = 1, |X| not a power of two, n*bits = w, the
-    # he-micro shape and w = 62; a batch of one and of six multipliers
+    # msb_out(a[k] * code) of every n-symbol vector, one row per multiplier,
+    # in flat order and the narrowest unsigned dtype that holds out_bits:
+    # |X| = 1, |X| not a power of two, n*bits = w, the he-micro shape and
+    # w = 62; a batch of one and of six multipliers; out_bits 1, 8 and w
     rng = np.random.default_rng(1)
     for nx, n, w in ((1, 3, 4), (3, 4, 11), (5, 3, 9), (16, 3, 12), (2, 10, 62), (7, 2, 62)):
         multipliers = [0, 1, (1 << w) - 1, *(int(rng.integers(0, 1 << w)) for _ in range(3))]
-        got = gf2.mul_vector(multipliers, n, nx, w)
-        assert got.dtype == np.int64 and got.shape == (len(multipliers), nx**n)
-        assert np.array_equal(gf2.mul_vector(multipliers[-1:], n, nx, w), got[-1:])
-        for a, row in zip(multipliers, got.tolist()):
-            for flat, value in enumerate(row):
-                code = encode_symbols(np.unravel_index(flat, (nx,) * n), nx)
-                assert value == gf2.mul(a, code, w)
+        assert np.array_equal(gf2.mul_vector(multipliers, n, nx, w), gf2.mul_vector(multipliers, n, nx, w, w))
+        for out_bits in sorted({1, min(8, w), w}):
+            got = gf2.mul_vector(multipliers, n, nx, w, out_bits)
+            narrowest = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= out_bits)
+            assert got.dtype == narrowest and got.shape == (len(multipliers), nx**n)
+            assert np.array_equal(gf2.mul_vector(multipliers[-1:], n, nx, w, out_bits), got[-1:])
+            for a, row in zip(multipliers, got.tolist()):
+                for flat, value in enumerate(row):
+                    code = encode_symbols(np.unravel_index(flat, (nx,) * n), nx)
+                    assert value == gf2.mul(a, code, w) >> (w - out_bits)
 
 
 def test_mul_table_width_guard():

@@ -29,6 +29,7 @@ from corrkem import (
 from corrkem.cli import main
 from corrkem.errors import CorrkemError, FormatError, InfeasibleKeyLength, RegimeTooLarge
 from corrkem.harness import (
+    BestGuessOtpHeAdversary,
     HeAdversary,
     RandomGuessAdversary,
     RandomGuessHeAdversary,
@@ -358,6 +359,29 @@ def test_he_game_posterior_refuses_past_2_to_20_samples(tmp_path, capsys):
     code, err = _run(capsys, ["verify", "--source", src, "--params", doc, "--mode", "he-game",
                               "--trials", 1])
     assert (code, err) == (4, "regime too large: posterior enumeration needs |X|^n <= 2^20\n")
+
+
+def test_he_game_refuses_a_key_shorter_than_a_byte(tmp_path, capsys, monkeypatch):
+    # the one-time-pad adversary's challenge messages are whole bytes of
+    # key, so an ell < 8 session is refused where the adversary is built,
+    # before any draw (it used to fail in the first trial's encryption)
+    def sample(*args):
+        raise AssertionError("a trial ran past the adversary's ell rule")
+
+    monkeypatch.setattr(games, "sample_with_rng", sample)
+    pair = deterministic_pair_source()  # the README demo source
+    src = _write(tmp_path, "source.json", wire.source_to_json(pair))
+    params = str(tmp_path / "params.json")
+    assert main(["plan", "--source", src, "--n", "12", "--eps", "0.5", "--sigma", "0.25", "--ell", "4",
+                 "--out", params]) == 0
+    capsys.readouterr()
+    code, err = _run(capsys, ["verify", "--source", src, "--params", params, "--mode", "he-game",
+                              "--trials", 100])
+    assert (code, err) == (1, "error: the one-time-pad adversary pads whole bytes of key,"
+                              " so it needs ell >= 8, got ell = 4\n")
+    with pytest.raises(FormatError, match="needs ell >= 8, got ell = 7$"):
+        BestGuessOtpHeAdversary(pair, reliability_params(pair, 12, 0.5, 7))
+    BestGuessOtpHeAdversary(pair, reliability_params(pair, 12, 0.5, 8))  # one byte of key is enough
 
 
 @pytest.mark.parametrize("mode, trials, message", [

@@ -61,6 +61,17 @@ def test_sample_seed_deterministic():
     assert s1 == s2
 
 
+@pytest.mark.parametrize("w", [1, 12, 64, 65, 280, 512])
+def test_sample_seed_is_two_rand_bits_draws(w):
+    # one generator call for all the words of a and b keeps the stream of
+    # two rand_bits draws, seed after seed, and the draw that follows
+    spec = UhfSpec(w, 1)
+    rng, twin = np.random.default_rng(w), np.random.default_rng(w)
+    for _ in range(20):
+        assert sample_seed(spec, rng) == UhfSeed(uhf.rand_bits(twin, w), uhf.rand_bits(twin, w))
+    assert rng.integers(0, 1 << 64, dtype=np.uint64) == twin.integers(0, 1 << 64, dtype=np.uint64)
+
+
 def test_sample_seed_uniformity():
     # each a-value frequency within 5 standard errors of 2^-8
     spec = UhfSpec(8, 2)

@@ -79,7 +79,7 @@ from corrkem.harness import (  # noqa: E402
     run_he_game,
 )
 from corrkem.uhf import encode_flat  # noqa: E402
-from conftest import he_micro_instance  # noqa: E402
+from conftest import he_micro_instance, leaky_uniform_source  # noqa: E402
 from test_gf2 import search_low  # noqa: E402
 from test_harness import _TrialByTrialHe  # noqa: E402
 
@@ -206,18 +206,6 @@ def _split_compose(src, params):
         _kernels.BLOCK_CELLS = budget
 
 
-def _leaky_source(rng):
-    """X near-uniform on 16 symbols, Y = X with the low bit flipped at
-    rate 0.03, Z = the top bit of X."""
-    px = rng.random(16) * 0.2 + 0.9
-    px /= px.sum()
-    pmf = np.zeros((16, 16, 2))
-    for x in range(16):
-        pmf[x, x, x >> 3] += px[x] * 0.97
-        pmf[x, x ^ 1, x >> 3] += px[x] * 0.03
-    return JointSource((16, 16, 2), pmf)
-
-
 def main():
     print(f"backend: {BACKEND}")
     _check_reduction_table()
@@ -263,7 +251,7 @@ def main():
     cand = rng.integers(-1, 16, (16, 16, 2)).astype(np.int64)
     cases["compose_sd w=4"] = (compose_sd, (prod4 >> 3, prod4 >> 3, xcol, ycol, zcol, ptr, cand, 1, 1, 2))
 
-    micro = _leaky_source(rng)
+    micro = leaky_uniform_source(rng, 4, 1, 0.03)
     micro_params = derive_params(micro, 1, 0.5, 0.6, 0, ell_target=2)
     _check_compose("composability w=4", micro, micro_params, lambda: _split_compose(micro, micro_params))
     cases["composability w=4"] = (composability_sd, (micro, micro_params))

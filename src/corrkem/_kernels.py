@@ -9,7 +9,8 @@ against the naive composability enumeration, and ``census_max_dev``
 against its closed form on a degenerate all-zero product table and a
 full (a, b) recount on random tables and a planted fault.
 ``mul_table`` takes the field's powers and select-XOR from
-:mod:`corrkem.gf2`, which keeps the one shift-and-reduce.
+:mod:`corrkem.gf2`, whose scalar ``mul`` keeps its own shift-and-reduce
+loop as the independent oracle that the table tests compare against.
 
 The exact statistical-distance kernels exploit one structural fact
 about the affine hash family h_{a,b}(x) = msb_m(a*x XOR b): the b part

@@ -51,11 +51,11 @@ def mul(a: int, b: int, w: int) -> int:
     return res
 
 
-def mul_vector(a, n: int, alphabet_size: int, w: int, out_bits: int | None = None) -> np.ndarray:
+def mul_vector(a, n: int, alphabet_size: int, w: int, out_bits: int) -> np.ndarray:
     """msb_out(a[k] * code) for each multiplier a[k] and every n-symbol
     vector, as (len(a), |X|^n) in the narrowest unsigned dtype that holds
-    out_bits (default w, the full product), each row in row-major flat
-    order (first symbol most significant).
+    out_bits, each row in row-major flat order (first symbol most
+    significant).
 
     :func:`linear_table` for all multipliers at once: the per-symbol
     tables of :func:`_code_tables`, already shifted to out_bits, then the
@@ -64,7 +64,6 @@ def mul_vector(a, n: int, alphabet_size: int, w: int, out_bits: int | None = Non
     out_bits <= 64, one limb per product: the caller's check, as the
     posterior adversaries' check_z refuses a hash wider than 62 bits.
     """
-    out_bits = w if out_bits is None else out_bits
     table = _code_tables(a, w, out_bits, n, alphabet_size)[..., 0].astype(np.min_scalar_type((1 << out_bits) - 1))
     # last symbol first, so each step's inner loop runs over the longer suffix
     return reduce(lambda c, d: (d[:, :, None] ^ c[:, None, :]).reshape(len(a), -1), table.transpose(0, 2, 1)[::-1])

@@ -304,12 +304,7 @@ class _Walk:
         rows[:] = self.forced  # right at the unbranched positions; the rest are overwritten
         for axes, shape, kept in reversed(self.blocks):
             # split the ancestors' flat indices into prefix and symbols
-            child = kept[node]
-            if len(axes) == 1:  # np.unravel_index divides per element: slow on long arrays
-                node = child // shape[1]
-                ranks = [child - node * shape[1]]
-            else:
-                node, *ranks = np.unravel_index(child, shape)
+            node, *ranks = np.unravel_index(kept[node], shape)
             for (i, syms), rank in zip(axes, ranks):
                 rows[:, i] = rank if syms is None else syms[rank]
         return rows

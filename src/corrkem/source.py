@@ -159,13 +159,9 @@ def avg_cond_min_entropy(source: JointSource, target_coord: int, given_coords) -
         raise FormatError("target and given coordinates must be disjoint")
     drop = tuple(i for i in range(3) if i != target and i not in given)
     joint = source.pmf.sum(axis=drop) if drop else source.pmf
-    # move target first; remaining axes follow the order of `given`
-    order = [target, *given]
-    kept = sorted(order)
-    joint = np.moveaxis(joint, [kept.index(c) for c in order], range(len(order)))
-    # E_given max_target P(target, given) = sum over given of columnwise max;
-    # in (0, 1] for a normalized pmf, clamp the log against float overshoot
-    guess = joint.max(axis=0).sum()
+    # E_given max_target P(target, given) = sum over given of the max along the
+    # target's axis; in (0, 1] for a normalized pmf, clamp the log against float overshoot
+    guess = joint.max(axis=sorted((target, *given)).index(target)).sum()
     return max(0.0, -float(np.log2(guess)))
 
 

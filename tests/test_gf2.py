@@ -186,7 +186,6 @@ def test_mul_vector_matches_scalar():
     rng = np.random.default_rng(1)
     for nx, n, w in ((1, 3, 4), (3, 4, 11), (5, 3, 9), (16, 3, 12), (2, 10, 62), (7, 2, 62)):
         multipliers = [0, 1, (1 << w) - 1, *(int(rng.integers(0, 1 << w)) for _ in range(3))]
-        assert np.array_equal(gf2.mul_vector(multipliers, n, nx, w), gf2.mul_vector(multipliers, n, nx, w, w))
         for out_bits in sorted({1, min(8, w), w}):
             got = gf2.mul_vector(multipliers, n, nx, w, out_bits)
             narrowest = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= out_bits)

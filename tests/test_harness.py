@@ -562,7 +562,7 @@ class _TrialByTrialHe(BestGuessOtpHeAdversary):
 
 def _one_seed_hash(adversary, seed, out_bits):
     nx, n, w = adversary.source.alphabet_sizes[0], adversary.params.n, adversary.w
-    return (mul_vector([seed.a], n, nx, w)[0] ^ seed.b) >> (w - out_bits)
+    return (mul_vector([seed.a], n, nx, w, w)[0] ^ seed.b) >> (w - out_bits)
 
 
 def _leaky_z_instance():

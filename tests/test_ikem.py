@@ -280,6 +280,23 @@ def test_walk_carries_each_leafs_tag_and_rebuilds_any_rows(rng, monkeypatch):
     ]
 
 
+def test_walk_rebuilds_long_single_axis_blocks(rng, monkeypatch):
+    # 2^16 leaves, the sizes at which each one-position block rebuilds a
+    # long array of ranks: 16 free binary positions in 16 blocks, then one
+    # position of 2^16 free symbols in one block
+    with monkeypatch.context() as m:
+        m.setattr("corrkem.ikem.CHUNK_CELLS", 1)
+        walk = _walk(np.zeros((16, 2)), 0.0, np.zeros((16, 2, 0), np.uint64))
+    assert walk.count == 1 << 16 and len(walk.blocks) == 16
+    every = np.indices((2,) * 16).reshape(16, -1).T
+    assert np.array_equal(walk.rows(np.arange(walk.count)), every)
+    subset = rng.integers(0, walk.count, size=5000)  # repeats, out of order
+    assert np.array_equal(walk.rows(subset), every[subset])
+    wide = _walk(np.zeros((1, 1 << 16)), 0.0, np.zeros((1, 1 << 16, 0), np.uint64))
+    assert len(wide.blocks) == 1
+    assert np.array_equal(wide.rows(np.arange(wide.count)), np.arange(1 << 16)[:, None])
+
+
 def test_enumerate_typical_with_a_tag_filters_the_list(rng, monkeypatch):
     # oracle: the whole list, filtered by each row's table XOR; same order.
     # t = 1 leaves many rows per tag, t = 65 compares a second limb

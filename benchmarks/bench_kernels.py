@@ -16,7 +16,8 @@ verify_micro ot w=8 shape: Z the top two bits of X, t = 1, ell = 2.
 The mul_vector rows are the posterior games' bulk product a * code over
 all |X|^n codes at the he-micro shape (w = 12, n = 3, |X| = 16) for a
 chunk of 16 multipliers: at full width, and at the widths the posterior
-adversaries hash, its top t = 1 and ell = 8 bits; each is checked
+adversaries hash, its top t = 1 and ell = 8 bits, and at w = 64 all
+64 bits, the widest tag or key they take (ell = 64); each is checked
 against the scalar gf2.mul's product, shifted; the
 linear_table rows build the GF(2)-linear table at that shape and the
 README demo's decap tag table (w = n = 280, |X| = 2, t = 1).  Before
@@ -271,6 +272,9 @@ def main():
     for label, out_bits in (("mul_vector 16 w=12 n=3", 12), ("mul_vector t=1", 1), ("mul_vector ell=8", 8)):
         _check_mul_vector(label, multipliers, 3, 16, 12, out_bits)
         cases[label] = (mul_vector, (multipliers, 3, 16, 12, out_bits))
+    wide = np.random.default_rng(64).integers(1, 1 << 64, 16, np.uint64).tolist()
+    _check_mul_vector("mul_vector ell=64", wide, 3, 16, 64, 64)
+    cases["mul_vector ell=64"] = (mul_vector, (wide, 3, 16, 64, 64))
     cases["linear_table w=12 n=3"] = (linear_table, (int(rng.integers(1, 1 << 12)), 12, 12, 3, 16))
     cases["linear_table w=280 t=1"] = (linear_table, (int.from_bytes(rng.bytes(35), "big"), 280, 1, 280, 2))
 

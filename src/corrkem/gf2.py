@@ -62,7 +62,7 @@ def mul_vector(a, n: int, alphabet_size: int, w: int, out_bits: int) -> np.ndarr
     XOR outer chain over the symbols in that dtype.  msb commutes with
     XOR, so the chain never sees the dropped low bits.  Needs
     out_bits <= 64, one limb per product: the caller's check, as the
-    posterior adversaries' check_z refuses a hash wider than 62 bits.
+    posterior adversaries refuse t or ell past 64 when they are built.
     """
     table = _code_tables(a, w, out_bits, n, alphabet_size)[..., 0].astype(np.min_scalar_type((1 << out_bits) - 1))
     # last symbol first, so each step's inner loop runs over the longer suffix

@@ -26,8 +26,10 @@ per distinct z pattern in a chunk, mask it to each trial's tag and
 reduce each row alone, so every advantage equals a trial-by-trial
 judgement.
 
-The hybrid game's work is bounded: each trial hashes n symbols and the
-posterior adversary scores all |X|^n samples, so run_he_game raises
+The posterior adversaries refuse their regime when they are built:
+|X|^n <= 2^20 samples, and t, ell <= 64 bits, one limb per product.
+The hybrid game's work is bounded too: each trial hashes n symbols and
+the posterior adversary scores all |X|^n samples, so run_he_game raises
 RegimeTooLarge past HE_WORK_LIMIT (2^26) trials * (|X|^n + 256*n).
 Then _play takes the session rule, :func:`corrkem.ikem.hash_width`,
 before it checks trials >= 1 and draws.
@@ -150,31 +152,22 @@ class RandomGuessAdversary(IkemAdversary):
 
 class _PosteriorMixin:
     """Shared machinery: exact posterior over sender samples given the
-    eavesdropper vector and a tag-consistent challenge."""
+    eavesdropper vector and a tag-consistent challenge, refused when it
+    is built past the regime the module docstring states."""
 
     def __init__(self, source: JointSource, params: IkemParams):
         self.source = source
         self.params = params
         self.w = hash_width(source, params)
-        self.pxz1 = source.pmf.sum(axis=1)
-
-    def check_z(self, z_vec) -> np.ndarray:
-        """z_vec as :func:`check_symbols` returns it, once the posterior
-        fits: |X|^n <= 2^20 samples and a hash width <= 62 bits.
-
-        Each trial's first posterior step, so it refuses the regime, after
-        the games' own work check and before any |X|^n array exists."""
-        nx, _, nz = self.source.alphabet_sizes
-        z_vec = check_symbols(z_vec, nz, self.params.n)
-        if nx**self.params.n > _POSTERIOR_LIMIT:
+        if source.alphabet_sizes[0] ** params.n > _POSTERIOR_LIMIT:
             raise RegimeTooLarge("posterior enumeration needs |X|^n <= 2^20")
-        if self.w > 62:
-            raise RegimeTooLarge(f"posterior hashing needs a hash width <= 62, got {self.w}")
-        return z_vec
+        if max(params.t, params.ell) > 64:
+            raise RegimeTooLarge(f"posterior hashing needs t, ell <= 64, got t = {params.t}, ell = {params.ell}")
+        self.pxz1 = source.pmf.sum(axis=1)
 
     def prior_given_z(self, z_vec) -> np.ndarray:
         """P(x, z_vec) for every flat sample x, multiplied first symbol
-        first: ((p0 * p1) * p2) ...; z_vec as :meth:`check_z` returns it."""
+        first: ((p0 * p1) * p2) ...; z_vec as :func:`check_symbols` returns it."""
         return reduce(lambda p, q: np.multiply.outer(p, q).ravel(), self.pxz1[:, z_vec].T)
 
     def posteriors(self, zs, ctxts):
@@ -201,7 +194,7 @@ class BestGuessAdversary(_PosteriorMixin, IkemAdversary):
     iff its posterior mass is at least the uniform 2^-ell."""
 
     def pre_challenge(self, rng, z_vec, oracle):
-        return self.check_z(z_vec)
+        return check_symbols(z_vec, self.source.alphabet_sizes[2], self.params.n)
 
     def guess(self, rng, states, ctxts, keys) -> list[int]:
         bits = []
@@ -238,18 +231,19 @@ class RandomGuessHeAdversary(HeAdversary):
 class BestGuessOtpHeAdversary(_PosteriorMixin, HeAdversary):
     """Posterior-ratio distinguisher for the one-time-pad hybrid: each
     hypothesis pins down the key prefix, so compare their masses.  Its
-    messages are whole bytes, ell // 8 of them, so it needs ell >= 8."""
+    messages are whole bytes, ell // 8 of them, so it needs ell >= 8,
+    a rule refused ahead of the posterior's."""
 
     def __init__(self, source: JointSource, params: IkemParams):
-        super().__init__(source, params)
         if params.ell < 8:
             raise FormatError(f"the one-time-pad adversary pads whole bytes of key, so it needs ell >= 8, got ell = {params.ell}")
+        super().__init__(source, params)
 
     def choose(self, rng, z_vec, oracle):
         nbytes = self.params.ell // 8
         m0 = b"\x00" * nbytes
         m1 = b"\xff" * nbytes
-        return (self.check_z(z_vec), m0, m1), m0, m1
+        return (check_symbols(z_vec, self.source.alphabet_sizes[2], self.params.n), m0, m1), m0, m1
 
     def guess(self, rng, states, ctxts) -> list[int]:
         bits = []

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import gf2
 from .errors import FormatError, InfeasibleKeyLength, RegimeTooLarge
-from .source import JointSource, _cost_matrix, avg_cond_min_entropy
+from .source import JointSource, _cost_matrix, _path_costs, avg_cond_min_entropy
 from .uhf import MAX_HASH_WIDTH, UhfSeed, UhfSpec, encode_symbols, hash_value, sample_seed, symbol_bits
 
 # Slack for floating-point comparisons in branch pruning; every rebuilt
@@ -367,12 +367,9 @@ def _walk(cost: np.ndarray, nu: float, table: np.ndarray) -> _Walk:
 
 
 def _within(cost: np.ndarray, rows: np.ndarray, nu: float) -> np.ndarray:
-    """Which rows lie in the list: the one membership check.  Each row's
-    surprisal is summed left to right from position 0, the order of
-    :func:`corrkem.source.surprisal`, and compared with nu."""
-    totals = cost[np.arange(len(cost)), rows]
-    np.cumsum(totals, axis=1, out=totals)  # in place: one row-sized array at the peak
-    return np.logical_and.reduce(totals[:, -1:] <= nu, axis=1)  # n = 0: every row is kept
+    """Which rows lie in the list: the one membership check, each row's
+    :func:`corrkem.source.surprisal` (its ``_path_costs``) <= nu."""
+    return _path_costs(cost, rows) <= nu
 
 
 def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None = None):
@@ -391,9 +388,8 @@ def enumerate_typical(source: JointSource, y_vec, nu: float, tag: tuple | None =
     exceeds nu + _PRUNE_SLACK.  A block grows while its outer sum holds
     at most CHUNK_CELLS cells (never more than MAX_CANDIDATES).  The
     rows rebuilt from the walk then pass one check, :func:`_within`,
-    which sums each left to right as :func:`corrkem.source.surprisal`
-    does, so the output equals the brute-force filter exactly, whatever
-    the blocks.
+    which takes :func:`corrkem.source.surprisal`'s own sum, so the output
+    equals the brute-force filter exactly, whatever the blocks.
 
     Without a tag, :func:`_listed` walks the whole list and rebuilds
     every row before the first is yielded; with one, the list itself is

@@ -218,12 +218,16 @@ def surprisal(source: JointSource, x_vec, y_vec) -> float:
     """
     x_vec = check_symbols(x_vec, source.alphabet_sizes[0])
     cost = _cost_matrix(source, y_vec, x_vec.size)  # every y_i checked before the sum
-    total = 0.0
-    for c in cost[np.arange(x_vec.size), x_vec].tolist():  # left to right
-        if c == math.inf:
-            return c
-        total += c
-    return total
+    return float(_path_costs(cost, x_vec[None, :])[0])
+
+
+def _path_costs(cost: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i cost[i, row_i] for each of the (k, n) rows, added left to
+    right from 0.0: the one sum of :func:`surprisal` and of decap's list
+    check, ``ikem._within``, so the list is {x : surprisal <= nu}."""
+    totals = cost[np.arange(len(cost)), rows]
+    np.cumsum(totals, axis=1, out=totals)  # in place: one row-sized array at the peak
+    return totals[:, -1:].sum(axis=1)  # the last column summed from 0.0: -0.0 gives 0.0, n = 0 gives 0.0
 
 
 def product_source(source: JointSource, n: int) -> JointSource:

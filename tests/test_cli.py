@@ -317,17 +317,18 @@ def test_verify_he_game_past_the_work_limit_exits_4(tmp_path, sat_source_file, c
     assert "regime too large" in capsys.readouterr().err
 
 
-def test_verify_he_game_past_int64_hash_width_exits_4(tmp_path, det_source_file, capsys):
+def test_verify_he_game_key_past_64_bits_exits_4(tmp_path, det_source_file, capsys):
     # a params file may widen ell past what _load_session re-derives;
-    # the posterior adversary hashes in int64 and refuses w = 100
+    # the posterior adversary keeps each product's t or ell bits in one
+    # 64-bit limb and refuses ell = 100 when it is built
     _, params_path = _plan(tmp_path, det_source_file, 4, 0.5, 0.25)
     doc = json.loads(Path(params_path).read_text())
     wire.save_json(params_path, dict(doc, ell=100))
     code = main(["verify", "--source", det_source_file, "--params", params_path,
                  "--mode", "he-game", "--trials", "10"])
     assert code == 4
-    # check_z's refusal: gf2.mul_vector relies on it and has no guard of its own
-    assert capsys.readouterr().err == "regime too large: posterior hashing needs a hash width <= 62, got 100\n"
+    # gf2.mul_vector relies on this refusal and has no guard of its own
+    assert capsys.readouterr().err == f"regime too large: posterior hashing needs t, ell <= 64, got t = {doc['t']}, ell = 100\n"
 
 
 def test_verify_composability_past_the_work_limit_exits_4(tmp_path, capsys):

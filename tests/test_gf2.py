@@ -182,11 +182,13 @@ def test_mul_vector_matches_scalar():
     # msb_out(a[k] * code) of every n-symbol vector, one row per multiplier,
     # in flat order and the narrowest unsigned dtype that holds out_bits:
     # |X| = 1, |X| not a power of two, n*bits = w, the he-micro shape and
-    # w = 62; a batch of one and of six multipliers; out_bits 1, 8 and w
+    # w = 62, 63, 64 and 70; a batch of one and of six multipliers;
+    # out_bits 1, 8, 63, 64 and w, each up to min(w, 64), one limb
     rng = np.random.default_rng(1)
-    for nx, n, w in ((1, 3, 4), (3, 4, 11), (5, 3, 9), (16, 3, 12), (2, 10, 62), (7, 2, 62)):
-        multipliers = [0, 1, (1 << w) - 1, *(int(rng.integers(0, 1 << w)) for _ in range(3))]
-        for out_bits in sorted({1, min(8, w), w}):
+    for nx, n, w in ((1, 3, 4), (3, 4, 11), (5, 3, 9), (16, 3, 12), (2, 10, 62), (7, 2, 62),
+                     (2, 6, 63), (7, 2, 64), (3, 4, 70)):
+        multipliers = [0, 1, (1 << w) - 1, *(_multiplier(rng, w) for _ in range(3))]
+        for out_bits in sorted({b for b in (1, 8, 63, 64, w) if b <= min(w, 64)}):
             got = gf2.mul_vector(multipliers, n, nx, w, out_bits)
             narrowest = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= out_bits)
             assert got.dtype == narrowest and got.shape == (len(multipliers), nx**n)
@@ -195,6 +197,12 @@ def test_mul_vector_matches_scalar():
                 for flat, value in enumerate(row):
                     code = encode_symbols(np.unravel_index(flat, (nx,) * n), nx)
                     assert value == gf2.mul(a, code, w) >> (w - out_bits)
+
+
+def _multiplier(rng, w: int) -> int:
+    """A uniform w-bit multiplier; past 62 bits drawn from bytes, as
+    rng.integers stops at int64."""
+    return int(rng.integers(0, 1 << w)) if w <= 62 else int.from_bytes(rng.bytes(9), "big") % (1 << w)
 
 
 def test_mul_table_width_guard():

@@ -610,6 +610,35 @@ def test_batched_judgement_equals_trial_by_trial(instance, monkeypatch):
         assert _advantages(src, params, he, ikem, trials) == oracle, chunk
 
 
+@pytest.mark.parametrize("field, bits", [("t", 63), ("t", 64), ("ell", 63), ("ell", 64)])
+def test_posterior_adversaries_play_up_to_64_bits(field, bits):
+    # a tag or key of 63 or 64 bits still fits mul_vector's one limb:
+    # both games play, and each report equals the trial-by-trial one
+    src, params = _leaky_z_instance()
+    wide = dishonest(params, **{field: bits})
+    for seed in range(1, 11):
+        assert run_he_game(src, wide, BestGuessOtpHeAdversary(src, wide), 0, 23, seed) == \
+            run_he_game(src, wide, _TrialByTrialHe(src, wide), 0, 23, seed)
+        assert run_ikem_game(src, wide, BestGuessAdversary(src, wide), 0, 23, seed) == \
+            run_ikem_game(src, wide, _TrialByTrialIkem(src, wide), 0, 23, seed)
+
+
+@pytest.mark.parametrize("field", ["t", "ell"])
+def test_posterior_adversaries_refuse_65_bits_when_built(field, monkeypatch):
+    def sample(*args):
+        raise AssertionError("a game drew past the posterior's regime")
+
+    monkeypatch.setattr(games, "sample_with_rng", sample)
+    src, params = _leaky_z_instance()
+    wide = dishonest(params, **{field: 65})
+    message = f"^posterior hashing needs t, ell <= 64, got t = {wide.t}, ell = {wide.ell}$"
+    for play in (lambda: run_ikem_game(src, wide, BestGuessAdversary(src, wide), 0, 5, 1),
+                 lambda: run_he_game(src, wide, BestGuessOtpHeAdversary(src, wide), 0, 5, 1)):
+        with pytest.raises(RegimeTooLarge, match=message) as refused:
+            play()
+        assert refused.value.exit_code == 4
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_a_guess_list_of_another_length_is_refused(extra):
     # one bit per trial: a short list must not shrink the count of wins

@@ -208,6 +208,22 @@ def _listed(src, y_vec, nu):
     return [tuple(v) for v in enumerate_typical(src, y_vec, nu)]
 
 
+def test_within_keeps_exactly_the_rows_whose_surprisal_is_within_nu():
+    # _within and surprisal take one sum: every row of random micro
+    # sources (n = 0 to 5) is kept iff its surprisal <= nu, also at a nu
+    # equal to some row's own surprisal
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        nx, ny, n = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(0, 6))
+        src = _random_table_source(rng, nx, ny, forced_rate=0.3)
+        y_vec = rng.choice(np.flatnonzero(src.pmf.sum(axis=(0, 2)) > 0), n)
+        rows = np.array(list(product(range(nx), repeat=n)), np.int64)
+        costs = [surprisal(src, row, y_vec) for row in rows]
+        finite = [c for c in costs if c < np.inf]
+        for nu in (*rng.choice(finite, 3), float(rng.random() * 2 * n)):
+            assert _within(_cost_matrix(src, y_vec), rows, nu).tolist() == [c <= nu for c in costs]
+
+
 def test_enumerate_typical_matches_brute_force(rng):
     forced_seen = 0
     for src, y_vec, nus in _micro_cases(rng):

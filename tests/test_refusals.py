@@ -351,14 +351,25 @@ def test_the_library_games_take_the_session_rule_before_a_draw(monkeypatch):
                 play()
 
 
-def test_he_game_posterior_refuses_past_2_to_20_samples(tmp_path, capsys):
-    # one trial over 2^21 samples passes the game's charge; the posterior refuses it
+def test_he_game_posterior_refuses_past_2_to_20_samples(tmp_path, capsys, monkeypatch):
+    # one trial over 2^21 samples passes the game's charge; the posterior
+    # adversary refuses it when it is built, before any draw
+    def sample(*args):
+        raise AssertionError("a trial drew past the posterior's regime")
+
+    monkeypatch.setattr(games, "sample_with_rng", sample)
     src = _write(tmp_path, "sat.json", {"type": "satellite", "pa": 0.05, "pb": 0.05, "pe": 0.3})
     params = reliability_params(satellite_source(0.05, 0.05, 0.3), 21, 0.25, 8)
     doc = _write(tmp_path, "params.json", wire.params_to_json(params))
     code, err = _run(capsys, ["verify", "--source", src, "--params", doc, "--mode", "he-game",
                               "--trials", 1])
     assert (code, err) == (4, "regime too large: posterior enumeration needs |X|^n <= 2^20\n")
+    # the one-time-pad adversary's ell rule is refused ahead of the posterior's
+    params = reliability_params(satellite_source(0.05, 0.05, 0.3), 21, 0.25, 4)
+    doc = _write(tmp_path, "params4.json", wire.params_to_json(params))
+    code, err = _run(capsys, ["verify", "--source", src, "--params", doc, "--mode", "he-game"])
+    assert (code, err) == (1, "error: the one-time-pad adversary pads whole bytes of key,"
+                              " so it needs ell >= 8, got ell = 4\n")
 
 
 def test_he_game_refuses_a_key_shorter_than_a_byte(tmp_path, capsys, monkeypatch):

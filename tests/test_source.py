@@ -1,5 +1,7 @@
 """Sources, entropies, sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from corrkem import (
 )
 from corrkem.errors import CorrkemError, FormatError, RegimeTooLarge
 from corrkem.ikem import source_digest
-from corrkem.source import JointSource, SampleTriple, _cost_matrix
+from corrkem.source import JointSource, SampleTriple, _cost_matrix, check_symbols
 
 
 def test_make_table_source_perfect_pair():
@@ -240,6 +242,44 @@ def test_surprisal_refusal_does_not_depend_on_symbol_order():
         with pytest.raises(FormatError, match="P\\(y=2\\) = 0"):
             _cost_matrix(src, y_vec)
     assert surprisal(src, [1, 0], [0, 1]) == np.inf
+
+
+def _surprisal_loop(source, x_vec, y_vec) -> float:
+    """The oracle: the terms -log2 P(x_i | y_i) added one at a time, left
+    to right from 0.0, returning +inf at the first impossible symbol."""
+    x_vec = check_symbols(x_vec, source.alphabet_sizes[0])
+    cost = _cost_matrix(source, y_vec, x_vec.size)
+    total = 0.0
+    for c in cost[np.arange(x_vec.size), x_vec].tolist():
+        if c == math.inf:
+            return c
+        total += c
+    return total
+
+
+def test_surprisal_equals_the_left_to_right_loop():
+    # 2000 random (source, x, y) cases, equal to the bit (float.hex tells
+    # 0.0 from -0.0): zero cells give +inf terms, a column with one x gives
+    # -0.0 terms (P(x | y) = 1), and every tenth case has n = 0; x is
+    # uniform on odd cases, else drawn where P(x | y) > 0
+    rng = np.random.default_rng(36)
+    seen = {"inf": 0, "zero": 0, "empty": 0, "finite": 0}
+    for case in range(2000):
+        nx, ny = (int(s) for s in rng.integers(1, 5, 2))
+        pmf = rng.random((nx, ny, 1)) * (rng.random((nx, ny, 1)) < 0.7)
+        forced = int(rng.integers(0, ny))
+        pmf[:, forced, 0] = 0.0
+        pmf[int(rng.integers(0, nx)), forced, 0] = rng.random() + 0.1
+        src = JointSource((nx, ny, 1), pmf / pmf.sum())
+        n = int(rng.integers(1, 41)) if case % 10 else 0
+        y_vec = rng.choice(np.flatnonzero(pmf.sum(axis=(0, 2)) > 0), n)
+        possible = src.conditional_xy() > 0
+        x_vec = rng.integers(0, nx, n) if case % 2 else [rng.choice(np.flatnonzero(possible[:, y])) for y in y_vec]
+        got, want = surprisal(src, x_vec, y_vec), _surprisal_loop(src, x_vec, y_vec)
+        assert type(got) is float and got.hex() == want.hex(), (case, got, want)
+        seen["empty" if n == 0 else "inf" if want == math.inf else "zero" if want == 0.0 else "finite"] += 1
+    assert seen["empty"] == 200 and min(seen.values()) >= 50, seen
+    assert surprisal(src, [], []) == 0.0  # an empty list is any dtype
 
 
 def test_entropy_chain_rule_bound(rng):
